@@ -22,8 +22,8 @@ from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy,
                     DressedRates, Free, RateQuery, RateResult, SeriesRate,
                     ZenoMeasurement, continuous_rate, controlled_rate,
                     dephasing_rate, dressed_rates, golden_rule_rate,
-                    kick_rate, kick_rate_integral, summary_asymptotics,
-                    zeno_rate)
+                    kick_rate, kick_rate_integral, strategy_rate,
+                    summary_asymptotics, zeno_rate)
 from .crossover import (CrossoverReport, QuickEstimates, find_K_star,
                         find_tau_star_kick, find_tau_star_zeno,
                         quick_estimates)

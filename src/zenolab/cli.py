@@ -107,7 +107,6 @@ class RunConfig:
     conversion_c: float = 2.0 * math.pi
     grid: GridSpec | None = None
     out: str = "-"
-    seed: int = 0  # reserved; every run is noise-free and deterministic
     extra: dict = field(default_factory=dict)
 
     def form_factor(self, family: str | None = None) -> spectral.FormFactor:
@@ -121,13 +120,35 @@ class RunConfig:
         keys = (f"family={self.family} n={self.n} g={self.g:.17g} "
                 f"beta={self.beta:.17g} omega={self.omega0:.17g} "
                 f"W={self.W:.17g} unit={self.unit} "
-                f"conversion_c={self.conversion_c:.17g} seed={self.seed}")
+                f"conversion_c={self.conversion_c:.17g}")
         lines = [f"zenolab {command}", f"config: {keys}"]
         if self.grid is not None:
             lines.append(f"grid: {self.grid}")
         for k, v in sorted(self.extra.items()):
             lines.append(f"{k}: {v}")
         return lines
+
+
+def _with(cfg: RunConfig, **kw) -> RunConfig:
+    """``cfg`` with fields replaced; ``extra`` entries are merged in."""
+    merged = {**cfg.__dict__}
+    if "extra" in kw:
+        kw["extra"] = {**cfg.extra, **kw["extra"]}
+    merged.update(kw)
+    return RunConfig(**merged)
+
+
+# strategy name -> strategy at period tau or coupling K (each uses one)
+_STRATEGIES = {
+    "free": lambda tau, K: rates.Free(),
+    "zeno": lambda tau, K: rates.ZenoMeasurement(tau),
+    "kick": lambda tau, K: rates.BangBangKick(tau),
+    "continuous": lambda tau, K: rates.ContinuousCoupling(K),
+}
+_CONTROLLED = ("zeno", "kick", "continuous")
+
+_FULL_GRID = GridSpec(5e-2, 1e3, 181, "log")
+_SMALL_GRID = GridSpec(1e-3, 10.0, 161, "log")    # the controlled region
 
 
 def _fmt(x: float) -> str:
@@ -164,39 +185,43 @@ def cmd_density(cfg: RunConfig) -> int:
              spectral.thermal_density(tsd_e, w),
              spectral.thermal_density(tsd_p, w)]
             for w in omegas]
-    cfg2 = RunConfig(**{**cfg.__dict__, "grid": grid})
-    _write_csv(cfg.out, cfg2.header_lines("density"),
+    _write_csv(cfg.out, _with(cfg, grid=grid).header_lines("density"),
                ["omega_over_W", "kappa_exp", "kappa_poly",
                 "kappa_beta_exp", "kappa_beta_poly"], rows)
     return EXIT_OK
 
 
-def _ratio(strategy: str, tsd, omega0: float, x: float, c: float) -> float:
-    gamma = rates.golden_rule_rate(tsd, omega0)
-    if strategy == "zeno":
-        return rates.zeno_rate(tsd, omega0, x) / gamma
-    if strategy == "kick":
-        return rates.kick_rate(tsd, omega0, x).gamma / gamma
-    if strategy == "continuous":
-        return rates.continuous_rate(tsd, omega0, c / x) / gamma
-    raise DomainError(f"unknown strategy {strategy!r}")
+def cmd_sweep(cfg: RunConfig, strategies: tuple[str, ...]) -> int:
+    """Controlled/free rate ratios versus x = W tau, or x = c W / K.
 
-
-def cmd_sweep(cfg: RunConfig, strategy: str) -> int:
-    grid = cfg.grid or GridSpec(5e-2, 1e3, 181, "log")
-    xs = grid.values()                      # x = W tau, or x = c W / K
-    tsd_e = cfg.thermal(spectral.EXPONENTIAL)
-    tsd_p = cfg.thermal(spectral.POLYNOMIAL)
+    Each grid point is a period tau and its equivalent coupling K = c/tau.
+    One strategy writes a 'sweep' file; several write one 'figure' file
+    with a column pair per strategy.
+    """
+    grid = cfg.grid or _FULL_GRID
+    if not grid.lo > 0:
+        raise DomainError("sweep grid requires lo > 0 (x is W tau or c W/K)")
+    tsds = (cfg.thermal(spectral.EXPONENTIAL), cfg.thermal(spectral.POLYNOMIAL))
+    gammas = [rates.golden_rule_rate(tsd, cfg.omega0) for tsd in tsds]
     rows = []
-    for x in xs:
-        arg = x / cfg.W                     # tau (or c/K) in raw units
-        rows.append([x,
-                     _ratio(strategy, tsd_e, cfg.omega0, arg, cfg.conversion_c),
-                     _ratio(strategy, tsd_p, cfg.omega0, arg, cfg.conversion_c)])
-    cfg2 = RunConfig(**{**cfg.__dict__, "grid": grid,
-                        "extra": {**cfg.extra, "strategy": strategy}})
-    _write_csv(cfg.out, cfg2.header_lines("sweep"),
-               ["x", "ratio_exp", "ratio_poly"], rows)
+    for x in grid.values():
+        tau = x / cfg.W                     # tau (or c/K) in raw units
+        row = [x]
+        for name in strategies:
+            strategy = _STRATEGIES[name](tau, cfg.conversion_c / tau)
+            row += [rates.strategy_rate(tsd, cfg.omega0, strategy).gamma / gamma
+                    for tsd, gamma in zip(tsds, gammas)]
+        rows.append(row)
+    if len(strategies) == 1:
+        command, extra = "sweep", {"strategy": strategies[0]}
+        columns = ["x", "ratio_exp", "ratio_poly"]
+    else:
+        # column labels abbreviate to four letters: ratio_cont_exp
+        command, extra = "figure", {}
+        columns = ["x"] + [f"ratio_{name[:4]}_{fam}" for name in strategies
+                           for fam in ("exp", "poly")]
+    _write_csv(cfg.out, _with(cfg, grid=grid, extra=extra).header_lines(command),
+               columns, rows)
     return EXIT_OK
 
 
@@ -228,8 +253,7 @@ def cmd_crossover(cfg: RunConfig) -> int:
     extra = {"strategies": "zeno,kick,continuous",
              "quick_estimates": (f"{q.tau_star_zeno:.17g},"
                                  f"{q.tau_star_kick:.17g},{q.K_star:.17g}")}
-    cfg2 = RunConfig(**{**cfg.__dict__, "extra": {**cfg.extra, **extra}})
-    _write_csv(cfg.out, cfg2.header_lines("crossover"),
+    _write_csv(cfg.out, _with(cfg, extra=extra).header_lines("crossover"),
                ["strategy_index", "star_value", "closed_form_estimate",
                 "relative_gap", "n_crossings", "no_crossing"], rows)
     for line in text:
@@ -260,14 +284,12 @@ def cmd_evolve(cfg: RunConfig, state: str, g0: float, strategy_name: str,
     if g0 > 0:
         ff0 = spectral.FormFactor(cfg.family, g=g0, cutoff=lam, n=cfg.n)
         tsd_deph = ff0.thermal(cfg.beta)
-    strategy = _parse_strategy(strategy_name, tau, K)
+    strategy = _STRATEGIES[strategy_name](tau, K)
     if cfg.g == 0.0:
         # pure dephasing: no spin-flip channel at all
-        base = lindblad.build_qubit_generator(
-            spectral.FormFactor(cfg.family, g=1.0, cutoff=lam,
-                                n=cfg.n).thermal(cfg.beta),
-            tsd_deph, cfg.omega0, strategy)
-        gen = lindblad.QubitGenerator(cfg.omega0, base.gamma_dephase, 0.0, 0.0,
+        gamma_0 = (rates.strategy_rate(tsd_deph, 0.0, strategy).gamma
+                   if tsd_deph is not None else 0.0)
+        gen = lindblad.QubitGenerator(cfg.omega0, gamma_0, 0.0, 0.0,
                                       beta=cfg.beta)
     else:
         gen = lindblad.build_qubit_generator(cfg.thermal(), tsd_deph,
@@ -280,23 +302,11 @@ def cmd_evolve(cfg: RunConfig, state: str, g0: float, strategy_name: str,
         x, y, z = st.bloch
         rows.append([t, st.p_up, x, y, z, st.purity])
     extra = {"state": state, "g0": f"{g0:.17g}", "strategy": strategy_name}
-    cfg2 = RunConfig(**{**cfg.__dict__, "grid": grid,
-                        "extra": {**cfg.extra, **extra}})
-    _write_csv(cfg.out, cfg2.header_lines("evolve"),
+    # the strategy's own parameter: tau (zeno, kick) or K (continuous)
+    extra.update((k, f"{v:.17g}") for k, v in vars(strategy).items())
+    _write_csv(cfg.out, _with(cfg, grid=grid, extra=extra).header_lines("evolve"),
                ["t", "p_up", "bloch_x", "bloch_y", "bloch_z", "purity"], rows)
     return EXIT_OK
-
-
-def _parse_strategy(name: str, tau: float, K: float) -> rates.ControlStrategy:
-    if name == "free":
-        return rates.Free()
-    if name == "zeno":
-        return rates.ZenoMeasurement(tau)
-    if name == "kick":
-        return rates.BangBangKick(tau)
-    if name == "continuous":
-        return rates.ContinuousCoupling(K)
-    raise DomainError(f"unknown strategy {name!r}")
 
 
 def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
@@ -368,46 +378,36 @@ def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
     extra = {"protocol": protocol, "M": str(M), "cycles": str(n_cycles),
              "window": f"{window[0]:.6g}..{window[1]:.6g}",
              "temperature": "zero (single-excitation sector)"}
-    cfg2 = RunConfig(**{**cfg.__dict__, "extra": {**cfg.extra, **extra}})
-    _write_csv(cfg.out, cfg2.header_lines("oracle"),
+    _write_csv(cfg.out, _with(cfg, extra=extra).header_lines("oracle"),
                ["param", "rate_oracle", "rate_analytic", "rel_gap",
                 "fit_residual", "M", "window"], rows)
     return EXIT_OK
+
+
+# figure id -> (fixed grid, strategies) of the rate-ratio figures
+_RATIO_FIGURES = {
+    3: (_FULL_GRID, ("zeno",)),
+    4: (_FULL_GRID, ("kick",)),
+    5: (_SMALL_GRID, ("zeno",)),
+    6: (_SMALL_GRID, ("kick",)),
+    7: (_FULL_GRID, ("continuous",)),
+    10: (_FULL_GRID, _CONTROLLED),
+    11: (_SMALL_GRID, _CONTROLLED),
+}
 
 
 # figure ids 2..11 index the standard comparison figure set
 def cmd_figure(cfg: RunConfig, fig_id: int) -> int:
     if fig_id == 2:
         return _figure_thermal(cfg)
-    if fig_id in (3, 5):
-        grid = GridSpec(5e-2, 1e3, 181, "log") if fig_id == 3 else \
-            GridSpec(1e-3, 10.0, 161, "log")
+    if fig_id in _RATIO_FIGURES:
+        grid, strategies = _RATIO_FIGURES[fig_id]
         return cmd_sweep(_with(cfg, grid=grid, extra={"figure": str(fig_id)}),
-                         "zeno")
-    if fig_id in (4, 6):
-        grid = GridSpec(5e-2, 1e3, 181, "log") if fig_id == 4 else \
-            GridSpec(1e-3, 10.0, 161, "log")
-        return cmd_sweep(_with(cfg, grid=grid, extra={"figure": str(fig_id)}),
-                         "kick")
-    if fig_id == 7:
-        return cmd_sweep(_with(cfg, grid=GridSpec(5e-2, 1e3, 181, "log"),
-                               extra={"figure": "7"}), "continuous")
+                         strategies)
     if fig_id in (8, 9):
         tau = 50.0 / cfg.W if fig_id == 8 else 3.0 / cfg.W
         return _figure_response(cfg, fig_id, tau)
-    if fig_id in (10, 11):
-        grid = GridSpec(5e-2, 1e3, 181, "log") if fig_id == 10 else \
-            GridSpec(1e-3, 10.0, 161, "log")
-        return _figure_comparison(cfg, fig_id, grid)
     raise DomainError(f"unknown figure id {fig_id}; valid ids are 2..11")
-
-
-def _with(cfg: RunConfig, **kw) -> RunConfig:
-    merged = {**cfg.__dict__}
-    if "extra" in kw:
-        kw["extra"] = {**cfg.extra, **kw["extra"]}
-    merged.update(kw)
-    return RunConfig(**merged)
 
 
 def _figure_thermal(cfg: RunConfig) -> int:
@@ -459,24 +459,6 @@ def _figure_response(cfg: RunConfig, fig_id: int, tau: float) -> int:
     return EXIT_OK
 
 
-def _figure_comparison(cfg: RunConfig, fig_id: int, grid: GridSpec) -> int:
-    tsd_e = cfg.thermal(spectral.EXPONENTIAL)
-    tsd_p = cfg.thermal(spectral.POLYNOMIAL)
-    rows = []
-    for x in grid.values():
-        arg = x / cfg.W
-        row = [x]
-        for strat in ("zeno", "kick", "continuous"):
-            row.append(_ratio(strat, tsd_e, cfg.omega0, arg, cfg.conversion_c))
-            row.append(_ratio(strat, tsd_p, cfg.omega0, arg, cfg.conversion_c))
-        rows.append(row)
-    cfg2 = _with(cfg, grid=grid, extra={"figure": str(fig_id)})
-    _write_csv(cfg.out, cfg2.header_lines("figure"),
-               ["x", "ratio_zeno_exp", "ratio_zeno_poly", "ratio_kick_exp",
-                "ratio_kick_poly", "ratio_cont_exp", "ratio_cont_poly"], rows)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -500,8 +482,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="lo:hi:points(log|lin)")
     p.add_argument("--out", type=str, default=_env("OUT", "-"),
                    help="output CSV path ('-' = stdout)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved (runs are noise-free)")
 
 
 def _config_from(args) -> RunConfig:
@@ -525,12 +505,12 @@ def _config_from(args) -> RunConfig:
     if not omega0 > 0:
         raise DomainError("omega must be positive")
     grid = GridSpec.parse(args.grid) if args.grid else None
-    if args.conversion_c <= 0:
+    if not args.conversion_c > 0:
         raise DomainError("conversion constant must be positive")
     return RunConfig(family=args.family, n=args.n, g=args.g, beta=beta,
                      omega0=omega0, W=W, unit=args.unit,
                      conversion_c=args.conversion_c, grid=grid,
-                     out=args.out, seed=args.seed)
+                     out=args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -544,8 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="rate ratio versus W tau (or c W/K)")
     _add_common(p)
-    p.add_argument("--strategy", choices=["zeno", "kick", "continuous"],
-                   required=True)
+    p.add_argument("--strategy", choices=_CONTROLLED, required=True)
 
     p = sub.add_parser("crossover", help="tau*/K* roots and estimates")
     _add_common(p)
@@ -555,15 +534,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", choices=sorted(_STATES), default="up")
     p.add_argument("--g0", type=float, default=0.0,
                    help="dephasing-channel coupling (0 = spin-flip only)")
-    p.add_argument("--strategy", choices=["free", "zeno", "kick", "continuous"],
-                   default="free")
+    p.add_argument("--strategy", choices=list(_STRATEGIES), default="free")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--K", type=float, default=0.0)
 
     p = sub.add_parser("oracle", help="discretized-bath fitted rates")
     _add_common(p)
-    p.add_argument("--protocol", choices=["free", "zeno", "kick", "continuous"],
-                   required=True)
+    p.add_argument("--protocol", choices=list(_STRATEGIES), required=True)
     p.add_argument("--values", type=str, default="",
                    help="comma-separated tau (zeno/kick) or K (continuous)")
     p.add_argument("--modes", type=int, default=300, help="bath mode count M")
@@ -584,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "density":
             return cmd_density(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.strategy)
+            return cmd_sweep(cfg, (args.strategy,))
         if args.command == "crossover":
             return cmd_crossover(cfg)
         if args.command == "evolve":
@@ -592,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
                               args.tau, args.K)
         if args.command == "oracle":
             values = [float(v) for v in args.values.split(",") if v]
-            if args.protocol in ("zeno", "kick", "continuous") and not values:
+            if args.protocol in _CONTROLLED and not values:
                 raise DomainError(f"--values is required for {args.protocol}")
             return cmd_oracle(cfg, args.protocol, values, args.modes,
                               args.cycles)

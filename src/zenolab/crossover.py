@@ -107,11 +107,10 @@ def find_tau_star_zeno(tsd: ThermalSpectralDensity, omega0: float,
 
 
 def find_tau_star_kick(tsd: ThermalSpectralDensity, omega0: float,
-                       j_max: int = 50,
                        find_all: bool = False) -> CrossoverReport:
     """Smallest tau with gamma_k(tau) = gamma; Lambert-W / power-law estimate."""
     gamma = golden_rule_rate(tsd, omega0)
-    ratio = lambda t: kick_rate(tsd, omega0, t, j_max=j_max).gamma / gamma
+    ratio = lambda t: kick_rate(tsd, omega0, t).gamma / gamma
     root, bracket, crossings = _scan_first_crossing(
         ratio, _log_grid(_SCAN_LO, _SCAN_HI), find_all)
     ff = tsd.base

@@ -39,10 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidState, NoRelaxation
-from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy, Free,
-                    ZenoMeasurement, dephasing_rate, dressed_rates,
-                    kick_rate, zeno_rate)
-from .spectral import ThermalSpectralDensity, thermal_density
+from .rates import ControlStrategy, Free, dressed_rates, strategy_rate
+from .spectral import ThermalSpectralDensity
 
 __all__ = [
     "QubitDensityMatrix",
@@ -150,33 +148,17 @@ class QubitGenerator:
 def build_qubit_generator(tsd_flip: ThermalSpectralDensity,
                           tsd_dephase: ThermalSpectralDensity | None,
                           omega0: float,
-                          strategy: ControlStrategy = Free(),
-                          j_max: int = 50) -> QubitGenerator:
+                          strategy: ControlStrategy = Free()) -> QubitGenerator:
     """Generator with the flip/dephasing channels set by ``strategy``.
 
     ``tsd_dephase=None`` means g_0 = 0 (pure spin-flip decoherence).
     """
     if not omega0 > 0:
         raise DomainError("omega0 must be positive")
-
-    def channel(tsd: ThermalSpectralDensity, center: float) -> float:
-        if isinstance(strategy, Free):
-            if center == 0.0:
-                return dephasing_rate(tsd)
-            return 2.0 * math.pi * thermal_density(tsd, center)
-        if isinstance(strategy, ZenoMeasurement):
-            return zeno_rate(tsd, center, strategy.tau)
-        if isinstance(strategy, BangBangKick):
-            return kick_rate(tsd, center, strategy.tau, j_max=j_max).gamma
-        if isinstance(strategy, ContinuousCoupling):
-            K = strategy.K
-            return math.pi * (thermal_density(tsd, center + K)
-                              + thermal_density(tsd, center - K))
-        raise DomainError(f"unknown strategy {strategy!r}")
-
-    gamma_down = channel(tsd_flip, omega0)
-    gamma_up = channel(tsd_flip, -omega0)
-    gamma_0 = channel(tsd_dephase, 0.0) if tsd_dephase is not None else 0.0
+    gamma_down = strategy_rate(tsd_flip, omega0, strategy).gamma
+    gamma_up = strategy_rate(tsd_flip, -omega0, strategy).gamma
+    gamma_0 = (strategy_rate(tsd_dephase, 0.0, strategy).gamma
+               if tsd_dephase is not None else 0.0)
     return QubitGenerator(omega0, gamma_0, gamma_down, gamma_up,
                           beta=tsd_flip.beta)
 

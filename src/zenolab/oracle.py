@@ -164,7 +164,7 @@ class SingleExcitationModel:
         """dim 2M+1 model: {|up, vac>, |down, 1_i>, |M, 1_i>}."""
         if not omega0 > 0:
             raise DomainError("omega0 must be positive")
-        if K < 0:
+        if not K >= 0:
             raise DomainError("K must be nonnegative")
         M = bath.n_modes
         d = 2 * M + 1

@@ -63,6 +63,7 @@ __all__ = [
     "dressed_rates",
     "dephasing_rate",
     "summary_asymptotics",
+    "strategy_rate",
     "controlled_rate",
 ]
 
@@ -101,7 +102,7 @@ class ContinuousCoupling:
     K: float
 
     def __post_init__(self):
-        if self.K < 0:
+        if not self.K >= 0:
             raise DomainError("coupling K must be nonnegative")
 
 
@@ -149,7 +150,7 @@ def golden_rule_rate(tsd: ThermalSpectralDensity, omega0: float) -> float:
 
 def continuous_rate(tsd: ThermalSpectralDensity, omega0: float, K: float) -> float:
     """gamma_c(K) = pi [kappa_beta(omega0 + K) + kappa_beta(omega0 - K)]."""
-    if K < 0:
+    if not K >= 0:
         raise DomainError("K must be nonnegative")
     return math.pi * (thermal_density(tsd, omega0 + K)
                       + thermal_density(tsd, omega0 - K))
@@ -162,7 +163,7 @@ def dressed_rates(tsd: ThermalSpectralDensity, omega0: float, K: float) -> Dress
     the dressed pair; gamma_bar_+/- = 2 pi kappa_beta(-omega0 +/- K) feed
     it back.  Their mean (gamma_+ + gamma_-)/2 equals continuous_rate.
     """
-    if K < 0:
+    if not K >= 0:
         raise DomainError("K must be nonnegative")
     two_pi = 2.0 * math.pi
     return DressedRates(
@@ -387,20 +388,28 @@ def summary_asymptotics(family: str, n: int, omega0: float, W: float,
 # ---------------------------------------------------------------------------
 # strategy dispatch
 
-def controlled_rate(query: RateQuery, j_max: int = 50) -> RateResult:
+def strategy_rate(tsd: ThermalSpectralDensity, center: float,
+                  strategy: ControlStrategy) -> SeriesRate:
+    """Rate of the channel centred at ``center`` under ``strategy``.
+
+    The single place where a control strategy becomes a rate.  ``center``
+    may be any real frequency: the qubit generator evaluates emission at
+    Omega, absorption at -Omega and pure dephasing at 0.  Only the kick
+    series carries a nonzero truncation error.
+    """
+    if isinstance(strategy, Free):
+        return SeriesRate(golden_rule_rate(tsd, center), 0.0)
+    if isinstance(strategy, ZenoMeasurement):
+        return SeriesRate(zeno_rate(tsd, center, strategy.tau), 0.0)
+    if isinstance(strategy, BangBangKick):
+        return kick_rate(tsd, center, strategy.tau)
+    if isinstance(strategy, ContinuousCoupling):
+        return SeriesRate(continuous_rate(tsd, center, strategy.K), 0.0)
+    raise DomainError(f"unknown strategy {strategy!r}")
+
+
+def controlled_rate(query: RateQuery) -> RateResult:
     """Rate of the spin-flip channel under the query's control strategy."""
-    tsd, omega0 = query.tsd, query.omega0
-    gamma_free = golden_rule_rate(tsd, omega0)
-    strat = query.strategy
-    trunc = 0.0
-    if isinstance(strat, Free):
-        gamma = gamma_free
-    elif isinstance(strat, ZenoMeasurement):
-        gamma = zeno_rate(tsd, omega0, strat.tau)
-    elif isinstance(strat, BangBangKick):
-        gamma, trunc = kick_rate(tsd, omega0, strat.tau, j_max=j_max)
-    elif isinstance(strat, ContinuousCoupling):
-        gamma = continuous_rate(tsd, omega0, strat.K)
-    else:
-        raise DomainError(f"unknown strategy {strat!r}")
+    gamma_free = golden_rule_rate(query.tsd, query.omega0)
+    gamma, trunc = strategy_rate(query.tsd, query.omega0, query.strategy)
     return RateResult(gamma, gamma_free, gamma / gamma_free, trunc)

@@ -127,6 +127,12 @@ def test_evolve_identity_and_convergence(tmp_path):
     _, columns, data = read_csv(out)
     assert np.allclose(col(columns, data, "p_up"), 0.5, atol=1e-12)
     assert col(columns, data, "purity")[-1] < col(columns, data, "purity")[0]
+    # the header records the strategy's parameter
+    for args, line in ((["--strategy", "kick", "--tau", "0.25"], "# tau: 0.25"),
+                       (["--strategy", "continuous", "--K", "3"], "# K: 3")):
+        code, out = run(tmp_path, "e3.csv", ["evolve"] + args)
+        assert code == 0
+        assert line in read_csv(out)[0]
 
 
 def test_oracle_command_free_and_k0(tmp_path):
@@ -184,9 +190,18 @@ def test_figure_10_concatenates_sweeps(tmp_path):
     code, out = run(tmp_path, "f10.csv", ["figure", "--id", "10"])
     assert code == 0
     _, columns, data = read_csv(out)
-    for name in ("ratio_zeno_exp", "ratio_kick_poly", "ratio_cont_exp"):
-        assert name in columns
     assert data.shape[1] == 7
+    for strategy, short in (("zeno", "zeno"), ("kick", "kick"),
+                            ("continuous", "cont")):
+        code, sw = run(tmp_path, f"s_{strategy}.csv",
+                       ["sweep", "--strategy", strategy,
+                        "--grid", "5e-2:1e3:181log"])
+        assert code == 0
+        _, c2, d2 = read_csv(sw)
+        assert np.array_equal(col(columns, data, "x"), col(c2, d2, "x"))
+        for fam in ("exp", "poly"):
+            assert np.array_equal(col(columns, data, f"ratio_{short}_{fam}"),
+                                  col(c2, d2, f"ratio_{fam}"))
 
 
 def test_figure_thermal_and_response_overlays(tmp_path):
@@ -256,3 +271,11 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["sweep", "--strategy", "zeno", "--grid", "nonsense",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["density", "--g", "-1", "--out", str(tmp_path / "y.csv")]) == 2
+    # x = 0 would be tau = 0 or K = inf
+    assert main(["sweep", "--strategy", "continuous", "--grid", "0:1:3lin",
+                 "--out", str(tmp_path / "v.csv")]) == 2
+    # NaN passes a plain '< 0' check; both must be rejected
+    assert main(["sweep", "--strategy", "continuous", "--conversion-c", "nan",
+                 "--out", str(tmp_path / "z.csv")]) == 2
+    assert main(["evolve", "--strategy", "continuous", "--K", "nan",
+                 "--out", str(tmp_path / "w.csv")]) == 2

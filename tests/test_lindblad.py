@@ -55,13 +55,26 @@ def test_generator_zeno_limit_recovers_free(tsd_exp):
 
 
 def test_generator_controlled_strategies(tsd_exp):
-    kick = z.build_qubit_generator(tsd_exp, None, OMEGA, z.BangBangKick(1.0))
-    assert kick.gamma_down == pytest.approx(
-        z.kick_rate(tsd_exp, OMEGA, 1.0).gamma, rel=1e-12)
-    cont = z.build_qubit_generator(tsd_exp, None, OMEGA,
-                                   z.ContinuousCoupling(0.5))
-    assert cont.gamma_down == pytest.approx(
-        z.continuous_rate(tsd_exp, OMEGA, 0.5), rel=1e-14)
+    # every channel is its strategy's rate kernel, bit for bit: emission at
+    # Omega, absorption at -Omega, dephasing at 0 (finite beta and beta = inf)
+    ff0 = z.FormFactor(z.EXPONENTIAL, g=0.5, cutoff=tsd_exp.base.cutoff)
+    kernels = [
+        (z.Free(), z.golden_rule_rate),
+        (z.ZenoMeasurement(2.0), lambda tsd, c: z.zeno_rate(tsd, c, 2.0)),
+        (z.BangBangKick(1.0), lambda tsd, c: z.kick_rate(tsd, c, 1.0).gamma),
+        (z.ContinuousCoupling(0.5),
+         lambda tsd, c: z.continuous_rate(tsd, c, 0.5)),
+    ]
+    for beta in (BETA, math.inf):
+        tsd_flip = tsd_exp.base.thermal(beta)
+        tsd_deph = ff0.thermal(beta)
+        for strategy, rate in kernels:
+            gen = z.build_qubit_generator(tsd_flip, tsd_deph, OMEGA, strategy)
+            assert gen.gamma_down == rate(tsd_flip, OMEGA)
+            assert gen.gamma_up == rate(tsd_flip, -OMEGA)
+            assert gen.gamma_dephase == rate(tsd_deph, 0.0)
+        free = z.build_qubit_generator(tsd_flip, tsd_deph, OMEGA)
+        assert free.gamma_dephase == z.dephasing_rate(tsd_deph)
 
 
 def test_evolve_examples(tsd_exp):

@@ -211,3 +211,13 @@ def test_controlled_rate_dispatch(tsd_exp):
         z.ContinuousCoupling(-1.0)
     with pytest.raises(z.DomainError):
         z.RateQuery(tsd_exp, -1.0, z.Free())
+    # a NaN coupling is rejected wherever K enters
+    with pytest.raises(z.DomainError):
+        z.ContinuousCoupling(math.nan)
+    with pytest.raises(z.DomainError):
+        z.continuous_rate(tsd_exp, OMEGA, math.nan)
+    with pytest.raises(z.DomainError):
+        z.dressed_rates(tsd_exp, OMEGA, math.nan)
+    with pytest.raises(z.DomainError):
+        z.SingleExcitationModel.with_ancilla(z.build_bath(tsd_exp.base, 6.0, 10),
+                                             OMEGA, math.nan)
