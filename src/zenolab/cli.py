@@ -156,7 +156,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header_lines: list[str], columns: list[str],
-               rows: list[list[float]]):
+               rows: np.ndarray | list[list[float]]):
     text_rows = ["# " + line for line in header_lines]
     text_rows.append(",".join(columns))
     for row in rows:
@@ -179,12 +179,11 @@ def cmd_density(cfg: RunConfig) -> int:
     ff_p = cfg.form_factor(spectral.POLYNOMIAL)
     tsd_e = ff_e.thermal(cfg.beta)
     tsd_p = ff_p.thermal(cfg.beta)
-    rows = [[w / cfg.W,
-             spectral.bare_density(ff_e, w),
-             spectral.bare_density(ff_p, w),
-             spectral.thermal_density(tsd_e, w),
-             spectral.thermal_density(tsd_p, w)]
-            for w in omegas]
+    rows = np.column_stack([omegas / cfg.W,
+                            spectral.bare_density(ff_e, omegas),
+                            spectral.bare_density(ff_p, omegas),
+                            spectral.thermal_density(tsd_e, omegas),
+                            spectral.thermal_density(tsd_p, omegas)])
     _write_csv(cfg.out, _with(cfg, grid=grid).header_lines("density"),
                ["omega_over_W", "kappa_exp", "kappa_poly",
                 "kappa_beta_exp", "kappa_beta_poly"], rows)
@@ -203,15 +202,14 @@ def cmd_sweep(cfg: RunConfig, strategies: tuple[str, ...]) -> int:
         raise DomainError("sweep grid requires lo > 0 (x is W tau or c W/K)")
     tsds = (cfg.thermal(spectral.EXPONENTIAL), cfg.thermal(spectral.POLYNOMIAL))
     gammas = [rates.golden_rule_rate(tsd, cfg.omega0) for tsd in tsds]
-    rows = []
-    for x in grid.values():
-        tau = x / cfg.W                     # tau (or c/K) in raw units
-        row = [x]
-        for name in strategies:
-            strategy = _STRATEGIES[name](tau, cfg.conversion_c / tau)
-            row += [rates.strategy_rate(tsd, cfg.omega0, strategy).gamma / gamma
-                    for tsd, gamma in zip(tsds, gammas)]
-        rows.append(row)
+    xs = grid.values()
+    taus = xs / cfg.W                       # tau (or c/K) in raw units
+    data = [xs]
+    for name in strategies:
+        strategy = _STRATEGIES[name](taus, cfg.conversion_c / taus)
+        data += [rates.strategy_rate(tsd, cfg.omega0, strategy).gamma / gamma
+                 for tsd, gamma in zip(tsds, gammas)]
+    rows = np.column_stack(data)
     if len(strategies) == 1:
         command, extra = "sweep", {"strategy": strategies[0]}
         columns = ["x", "ratio_exp", "ratio_poly"]
@@ -415,13 +413,10 @@ def _figure_thermal(cfg: RunConfig) -> int:
     ff_e = cfg.form_factor(spectral.EXPONENTIAL)
     ff_p = cfg.form_factor(spectral.POLYNOMIAL)
     betas = (50.0 / cfg.W, 2.0 / cfg.W)   # low and very high temperature
-    rows = []
-    for w in grid.values():
-        row = [w / cfg.W]
-        for b in betas:
-            row.append(spectral.thermal_density(ff_e.thermal(b), w))
-            row.append(spectral.thermal_density(ff_p.thermal(b), w))
-        rows.append(row)
+    omegas = grid.values()
+    rows = np.column_stack([omegas / cfg.W] + [
+        spectral.thermal_density(ff.thermal(b), omegas)
+        for b in betas for ff in (ff_e, ff_p)])
     cfg2 = _with(cfg, grid=grid, extra={"figure": "2",
                                         "betas": f"{betas[0]:g},{betas[1]:g}"})
     _write_csv(cfg.out, cfg2.header_lines("figure"),
@@ -441,14 +436,18 @@ def _figure_response(cfg: RunConfig, fig_id: int, tau: float) -> int:
     omega0 = 0.2 * cfg.W              # response figures use a larger splitting
     tsd = cfg.form_factor(spectral.POLYNOMIAL).thermal(cfg.beta)
     grid = cfg.grid or GridSpec(-1.0 * cfg.W, 3.0 * cfg.W, 801, "lin")
-    rows = []
-    for w in grid.values():
-        kb = spectral.thermal_density(tsd, w)
-        z = (w - omega0) * tau / 2.0
-        zeno_w = tau * kb * (np.sinc(z / np.pi)) ** 2
-        j_half = abs(w - omega0) * tau / (2.0 * math.pi)
-        kick_env = (2.0 / math.pi) * kb / j_half ** 2 if j_half > 0 else math.nan
-        rows.append([w / cfg.W, kb, zeno_w, kick_env, math.pi * kb])
+    w = grid.values()
+    kb = spectral.thermal_density(tsd, w)
+    z = (w - omega0) * tau / 2.0
+    # float_power squares through pow(), as scalar ** 2 does; the array
+    # ** 2 squares by multiplication, which can differ in the last bit
+    zeno_w = tau * kb * np.float_power(np.sinc(z / np.pi), 2.0)
+    j_half = np.abs(w - omega0) * tau / (2.0 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kick_env = np.where(j_half > 0,
+                            (2.0 / math.pi) * kb / np.float_power(j_half, 2.0),
+                            math.nan)
+    rows = np.column_stack([w / cfg.W, kb, zeno_w, kick_env, math.pi * kb])
     cfg2 = _with(cfg, grid=grid,
                  extra={"figure": str(fig_id), "tau": f"{tau:.17g}",
                         "K": f"{cfg.conversion_c / tau:.17g}",
@@ -505,8 +504,8 @@ def _config_from(args) -> RunConfig:
     if not omega0 > 0:
         raise DomainError("omega must be positive")
     grid = GridSpec.parse(args.grid) if args.grid else None
-    if not args.conversion_c > 0:
-        raise DomainError("conversion constant must be positive")
+    if not (math.isfinite(args.conversion_c) and args.conversion_c > 0):
+        raise DomainError("conversion constant must be finite and positive")
     return RunConfig(family=args.family, n=args.n, g=args.g, beta=beta,
                      omega0=omega0, W=W, unit=args.unit,
                      conversion_c=args.conversion_c, grid=grid,

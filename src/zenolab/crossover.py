@@ -15,7 +15,8 @@ ratio followed by bisection; the closed-form estimates are
 with W_{-1} the lower real branch of Lambert's W.  The kick-rate ratio
 oscillates at intermediate tau, so several crossings can exist; the
 smallest crossing from the controlled side is canonical and every
-detected crossing is reported.
+detected crossing is reported.  Scans evaluate the grid in blocks
+through the array forms of the rate kernels.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ CLOSED_FORM = "closed-form"
 _SCAN_LO = 1e-4
 _SCAN_HI = 1e4
 _POINTS_PER_DECADE = 400
+# scan points per batched kernel call
+_SCAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -60,30 +63,37 @@ class CrossoverReport:
     all_crossings: tuple[float, ...] = field(default=())
 
 
-def _scan_first_crossing(ratio_fn: Callable[[float], float],
+def _scan_first_crossing(ratio_fn: Callable,
                          grid: np.ndarray,
                          find_all: bool) -> tuple[float, tuple[float, float], list[float]]:
-    """First sign change of ratio-1 along ``grid``, refined by bisection."""
+    """First sign change of ratio-1 along ``grid``, refined by bisection.
+
+    ``ratio_fn`` takes a point or an array of points.  The grid is
+    evaluated _SCAN_BLOCK points at a time; ``brentq`` runs only inside
+    brackets whose ends change sign, and without ``find_all`` the scan
+    stops at the first block holding a sign change.
+    """
     f = lambda x: ratio_fn(x) - 1.0
-    prev_x = grid[0]
-    prev_v = f(prev_x)
     crossings: list[float] = []
     first: tuple[float, float] | None = None
-    for x in grid[1:]:
-        v = f(x)
-        if prev_v == 0.0:
-            crossings.append(prev_x)
+    xs, vs = grid[:0], grid[:0]
+    for s in range(0, grid.size, _SCAN_BLOCK):
+        block = grid[s:s + _SCAN_BLOCK]
+        # the previous block's last point opens this block's first bracket
+        xs = np.concatenate([xs[-1:], block])
+        vs = np.concatenate([vs[-1:], f(block)])
+        lo, hi = vs[:-1], vs[1:]
+        events = (lo == 0.0) | ((lo < 0.0) & (hi >= 0.0)) | ((lo > 0.0) & (hi <= 0.0))
+        for i in np.flatnonzero(events):
+            if lo[i] == 0.0:
+                crossings.append(xs[i])
+            else:
+                a, b = sorted((xs[i], xs[i + 1]))
+                crossings.append(brentq(f, a, b, rtol=1e-13, maxiter=200))
             if first is None:
-                first = (prev_x, x)
-        elif (prev_v < 0.0 <= v) or (prev_v > 0.0 >= v):
-            a, b = sorted((prev_x, x))
-            root = brentq(f, a, b, rtol=1e-13, maxiter=200)
-            crossings.append(root)
-            if first is None:
-                first = (prev_x, x)
-        prev_x, prev_v = x, v
-        if first is not None and not find_all:
-            break
+                first = (xs[i], xs[i + 1])
+            if not find_all:
+                return crossings[0], first, crossings
     if first is None:
         raise NoCrossing("ratio - 1 does not change sign on the scan grid")
     return crossings[0], first, crossings

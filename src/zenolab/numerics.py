@@ -1,10 +1,11 @@
 """Shared numerical kernels.
 
 Adaptive quadrature over the real line with declared split points, a
-vectorized segmented integrator for oscillatory kernels, the -1 branch of
-Lambert's W, the Riemann zeta function at odd integers, the Bose occupation
-number and the Gamma-ratio coefficient alpha_n used by the crossover
-estimates.
+vectorized segmented integrator for oscillatory kernels (which can run
+several integrals through shared passes), the guard for control
+parameters, the -1 branch of Lambert's W, the Riemann zeta function at
+odd integers, the Bose occupation number and the Gamma-ratio coefficient
+alpha_n used by the crossover estimates.
 """
 
 from __future__ import annotations
@@ -97,14 +98,97 @@ _GL_LO = leggauss(8)
 _GL_HI = leggauss(16)
 
 
-def _gl_apply(f_vec, a: np.ndarray, b: np.ndarray, rule) -> np.ndarray:
-    """Gauss-Legendre on a batch of segments [a_i, b_i] (vectorized)."""
+def require_finite(values, what: str, allow_zero: bool = False) -> np.ndarray:
+    """``values`` as a flat float array, or DomainError unless every entry
+    is finite and positive (nonnegative with ``allow_zero``).
+
+    The one guard for control parameters (periods tau, couplings K),
+    shared by the strategy constructors and the scalar and array forms of
+    the rate kernels.
+    """
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    ok = np.isfinite(arr) & ((arr >= 0.0) if allow_zero else (arr > 0.0))
+    if not ok.all():
+        sign = "nonnegative" if allow_zero else "positive"
+        raise DomainError(f"{what} must be finite and {sign}, "
+                          f"got {float(arr[~ok][0])!r}")
+    return arr
+
+
+def _gl_apply(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
+              rule) -> np.ndarray:
+    """Gauss-Legendre on a batch of segments [a_i, b_i] (vectorized).
+
+    ``f(nodes, owner)`` gets the (segments x rule points) node array and
+    the owning query of each segment.
+    """
     x, w = rule
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = f_vec(nodes.ravel()).reshape(nodes.shape)
-    return half * (vals @ w)
+    return half * (f(nodes, owner) @ w)
+
+
+def _query_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of ``counts`` entries of ``x``.
+
+    Each run is summed by its own ``.sum()``, the pairwise order a lone
+    array gets, so a run's sum does not depend on its neighbours.
+    """
+    ends = np.cumsum(counts).tolist()
+    return np.array([x[s:e].sum() for s, e in zip([0] + ends[:-1], ends)])
+
+
+def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
+                         n_queries: int, rel_tol: float, abs_tol: float,
+                         max_passes: int,
+                         label: Callable[[int], str] = "query {}".format,
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Several adaptive bisection integrals sharing every pass.
+
+    Segment i = [a_i, b_i] belongs to query ``owner[i]``; ``owner`` is
+    sorted, so each query's segments are contiguous.  Each pass evaluates
+    the pending segments of all queries in one call of ``f(nodes, owner)``
+    per rule.  A query accepts its segments and bisects the rest exactly as
+    a lone integral would: tolerances come from its own running total, its
+    sums run over its own segments in their own order, and bisection keeps
+    that order.  Only the rule dot products (one matrix-vector product over
+    all segments) may round a segment's estimate differently in the last
+    bit than a lone integral's would.
+    Raises :class:`NoConvergence`, naming the query by ``label(q)``, if
+    segments are still pending after ``max_passes`` passes.
+    """
+    values = np.zeros(n_queries)
+    errors = np.zeros(n_queries)
+    floor = abs_tol / max(rel_tol, 1e-300)
+    for _ in range(max_passes):
+        hi = _gl_apply(f, a, b, owner, _GL_HI)
+        lo = _gl_apply(f, a, b, owner, _GL_LO)
+        disc = np.abs(hi - lo)
+        # the queries with pending segments, and their segment counts
+        counts = np.bincount(owner, minlength=n_queries)
+        live = np.flatnonzero(counts)
+        counts = counts[live]
+        total = _query_sums(hi, counts)
+        scale = np.maximum(np.abs(values[live] + total), floor)
+        bad = disc > np.repeat(np.maximum(abs_tol, rel_tol * scale) / counts, counts)
+        good = ~bad
+        kept = np.bincount(owner[good], minlength=n_queries)[live]
+        values[live] += _query_sums(hi[good], kept)
+        errors[live] += _query_sums(disc[good], kept)
+        if not bad.any():
+            return values, errors
+        a, b, owner = a[bad], b[bad], owner[bad]
+        mid = 0.5 * (a + b)
+        # per query: the bisected segments' left halves, then their right
+        # halves, the order a lone integral keeps
+        order = np.argsort(np.concatenate([owner, owner]), kind="stable")
+        a = np.concatenate([a, mid])[order]
+        b = np.concatenate([mid, b])[order]
+        owner = owner[order % owner.size]
+    raise NoConvergence(
+        f"segmented quadrature of {label(int(owner[0]))} ran out of passes: "
+        f"{a.size} segments above tolerance after {max_passes} passes")
 
 
 def segmented_integral(f_vec, edges: Sequence[float],
@@ -115,34 +199,18 @@ def segmented_integral(f_vec, edges: Sequence[float],
     ``f_vec`` must accept a flat numpy array.  Each segment is estimated
     with nested 8- and 16-point Gauss-Legendre rules; segments whose
     discrepancy exceeds the (scaled) tolerance are bisected, all pending
-    segments being evaluated in a single vectorized call per pass.
+    segments being evaluated in a single vectorized call per pass.  Raises
+    :class:`NoConvergence` if segments are still pending after
+    ``max_passes`` passes.
     """
     edges = np.asarray(sorted(set(float(e) for e in edges)))
     if edges.size < 2:
         return IntegralResult(0.0, 0.0)
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
-    done_val = 0.0
-    done_err = 0.0
-    for _ in range(max_passes):
-        hi = _gl_apply(f_vec, a, b, _GL_HI)
-        lo = _gl_apply(f_vec, a, b, _GL_LO)
-        disc = np.abs(hi - lo)
-        scale = max(abs(done_val + hi.sum()), abs_tol / max(rel_tol, 1e-300))
-        seg_tol = max(abs_tol, rel_tol * scale) / max(len(a), 1)
-        bad = disc > seg_tol
-        done_val += hi[~bad].sum()
-        done_err += disc[~bad].sum()
-        if not bad.any():
-            return IntegralResult(done_val, done_err)
-        mid = 0.5 * (a[bad] + b[bad])
-        a = np.concatenate([a[bad], mid])
-        b = np.concatenate([mid, b[bad]])
-    hi = _gl_apply(f_vec, a, b, _GL_HI)
-    lo = _gl_apply(f_vec, a, b, _GL_LO)
-    done_val += hi.sum()
-    done_err += np.abs(hi - lo).sum()
-    return IntegralResult(done_val, done_err)
+    values, errors = _segmented_integrals(
+        lambda x, _: f_vec(x.ravel()).reshape(x.shape),
+        edges[:-1].copy(), edges[1:].copy(), np.zeros(edges.size - 1, dtype=int),
+        1, rel_tol, abs_tol, max_passes, label=lambda q: "the integral")
+    return IntegralResult(values[0], errors[0])
 
 
 def lambert_w_m1(x: float) -> float:

@@ -43,6 +43,7 @@ from scipy.linalg import eigh
 
 from .errors import (DomainError, InsufficientModes, NonPositiveProbability,
                      OddN, RecurrenceWindowExceeded, WindowTooShort)
+from .numerics import require_finite
 from .spectral import FormFactor, bare_density
 
 __all__ = [
@@ -164,8 +165,7 @@ class SingleExcitationModel:
         """dim 2M+1 model: {|up, vac>, |down, 1_i>, |M, 1_i>}."""
         if not omega0 > 0:
             raise DomainError("omega0 must be positive")
-        if not K >= 0:
-            raise DomainError("K must be nonnegative")
+        require_finite(K, "coupling K", allow_zero=True)
         M = bath.n_modes
         d = 2 * M + 1
         H = np.zeros((d, d))

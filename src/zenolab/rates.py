@@ -27,7 +27,11 @@ Three control strategies modulate it:
   the mean of the dressed-state rates gamma_+/gamma_-.
 
 All rates are second order in the system-bath coupling and are returned
-in the same frequency units as the inputs (W = 1 by convention).
+in the same frequency units as the inputs (W = 1 by convention).  The
+three controlled kernels take a period tau (coupling K) or a 1-D array
+of them and return a rate or an array of rates: a scalar is the array
+kernel at one point.  Arrays are evaluated in blocks of a fixed size, so
+memory does not grow with the array.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (alpha_n, half_integer_series_tail, segmented_integral,
-                       zeta_odd)
+from .numerics import (_segmented_integrals, alpha_n, half_integer_series_tail,
+                       require_finite, segmented_integral, zeta_odd)
 from .spectral import (EXPONENTIAL, POLYNOMIAL, FormFactor,
                        ThermalSpectralDensity, bare_density, thermal_density)
 
@@ -76,14 +80,16 @@ class Free:
     """No control."""
 
 
+# Each controlled strategy holds one parameter, a float or a 1-D array of
+# them; an array makes strategy_rate return an array of rates.
+
 @dataclass(frozen=True)
 class ZenoMeasurement:
     """Projective (nonselective) measurements with period tau."""
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise DomainError("measurement period tau must be positive")
+        require_finite(self.tau, "measurement period tau")
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,7 @@ class BangBangKick:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise DomainError("kick period tau must be positive")
+        require_finite(self.tau, "kick period tau")
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,7 @@ class ContinuousCoupling:
     K: float
 
     def __post_init__(self):
-        if not self.K >= 0:
-            raise DomainError("coupling K must be nonnegative")
+        require_finite(self.K, "coupling K", allow_zero=True)
 
 
 ControlStrategy = Union[Free, ZenoMeasurement, BangBangKick, ContinuousCoupling]
@@ -143,17 +147,24 @@ class DressedRates(NamedTuple):
 # ---------------------------------------------------------------------------
 # pointwise rates
 
+def _shaped(values: np.ndarray, like):
+    """Kernel output in the shape of its control argument ``like``."""
+    return float(values[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
+
+
 def golden_rule_rate(tsd: ThermalSpectralDensity, omega0: float) -> float:
     """Fermi golden rule: gamma = 2 pi kappa_beta(omega0)."""
     return 2.0 * math.pi * thermal_density(tsd, omega0)
 
 
-def continuous_rate(tsd: ThermalSpectralDensity, omega0: float, K: float) -> float:
-    """gamma_c(K) = pi [kappa_beta(omega0 + K) + kappa_beta(omega0 - K)]."""
-    if not K >= 0:
-        raise DomainError("K must be nonnegative")
-    return math.pi * (thermal_density(tsd, omega0 + K)
-                      + thermal_density(tsd, omega0 - K))
+def continuous_rate(tsd: ThermalSpectralDensity, omega0: float, K):
+    """gamma_c(K) = pi [kappa_beta(omega0 + K) + kappa_beta(omega0 - K)].
+
+    ``K`` is a coupling or a 1-D array of couplings.
+    """
+    Ks = require_finite(K, "coupling K", allow_zero=True)
+    return _shaped(math.pi * (thermal_density(tsd, omega0 + Ks)
+                              + thermal_density(tsd, omega0 - Ks)), K)
 
 
 def dressed_rates(tsd: ThermalSpectralDensity, omega0: float, K: float) -> DressedRates:
@@ -163,8 +174,7 @@ def dressed_rates(tsd: ThermalSpectralDensity, omega0: float, K: float) -> Dress
     the dressed pair; gamma_bar_+/- = 2 pi kappa_beta(-omega0 +/- K) feed
     it back.  Their mean (gamma_+ + gamma_-)/2 equals continuous_rate.
     """
-    if not K >= 0:
-        raise DomainError("K must be nonnegative")
+    require_finite(K, "coupling K", allow_zero=True)
     two_pi = 2.0 * math.pi
     return DressedRates(
         gamma_plus=two_pi * thermal_density(tsd, omega0 - K),
@@ -188,9 +198,13 @@ def dephasing_rate(tsd: ThermalSpectralDensity) -> float:
 # Zeno rate (sinc^2-weighted line integral)
 
 _K_SPLIT = 64          # sinc^2 lobes summed explicitly on each side
-_TAIL_EDGES = tuple(float(v) for v in
-                    (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 0.003, 0.01, 0.03,
-                     0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0))
+_TAIL_EDGES = np.array([1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 0.003, 0.01, 0.03,
+                        0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+# periods per engine run: a period's near field starts with ~250 segments
+# and its two tails with 34, so a block's first pass holds ~750 (near) or
+# ~1100 (tails) segments x 24 nodes; larger blocks add memory, not speed
+_ZENO_BLOCK = 3
+_TAIL_BLOCK = 32
 
 
 def _structure_points(tsd: ThermalSpectralDensity) -> np.ndarray:
@@ -212,7 +226,7 @@ def _structure_points(tsd: ThermalSpectralDensity) -> np.ndarray:
     return np.asarray(pts)
 
 
-def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau: float) -> float:
+def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau):
     """Decay rate under projective measurements with period tau.
 
     gamma_Z(tau) = tau * int kappa_beta(omega) sinc^2((omega-omega0) tau/2).
@@ -223,47 +237,110 @@ def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau: float) -> float:
     and the remaining tails use the mean value sin^2 -> 1/2, which leaves
     a smooth integrand; the oscillatory remainder is bounded by the lobe
     envelope and is below 1e-5 relative.
+
+    ``tau`` is a period or a 1-D array of periods.  Arrays run through
+    the quadrature engine in blocks (_ZENO_BLOCK periods for the near
+    field, _TAIL_BLOCK for the tails), all integrals of a block sharing
+    each adaptive pass.  A period's value equals the one-period call's up
+    to the last-bit rounding of the rule dot products, which can depend
+    on the block's size.
     """
-    if not tau > 0:
-        raise DomainError("tau must be positive")
+    taus = require_finite(tau, "measurement period tau")
+    struct = _structure_points(tsd)
+    near = np.empty(taus.size)
+    tail = np.empty(taus.size)
+    for s in range(0, taus.size, _ZENO_BLOCK):
+        near[s:s + _ZENO_BLOCK] = _zeno_near(tsd, omega0, taus[s:s + _ZENO_BLOCK],
+                                             struct)
+    for s in range(0, taus.size, _TAIL_BLOCK):
+        tail[s:s + _TAIL_BLOCK] = _zeno_tails(tsd, omega0, taus[s:s + _TAIL_BLOCK])
+    return _shaped(2.0 * (near + tail), tau)
+
+
+def _zeno_near(tsd: ThermalSpectralDensity, omega0: float, taus: np.ndarray,
+               struct: np.ndarray) -> np.ndarray:
+    """The sinc^2 integral over |u| < U at each period of a block."""
     U = _K_SPLIT * math.pi
-
-    def f(u):
-        return thermal_density(tsd, omega0 + 2.0 * u / tau) * np.sinc(u / np.pi) ** 2
-
-    u_struct = (_structure_points(tsd) - omega0) * tau / 2.0
-    u_struct = u_struct[np.abs(u_struct) < U]
     lobes = np.arange(-_K_SPLIT, _K_SPLIT + 1) * math.pi
-    near, _ = segmented_integral(f, np.concatenate([lobes, u_struct]),
-                                 rel_tol=1e-10, abs_tol=1e-300)
 
-    # |u| > U: sin^2 -> 1/2; substitute u = U/v so v runs over (0, 1]
-    def right(v):
-        return thermal_density(tsd, omega0 + 2.0 * U / (tau * v))
+    def f(u, owner):
+        t = taus[owner][:, None]
+        return thermal_density(tsd, omega0 + 2.0 * u / t) * np.sinc(u / np.pi) ** 2
 
-    def left(v):
-        return thermal_density(tsd, omega0 - 2.0 * U / (tau * v))
+    a, b, owner = [], [], []
+    for q, tau in enumerate(taus):
+        u_struct = (struct - omega0) * tau / 2.0
+        edges = np.unique(np.concatenate([lobes, u_struct[np.abs(u_struct) < U]]))
+        a.append(edges[:-1])
+        b.append(edges[1:])
+        owner.append(np.full(edges.size - 1, q))
+    near, _ = _segmented_integrals(
+        f, np.concatenate(a), np.concatenate(b), np.concatenate(owner), taus.size,
+        rel_tol=1e-10, abs_tol=1e-300, max_passes=14,
+        label=lambda q: f"the zeno_rate near field at tau={taus[q]!r}")
+    return near
 
-    t_right, _ = segmented_integral(right, _TAIL_EDGES, rel_tol=1e-9,
-                                    abs_tol=1e-300)
-    t_left, _ = segmented_integral(left, _TAIL_EDGES, rel_tol=1e-9,
-                                   abs_tol=1e-300)
-    tail = 0.5 * (t_right + t_left) / U
-    return 2.0 * (near + tail)
+
+def _zeno_tails(tsd: ThermalSpectralDensity, omega0: float,
+                taus: np.ndarray) -> np.ndarray:
+    """The |u| > U remainder at each period of a block.
+
+    There sin^2 -> 1/2; substituting u = U/v puts each tail on v in (0, 1].
+    Queries 0..n-1 are the right tails, n..2n-1 the left ones.  A tail
+    that reaches omega = 0, where kappa_beta has a kink, gets an edge there.
+    """
+    n = taus.size
+    U = _K_SPLIT * math.pi
+    sign = np.repeat([1.0, -1.0], n)
+    t = np.tile(taus, 2)
+
+    def f(v, owner):
+        return thermal_density(
+            tsd, omega0 + sign[owner][:, None] * (2.0 * U / (t[owner][:, None] * v)))
+
+    # omega0 + sign 2U/(tau v) = 0 at v = -sign 2U/(tau omega0); a tail
+    # without that point inside repeats its last edge instead
+    with np.errstate(divide="ignore"):
+        kink = -sign * (2.0 * U / (t * omega0))
+    kink = np.where((kink > _TAIL_EDGES[0]) & (kink < 1.0), kink, 1.0)
+    edges = np.sort(np.column_stack([np.tile(_TAIL_EDGES, (2 * n, 1)), kink]), axis=1)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    keep = a < b
+    owner = np.repeat(np.arange(2 * n), edges.shape[1] - 1)
+    tails, _ = _segmented_integrals(
+        f, a[keep], b[keep], owner[keep], 2 * n, rel_tol=1e-9, abs_tol=1e-300,
+        max_passes=14,
+        label=lambda q: f"a zeno_rate tail at tau={t[q]!r}")
+    return 0.5 * (tails[:n] + tails[n:]) / U
 
 
 # ---------------------------------------------------------------------------
 # kick (bang-bang) rate: series and finite-time integral forms
 
-def _tail_supremum(tsd: ThermalSpectralDensity, start: float, sign: float) -> float:
-    """Coarse supremum of kappa_beta over the comb-argument tail."""
+# periods per comb block: a block holds (j_max + 1) and 64 tail probes
+# per period
+_KICK_BLOCK = 32
+
+
+def _tail_supremum(tsd: ThermalSpectralDensity, start: np.ndarray,
+                   sign: float) -> np.ndarray:
+    """Coarse supremum of kappa_beta over each comb-argument tail."""
     lam = tsd.base.cutoff
-    probe = start + sign * np.linspace(0.0, 40.0 * lam, 64)
-    vals = thermal_density(tsd, probe)
-    return float(np.max(vals))
+    probe = start[:, None] + sign * np.linspace(0.0, 40.0 * lam, 64)
+    return np.max(thermal_density(tsd, probe), axis=1)
 
 
-def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau: float,
+def _kick_tail_estimate(tsd: ThermalSpectralDensity, omega0: float, taus,
+                        j_max: int):
+    """(tail weight, next comb argument, tail estimate) beyond term j_max."""
+    h_next = (2 * (j_max + 1) + 1) * math.pi / taus
+    tail_w = half_integer_series_tail(j_max + 1)
+    tail_est = tail_w * (thermal_density(tsd, omega0 + h_next)
+                         + thermal_density(tsd, omega0 - h_next))
+    return tail_w, h_next, tail_est
+
+
+def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau,
               j_max: int = 50) -> SeriesRate:
     """Delta-comb (large-N) kick rate as a weighted comb series.
 
@@ -271,24 +348,30 @@ def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau: float,
     with the exact tail weight sum_{j>j_max} (j+1/2)^{-2} evaluated at the
     next comb argument, and bounded (``truncation_error``) by the same
     weight times a coarse supremum of kappa_beta over the tail arguments.
+
+    ``tau`` is a period or a 1-D array of periods (then both fields are
+    arrays); arrays are summed as (periods x terms) comb blocks of
+    _KICK_BLOCK periods.
     """
-    if not tau > 0:
-        raise DomainError("tau must be positive")
+    taus = require_finite(tau, "kick period tau")
     if j_max < 1:
         raise DomainError("j_max must be at least 1")
     j = np.arange(j_max + 1)
-    h = (2 * j + 1) * math.pi / tau
     weights = (j + 0.5) ** -2.0
-    partial = float(np.sum(weights * (thermal_density(tsd, omega0 + h)
-                                      + thermal_density(tsd, omega0 - h))))
-    h_next = (2 * (j_max + 1) + 1) * math.pi / tau
-    tail_w = half_integer_series_tail(j_max + 1)
-    tail_est = tail_w * (thermal_density(tsd, omega0 + h_next)
-                         + thermal_density(tsd, omega0 - h_next))
-    bound = tail_w * (_tail_supremum(tsd, omega0 + h_next, +1.0)
-                      + _tail_supremum(tsd, omega0 - h_next, -1.0))
     pref = 2.0 / math.pi
-    return SeriesRate(pref * (partial + tail_est), pref * bound)
+    gamma = np.empty(taus.size)
+    bound = np.empty(taus.size)
+    for s in range(0, taus.size, _KICK_BLOCK):
+        t = taus[s:s + _KICK_BLOCK]
+        h = (2 * j + 1) * math.pi / t[:, None]
+        partial = np.sum(weights * (thermal_density(tsd, omega0 + h)
+                                    + thermal_density(tsd, omega0 - h)), axis=1)
+        tail_w, h_next, tail_est = _kick_tail_estimate(tsd, omega0, t, j_max)
+        gamma[s:s + _KICK_BLOCK] = pref * (partial + tail_est)
+        bound[s:s + _KICK_BLOCK] = pref * (tail_w * (
+            _tail_supremum(tsd, omega0 + h_next, +1.0)
+            + _tail_supremum(tsd, omega0 - h_next, -1.0)))
+    return SeriesRate(_shaped(gamma, tau), _shaped(bound, tau))
 
 
 def _kick_weight(x: np.ndarray, n_cycles: int) -> np.ndarray:
@@ -319,8 +402,7 @@ def kick_rate_integral(tsd: ThermalSpectralDensity, omega0: float, tau: float,
     estimate as :func:`kick_rate`, so the two representations share their
     deep-tail treatment and differ only by the finite-N kernel.
     """
-    if not tau > 0:
-        raise DomainError("tau must be positive")
+    require_finite(tau, "kick period tau")
     if n_cycles < 2 or n_cycles % 2 != 0:
         raise DomainError("n_cycles must be a positive even integer")
     edges = np.arange(0, 2 * (j_max + 1) + 1) * (math.pi / 2.0)
@@ -335,11 +417,7 @@ def kick_rate_integral(tsd: ThermalSpectralDensity, omega0: float, tau: float,
                                     max_passes=16)
         total += val
     rate = (2.0 / n_cycles) * total
-
-    h_next = (2 * (j_max + 1) + 1) * math.pi / tau
-    tail_w = half_integer_series_tail(j_max + 1)
-    tail_est = tail_w * (thermal_density(tsd, omega0 + h_next)
-                         + thermal_density(tsd, omega0 - h_next))
+    tail_est = _kick_tail_estimate(tsd, omega0, tau, j_max)[2]
     return rate + (2.0 / math.pi) * tail_est
 
 
@@ -395,7 +473,8 @@ def strategy_rate(tsd: ThermalSpectralDensity, center: float,
     The single place where a control strategy becomes a rate.  ``center``
     may be any real frequency: the qubit generator evaluates emission at
     Omega, absorption at -Omega and pure dephasing at 0.  Only the kick
-    series carries a nonzero truncation error.
+    series carries a nonzero truncation error.  A strategy holding an array
+    of periods or couplings gives an array of rates.
     """
     if isinstance(strategy, Free):
         return SeriesRate(golden_rule_rate(tsd, center), 0.0)

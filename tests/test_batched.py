@@ -1,0 +1,112 @@
+"""The array forms of the rate kernels and the block-wise crossover scan."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+
+import zenolab as z
+from zenolab import crossover as xo
+
+OMEGA = 0.01
+REL = 1e-13
+
+
+def _kernels(tsd, omega0):
+    return {
+        "zeno": lambda t: z.zeno_rate(tsd, omega0, t),
+        "kick": lambda t: z.kick_rate(tsd, omega0, t).gamma,
+        "kick_bound": lambda t: z.kick_rate(tsd, omega0, t).truncation_error,
+        "continuous": lambda K: z.continuous_rate(tsd, omega0, K),
+    }
+
+
+def _assert_close(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    assert np.all(np.abs(got - want) <= REL * np.abs(want)), what
+
+
+# up to 40 points: crosses the 3-period Zeno, 32-period kick and tail blocks
+@settings(max_examples=12, deadline=None)
+@given(family=st.sampled_from([z.EXPONENTIAL, z.POLYNOMIAL]),
+       beta=st.one_of(st.just(math.inf), st.floats(5.0, 200.0)),
+       omega0=st.floats(0.002, 0.3),
+       log_lo=st.floats(-4.0, 2.5),
+       n=st.one_of(st.integers(1, 9), st.integers(33, 40)),
+       shift=st.integers(1, 5))
+def test_array_kernels_equal_scalar_calls(family, beta, omega0, log_lo, n, shift):
+    tsd = z.form_factor_for_bandwidth(family, W=1.0).thermal(beta)
+    grid = np.logspace(log_lo, log_lo + 1.5, n)
+    for name, kernel in _kernels(tsd, omega0).items():
+        batch = kernel(grid)
+        _assert_close(batch, [kernel(float(x)) for x in grid], name)
+        # a point's value does not depend on the block it falls in
+        _assert_close(kernel(grid[shift:]), batch[shift:], name + " shifted")
+
+
+def test_scalar_and_empty_shapes(tsd_exp):
+    for name, kernel in _kernels(tsd_exp, OMEGA).items():
+        assert isinstance(kernel(0.5), float), name
+        assert kernel(np.array([0.5])).shape == (1,), name
+        assert kernel(np.array([])).shape == (0,), name
+
+
+def test_array_strategy_dispatch(tsd_poly):
+    taus = np.logspace(-2, 2, 9)
+    for strategy, scalar in ((z.ZenoMeasurement, z.zeno_rate),
+                             (z.ContinuousCoupling, z.continuous_rate)):
+        rate = z.strategy_rate(tsd_poly, OMEGA, strategy(taus))
+        _assert_close(rate.gamma, [scalar(tsd_poly, OMEGA, float(t)) for t in taus],
+                      strategy.__name__)
+    kick = z.strategy_rate(tsd_poly, OMEGA, z.BangBangKick(taus))
+    _assert_close(kick.truncation_error,
+                  [z.kick_rate(tsd_poly, OMEGA, float(t)).truncation_error
+                   for t in taus], "kick")
+
+
+def _scalar_scan(ratio, grid):
+    """The point-by-point scan: every crossing and the first bracket."""
+    f = lambda x: ratio(x) - 1.0
+    prev_x, prev_v = grid[0], f(grid[0])
+    crossings, first = [], None
+    for x in grid[1:]:
+        v = f(x)
+        if prev_v == 0.0:
+            crossings.append(prev_x)
+            first = first or (prev_x, x)
+        elif (prev_v < 0.0 <= v) or (prev_v > 0.0 >= v):
+            a, b = sorted((prev_x, x))
+            crossings.append(brentq(f, a, b, rtol=1e-13, maxiter=200))
+            first = first or (prev_x, x)
+        prev_x, prev_v = x, v
+    return crossings, first
+
+
+@pytest.mark.parametrize("finder, scalar, reverse", [
+    (xo.find_tau_star_zeno, lambda tsd, t: z.zeno_rate(tsd, OMEGA, t), False),
+    (xo.find_tau_star_kick, lambda tsd, t: z.kick_rate(tsd, OMEGA, t).gamma, False),
+    (xo.find_K_star, lambda tsd, K: z.continuous_rate(tsd, OMEGA, K), True),
+])
+def test_block_scan_matches_scalar_loop(tsd_exp, finder, scalar, reverse):
+    gamma = z.golden_rule_rate(tsd_exp, OMEGA)
+    rep = finder(tsd_exp, OMEGA, find_all=True)
+    grid = xo._log_grid(xo._SCAN_LO, xo._SCAN_HI)
+    if reverse:
+        grid = grid[::-1]
+    for root in rep.all_crossings:
+        # the decade around the root, in scan order
+        sub = grid[(grid > root / math.sqrt(10.0)) & (grid < root * math.sqrt(10.0))]
+        crossings, first = _scalar_scan(lambda x: scalar(tsd_exp, float(x)) / gamma,
+                                        sub)
+        inside = [c for c in rep.all_crossings if sub.min() < c < sub.max()]
+        assert sorted(crossings) == inside
+        if root == rep.star_value:
+            assert tuple(sorted(rep.bracket)) == tuple(sorted(first))
+    # without find_all the scan stops at the first crossing, same root
+    early = finder(tsd_exp, OMEGA)
+    assert early.star_value == rep.star_value
+    assert early.bracket == rep.bracket

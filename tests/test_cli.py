@@ -279,3 +279,11 @@ def test_config_errors_exit_2(tmp_path):
                  "--out", str(tmp_path / "z.csv")]) == 2
     assert main(["evolve", "--strategy", "continuous", "--K", "nan",
                  "--out", str(tmp_path / "w.csv")]) == 2
+    # so does inf, which passes '> 0' and '>= 0'
+    for argv in (["evolve", "--strategy", "zeno", "--tau", "inf"],
+                 ["evolve", "--strategy", "kick", "--tau", "inf"],
+                 ["evolve", "--strategy", "continuous", "--K", "inf"],
+                 ["sweep", "--strategy", "continuous", "--conversion-c", "inf"]):
+        out = tmp_path / "inf.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()

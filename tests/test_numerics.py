@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import lambertw as scipy_lambertw
 
 import zenolab as z
-from zenolab.numerics import (QuadratureSpec, half_integer_series_tail,
-                              integrate_line, segmented_integral)
+from zenolab.numerics import (QuadratureSpec, _segmented_integrals,
+                              half_integer_series_tail, integrate_line,
+                              segmented_integral)
 
 
 def test_integrate_line_exponential_density():
@@ -83,6 +84,24 @@ def test_quadrature_spec_validation():
 def test_segmented_integral_polynomial_exact():
     res = segmented_integral(lambda x: x ** 4, [0.0, 0.5, 2.0])
     assert res.value == pytest.approx(2.0 ** 5 / 5.0, rel=1e-13)
+
+
+def test_segmented_integral_out_of_passes_raises():
+    # a kink mid-segment needs many bisections; one pass cannot converge
+    kink = lambda x: np.abs(x - 0.3) ** 0.5
+    with pytest.raises(z.NoConvergence, match="the integral"):
+        segmented_integral(kink, [0.0, 1.0], 1e-9, 1e-13, 1)
+    exact = (0.3 ** 1.5 + 0.7 ** 1.5) / 1.5
+    assert segmented_integral(kink, [0.0, 0.3, 1.0]).value == pytest.approx(
+        exact, rel=1e-9)
+    # with several queries the error names the one that ran out
+    a = np.array([0.0, 0.0])
+    b = np.array([1.0, 1.0])
+    smooth_then_kink = lambda x, owner: np.where(owner[:, None] == 0, x ** 2,
+                                                 kink(x))
+    with pytest.raises(z.NoConvergence, match="query 1"):
+        _segmented_integrals(smooth_then_kink, a, b, np.array([0, 1]), 2,
+                             1e-9, 1e-13, 3)
 
 
 def test_lambert_w_m1_examples():

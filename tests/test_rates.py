@@ -221,3 +221,22 @@ def test_controlled_rate_dispatch(tsd_exp):
     with pytest.raises(z.DomainError):
         z.SingleExcitationModel.with_ancilla(z.build_bath(tsd_exp.base, 6.0, 10),
                                              OMEGA, math.nan)
+    # an infinite period or coupling is rejected too, alone or in an array
+    inf_cases = [
+        lambda: z.ZenoMeasurement(math.inf),
+        lambda: z.BangBangKick(math.inf),
+        lambda: z.ContinuousCoupling(math.inf),
+        lambda: z.zeno_rate(tsd_exp, OMEGA, math.inf),
+        lambda: z.zeno_rate(tsd_exp, OMEGA, np.array([1.0, math.inf])),
+        lambda: z.kick_rate(tsd_exp, OMEGA, math.inf),
+        lambda: z.kick_rate(tsd_exp, OMEGA, np.array([math.inf, 1.0])),
+        lambda: z.kick_rate_integral(tsd_exp, OMEGA, math.inf, 2),
+        lambda: z.continuous_rate(tsd_exp, OMEGA, math.inf),
+        lambda: z.continuous_rate(tsd_exp, OMEGA, np.array([0.5, -math.inf])),
+        lambda: z.dressed_rates(tsd_exp, OMEGA, math.inf),
+        lambda: z.SingleExcitationModel.with_ancilla(
+            z.build_bath(tsd_exp.base, 6.0, 10), OMEGA, math.inf),
+    ]
+    for case in inf_cases:
+        with pytest.raises(z.DomainError):
+            case()
