@@ -39,6 +39,7 @@ from . import crossover as xo
 from . import lindblad, oracle, rates, spectral
 from .errors import (DivergentIntegral, DomainError, NoConvergence,
                      NoCrossing, OddN, ZenolabError)
+from .numerics import require_finite
 
 __all__ = ["RunConfig", "main"]
 
@@ -347,6 +348,7 @@ def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
         window = (values[0], values[-1])
     elif protocol == "kick":
         for tau in values:
+            require_finite(tau, "period tau")
             span = max(12.0 * lam, cfg.omega0 + math.pi / tau + 3.0 * lam)
             bath = oracle.build_bath(ff, span, M)
             model = oracle.SingleExcitationModel.with_ancilla(bath, cfg.omega0, 0.0)

@@ -3,21 +3,22 @@
 The continuum bath is replaced by M discrete modes on [0, omega_max] with
 couplings g_i = sqrt(kappa(omega_i) w_i) (w_i = quadrature weights), and
 the qubit + bath is evolved exactly in the zero-temperature
-single-excitation sector:
+single-excitation sector {|up, vac>, |down, 1_i>}, whose Hamiltonian is
+an arrowhead: Omega/2, then poles -Omega/2 + omega_i coupled by g_i.
 
-    without ancilla:  basis {|up, vac>, |down, 1_i>},  dim M + 1
-    with ancilla:     + {|M, 1_i>} (degenerate with |down, 1_i>),
-                      coupled by K(|down><M| + h.c.),  dim 2M + 1
-
-A single dense symmetric eigendecomposition per model gives the survival
-amplitude <up,vac| e^{-iHt} |up,vac> at arbitrary t by spectral
-synthesis.  Control protocols:
+A model is the spectral measure of |up, vac>: eigenvalues lambda_k and
+weights w_k = |<k|up, vac>|^2, so the survival amplitude is
+sum_k w_k e^{-i lambda_k t} at any t.  An ancilla level |M>, degenerate
+with |down> and coupled by K(|down><M| + h.c.), makes the qubit model on
+a doubled bath: modes (|down, 1_i> +- |M, 1_i>)/sqrt 2 with poles
+-Omega/2 + omega_i +- K and couplings g_i / sqrt 2.  At K = 0 the
+antisymmetric half carries no amplitude and the model is the qubit's.
 
 * Zeno: projecting onto |up> leaves |up, vac> invariant in this sector,
   so N nonselective measurement cycles give exactly P_N = P_1(tau)^N.
-* kicks: the 2pi pulse between |down> and |M> acts as +1 on the |up>
-  block and -1 on the down/M blocks; cycles alternate e^{-iH tau} with
-  that sign flip (N even).
+* kicks: the 2pi pulse between |down> and |M> is S = 2 e_0 e_0^T - I
+  (+1 on |up, vac>, -1 on the rest), a rank-one update in the
+  eigenbasis, so a cycle costs O(d) (N even).
 * continuous coupling: plain evolution of the K != 0 ancilla model.
 
 Effective rates come from a least-squares fit of -log P versus t inside a
@@ -134,51 +135,53 @@ def build_bath(ff: FormFactor, omega_max: float, M: int,
     return bath
 
 
+def _spectral_measure(a: float, poles: np.ndarray,
+                      couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and first-component weights of the arrowhead matrix
+    [[a, g^T], [g, diag(poles)]]."""
+    d = poles.size + 1
+    H = np.zeros((d, d))
+    H[0, 0] = a
+    idx = np.arange(1, d)
+    H[idx, idx] = poles
+    H[0, 1:] = couplings
+    H[1:, 0] = couplings
+    evals, evecs = eigh(H)
+    return evals, evecs[0] ** 2
+
+
 @dataclass(frozen=True)
 class SingleExcitationModel:
-    """Eigendecomposed single-excitation Hamiltonian (optionally + ancilla)."""
+    """Spectral measure of |up, vac> (optionally with the ancilla level)."""
 
     bath: DiscretizedBath
     omega0: float
-    K: float | None                 # None: no ancilla block
+    K: float | None                 # None: no ancilla level
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    weights: np.ndarray             # |<k|up, vac>|^2, summing to 1
 
     @classmethod
     def qubit(cls, bath: DiscretizedBath, omega0: float) -> "SingleExcitationModel":
-        """dim M+1 model: {|up, vac>, |down, 1_i>}."""
-        if not omega0 > 0:
-            raise DomainError("omega0 must be positive")
-        M = bath.n_modes
-        H = np.zeros((M + 1, M + 1))
-        H[0, 0] = 0.5 * omega0
-        idx = np.arange(1, M + 1)
-        H[idx, idx] = -0.5 * omega0 + bath.omegas
-        H[0, 1:] = bath.couplings
-        H[1:, 0] = bath.couplings
-        evals, evecs = eigh(H)
-        return cls(bath, omega0, None, evals, evecs)
+        """{|up, vac>, |down, 1_i>}: M+1 levels."""
+        require_finite(omega0, "omega0")
+        return cls(bath, omega0, None,
+                   *_spectral_measure(0.5 * omega0, -0.5 * omega0 + bath.omegas,
+                                      bath.couplings))
 
     @classmethod
     def with_ancilla(cls, bath: DiscretizedBath, omega0: float,
                      K: float) -> "SingleExcitationModel":
-        """dim 2M+1 model: {|up, vac>, |down, 1_i>, |M, 1_i>}."""
-        if not omega0 > 0:
-            raise DomainError("omega0 must be positive")
+        """+ {|M, 1_i>}: the qubit on the doubled bath omega_i -+ K,
+        g_i / sqrt 2 (M+1 levels at K = 0, 2M+1 otherwise)."""
+        require_finite(omega0, "omega0")
         require_finite(K, "coupling K", allow_zero=True)
-        M = bath.n_modes
-        d = 2 * M + 1
-        H = np.zeros((d, d))
-        H[0, 0] = 0.5 * omega0
-        idx = np.arange(1, M + 1)
-        H[idx, idx] = -0.5 * omega0 + bath.omegas
-        H[idx + M, idx + M] = -0.5 * omega0 + bath.omegas
-        H[0, idx] = bath.couplings
-        H[idx, 0] = bath.couplings
-        H[idx, idx + M] = K
-        H[idx + M, idx] = K
-        evals, evecs = eigh(H)
-        return cls(bath, omega0, float(K), evals, evecs)
+        poles = -0.5 * omega0 + bath.omegas
+        couplings = bath.couplings
+        if K != 0:
+            poles = np.concatenate([poles - K, poles + K])
+            couplings = np.tile(couplings / math.sqrt(2.0), 2)
+        return cls(bath, omega0, float(K),
+                   *_spectral_measure(0.5 * omega0, poles, couplings))
 
     @property
     def has_ancilla(self) -> bool:
@@ -187,10 +190,6 @@ class SingleExcitationModel:
     @property
     def recurrence_time(self) -> float:
         return self.bath.recurrence_time
-
-    def hamiltonian(self) -> np.ndarray:
-        ev, V = self.eigenvalues, self.eigenvectors
-        return (V * ev) @ V.T
 
 
 def _check_span(model: SingleExcitationModel, t_max: float):
@@ -206,8 +205,7 @@ def free_survival(model: SingleExcitationModel, t):
     if np.any(tt < 0):
         raise DomainError("t must be nonnegative")
     _check_span(model, float(np.max(tt)))
-    weights = model.eigenvectors[0, :] ** 2
-    amp = np.exp(-1j * np.outer(tt, model.eigenvalues)) @ weights
+    amp = np.exp(-1j * np.outer(tt, model.eigenvalues)) @ model.weights
     P = np.abs(amp) ** 2
     return float(P[0]) if np.ndim(t) == 0 else P
 
@@ -218,8 +216,7 @@ def zeno_survival(model: SingleExcitationModel, tau: float, N: int) -> float:
     Exact in the single-excitation sector: the nonselective projection
     onto |up> collapses the surviving branch back to |up, vac>.
     """
-    if not tau > 0:
-        raise DomainError("tau must be positive")
+    require_finite(tau, "period tau")
     if N < 1:
         raise DomainError("N must be at least 1")
     return float(free_survival(model, tau)) ** N
@@ -227,43 +224,36 @@ def zeno_survival(model: SingleExcitationModel, tau: float, N: int) -> float:
 
 def zeno_effective_rate(model: SingleExcitationModel, tau: float) -> float:
     """-log P_1(tau) / tau, the per-cycle effective decay rate."""
+    require_finite(tau, "period tau")
     p1 = free_survival(model, tau)
     if p1 <= 0.0:
         raise NonPositiveProbability("single-cycle survival vanished")
     return -math.log(p1) / tau
 
 
-def _kick_signs(model: SingleExcitationModel) -> np.ndarray:
-    s = np.full(model.eigenvalues.size, -1.0)
-    s[0] = 1.0
-    return s
-
-
 def kick_survival_trace(model: SingleExcitationModel, tau: float,
                         N: int) -> tuple[np.ndarray, np.ndarray]:
     """(t_k, P_k) after each of N kick cycles (kick after each e^{-iH tau}).
 
-    The kick flips the sign of the |down, 1_i> and |M, 1_i> components
-    (spectral projections of the 2pi |down><M| pulse) and leaves |up>
-    untouched; N must be even.
+    In the eigenbasis the kick is 2 v v^T - I, v_k = <k|up, vac>.  With
+    y = v * c (c the state in that basis, y = w at t = 0) the amplitude of
+    |up, vac> is sum(y) and a kick is y <- 2 w sum(y) - y; N must be even.
     """
     if not model.has_ancilla:
         raise DomainError("kick protocol requires the ancilla model")
     if N < 2 or N % 2 != 0:
         raise OddN("kick protocol requires an even number of cycles >= 2")
-    if not tau > 0:
-        raise DomainError("tau must be positive")
+    require_finite(tau, "period tau")
     _check_span(model, N * tau)
-    V = model.eigenvectors
+    w = model.weights
     phases = np.exp(-1j * model.eigenvalues * tau)
-    signs = _kick_signs(model)
-    psi = np.zeros(model.eigenvalues.size, dtype=complex)
-    psi[0] = 1.0
+    y = w.astype(complex)
     P = np.empty(N)
     for k in range(N):
-        psi = V @ (phases * (V.T @ psi))
-        psi *= signs
-        P[k] = abs(psi[0]) ** 2
+        y *= phases
+        amp = y.sum()
+        y = 2.0 * amp * w - y
+        P[k] = abs(amp) ** 2
     t = (np.arange(N) + 1) * tau
     return t, P
 

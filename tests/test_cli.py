@@ -267,7 +267,7 @@ def test_env_precedence(tmp_path, monkeypatch):
     assert col(columns, data, "kappa_beta_exp")[i0] == pytest.approx(1 / 9.0)
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["sweep", "--strategy", "zeno", "--grid", "nonsense",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["density", "--g", "-1", "--out", str(tmp_path / "y.csv")]) == 2
@@ -287,3 +287,18 @@ def test_config_errors_exit_2(tmp_path):
         out = tmp_path / "inf.csv"
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
+    # oracle periods: inf is not a recurrence overrun, 0 not a zero division
+    oracle = ["oracle", "--modes", "50", "--g", "0.1", "--omega", "0.2",
+              "--beta", "inf"]
+    for protocol in ("zeno", "kick"):
+        for tau in ("inf", "0"):
+            out = tmp_path / "tau.csv"
+            capsys.readouterr()
+            assert main(oracle + ["--protocol", protocol, "--values", tau,
+                                  "--out", str(out)]) == 2
+            assert "period tau" in capsys.readouterr().err
+            assert not out.exists()
+    # a non-finite splitting is refused by the model, not inside scipy
+    assert main(["oracle", "--protocol", "free", "--modes", "50",
+                 "--omega", "inf", "--out", str(tmp_path / "om.csv")]) == 2
+    assert "omega0" in capsys.readouterr().err

@@ -2,12 +2,59 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import eigh
 
 import zenolab as z
 
 G = 0.1
 OMEGA = 0.2
+
+
+# Dense references: the 2M+1 ancilla Hamiltonian diagonalised as a whole,
+# independent of the model's spectral-measure construction.
+
+def _ancilla_hamiltonian(bath, omega0, K):
+    """{|up, vac>, |down, 1_i>, |M, 1_i>} with K(|down><M| + h.c.)."""
+    M = bath.n_modes
+    idx = np.arange(1, M + 1)
+    H = np.zeros((2 * M + 1, 2 * M + 1))
+    H[0, 0] = 0.5 * omega0
+    H[idx, idx] = -0.5 * omega0 + bath.omegas
+    H[idx + M, idx + M] = -0.5 * omega0 + bath.omegas
+    H[0, idx] = bath.couplings
+    H[idx, 0] = bath.couplings
+    H[idx, idx + M] = K
+    H[idx + M, idx] = K
+    return H
+
+
+def _dense_survival(H, ts):
+    ev, V = eigh(H)
+    return np.abs(np.exp(-1j * np.outer(ts, ev)) @ V[0] ** 2) ** 2
+
+
+def _dense_kick_states(H, tau, N):
+    """State after each cycle: e^{-iH tau}, then the sign flip of every
+    level but |up, vac>."""
+    ev, V = eigh(H)
+    U = (V * np.exp(-1j * ev * tau)) @ V.T
+    signs = np.full(ev.size, -1.0)
+    signs[0] = 1.0
+    psi = np.zeros(ev.size, dtype=complex)
+    psi[0] = 1.0
+    states = []
+    for _ in range(N):
+        psi = signs * (U @ psi)
+        states.append(psi)
+    return states
+
+
+@pytest.fixture(scope="module")
+def kick_dense_hamiltonian(kick_model):
+    return _ancilla_hamiltonian(kick_model.bath, OMEGA, 0.0)
 
 
 def test_bath_sum_rule(oracle_ff):
@@ -26,7 +73,9 @@ def test_bath_two_mode_toy_matches_hand_matrix(oracle_ff):
     H_hand = np.array([[OMEGA / 2, g1, g2],
                        [g1, -OMEGA / 2 + 0.5, 0.0],
                        [g2, 0.0, -OMEGA / 2 + 1.5]])
-    assert np.allclose(model.hamiltonian(), H_hand, atol=1e-14)
+    ev, V = eigh(H_hand)
+    assert np.allclose(model.eigenvalues, ev, atol=1e-14)
+    assert np.allclose(model.weights, V[0] ** 2, atol=1e-14)
 
 
 def test_bath_validation(oracle_ff):
@@ -168,18 +217,72 @@ def test_continuous_monotone_suppression(oracle_ff):
     assert fits[0] > fits[1] > fits[2]
 
 
-def test_unitarity(kick_model):
-    # total probability over the full basis stays 1 through kick, free and
-    # continuous evolution
-    V = kick_model.eigenvectors
-    phases = np.exp(-1j * kick_model.eigenvalues * 0.7)
-    signs = np.full(kick_model.eigenvalues.size, -1.0)
-    signs[0] = 1.0
-    psi = np.zeros(kick_model.eigenvalues.size, dtype=complex)
-    psi[0] = 1.0
-    for _ in range(8):
-        psi = signs * (V @ (phases * (V.T @ psi)))
+def test_unitarity(kick_dense_hamiltonian):
+    # total probability over the full 2M+1 basis stays 1 through the dense
+    # reference kick loop
+    for psi in _dense_kick_states(kick_dense_hamiltonian, 0.7, 8):
         assert np.sum(np.abs(psi) ** 2) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_kick_trace_matches_dense_reference(kick_model, kick_dense_hamiltonian):
+    tau, N = 0.5, 200
+    _, P = z.kick_survival_trace(kick_model, tau, N)
+    P_dense = [abs(psi[0]) ** 2
+               for psi in _dense_kick_states(kick_dense_hamiltonian, tau, N)]
+    assert np.max(np.abs(P - P_dense)) <= 1e-10
+
+
+def test_continuous_matches_dense_reference(continuous_model_k5):
+    model = continuous_model_k5
+    ts = np.linspace(0.0, 0.8 * model.recurrence_time, 60)
+    P_dense = _dense_survival(_ancilla_hamiltonian(model.bath, OMEGA, 5.0), ts)
+    P = z.continuous_survival(model, 5.0, ts)
+    assert np.max(np.abs(P - P_dense)) <= 1e-12
+
+
+# K = j * step / 2 on the linear grid makes poles omega_i + K and
+# omega_{i+j} - K of the doubled bath coincide
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(2, 40),
+       scheme=st.sampled_from([z.LINEAR, z.GAUSS_LEGENDRE]),
+       K=st.floats(0.0, 3.0),
+       half_steps=st.one_of(st.none(), st.integers(0, 40)),
+       ancilla=st.booleans(),
+       frac=st.floats(0.05, 0.95))
+def test_spectral_measure_invariants(oracle_ff, M, scheme, K, half_steps,
+                                     ancilla, frac):
+    omega_max = 12.0 * oracle_ff.cutoff
+    if half_steps is not None:
+        K = half_steps * 0.5 * omega_max / M
+        assume(K <= 3.0)
+    bath = z.build_bath(oracle_ff, omega_max, M, scheme)
+    if ancilla:
+        model = z.SingleExcitationModel.with_ancilla(bath, OMEGA, K)
+    else:
+        model = z.SingleExcitationModel.qubit(bath, OMEGA)
+        K = 0.0
+    w, ev = model.weights, model.eigenvalues
+    assert np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= 1e-12
+    # first moments of the measure: <H> = Omega/2 and Var H = sum g_i^2,
+    # which the doubled bath (couplings g_i / sqrt 2, twice) must keep
+    mean = np.sum(w * ev)
+    assert mean == pytest.approx(0.5 * OMEGA, abs=1e-12)
+    assert np.sum(w * (ev - mean) ** 2) == pytest.approx(
+        bath.coupling_sum_rule, rel=1e-10)
+
+    H = _ancilla_hamiltonian(bath, OMEGA, K)
+    ts = np.linspace(0.0, frac * bath.recurrence_time, 25)
+    P = z.free_survival(model, ts)
+    assert np.all((P >= 0.0) & (P <= 1.0 + 1e-12))
+    assert np.max(np.abs(P - _dense_survival(H, ts))) <= 1e-10
+    if ancilla:
+        N = 6
+        _, Pk = z.kick_survival_trace(model, frac * bath.recurrence_time / N, N)
+        P_dense = [abs(psi[0]) ** 2 for psi in
+                   _dense_kick_states(H, frac * bath.recurrence_time / N, N)]
+        assert np.all((Pk >= 0.0) & (Pk <= 1.0 + 1e-12))
+        assert np.max(np.abs(Pk - P_dense)) <= 1e-10
 
 
 def test_discretization_convergence_free(oracle_ff):
