@@ -11,25 +11,22 @@ from .errors import (DivergentIntegral, DivergentMoment, DomainError,
                      InsufficientModes, InvalidState, NoConvergence,
                      NoCrossing, NonPositiveProbability, NoRelaxation, OddN,
                      RecurrenceWindowExceeded, WindowTooShort, ZenolabError)
-from .numerics import (IntegralResult, QuadratureSpec, alpha_n,
-                       bose_occupation, half_integer_series_tail,
-                       integrate_line, lambert_w_m1, zeta_odd)
+from .numerics import (IntegralResult, alpha_n, half_integer_series_tail,
+                       lambert_w_m1, zeta_odd)
 from .spectral import (EXPONENTIAL, POLYNOMIAL, FormFactor,
                        ThermalSpectralDensity, bandwidth, bare_density,
                        form_factor_for_bandwidth, match_cutoffs,
                        thermal_density, zeno_time)
-from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy,
-                    DressedRates, Free, RateQuery, RateResult, SeriesRate,
-                    ZenoMeasurement, continuous_rate, controlled_rate,
-                    dephasing_rate, dressed_rates, golden_rule_rate,
-                    kick_rate, kick_rate_integral, strategy_rate,
-                    summary_asymptotics, zeno_rate)
+from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy, Free,
+                    SeriesRate, ZenoMeasurement, continuous_rate,
+                    dephasing_rate, golden_rule_rate, kick_rate,
+                    kick_rate_integral, strategy_rate, summary_asymptotics,
+                    zeno_rate)
 from .crossover import (CrossoverReport, QuickEstimates, find_K_star,
                         find_tau_star_kick, find_tau_star_zeno,
                         quick_estimates)
 from .lindblad import (QubitDensityMatrix, QubitGenerator,
-                       ThreeLevelGenerator, build_qubit_generator,
-                       build_three_level_generator, evolve, observables,
+                       build_qubit_generator, evolve, observables,
                        stationary_state)
 from .oracle import (GAUSS_LEGENDRE, LINEAR, DecayFit, DiscretizedBath,
                      SingleExcitationModel, build_bath, continuous_survival,

@@ -75,6 +75,8 @@ class GridSpec:
             lo, hi = float(lo_s), float(hi_s)
         except (ValueError, AttributeError) as exc:
             raise DomainError(f"bad grid spec {text!r}: {exc}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError("grid bounds must be finite")
         if not lo < hi:
             raise DomainError("grid requires lo < hi")
         if pts < 2:
@@ -503,8 +505,7 @@ def _config_from(args) -> RunConfig:
         omega0 = 0.01 * W
     if not beta > 0:
         raise DomainError("beta must be positive (or inf)")
-    if not omega0 > 0:
-        raise DomainError("omega must be positive")
+    require_finite(omega0, "level splitting omega0")
     grid = GridSpec.parse(args.grid) if args.grid else None
     if not (math.isfinite(args.conversion_c) and args.conversion_c > 0):
         raise DomainError("conversion constant must be finite and positive")

@@ -3,7 +3,8 @@
 tau* (K*) is the control period (coupling strength) at which the
 controlled rate equals the free rate: suppression on one side,
 enhancement on the other.  Roots are located by a log-spaced scan of the
-ratio followed by bisection; the closed-form estimates are
+ratio followed by Brent's method inside each bracket; the closed-form
+estimates are
 
     tau*_Z  ~ gamma tau_Z^2
     tau*_k  ~ -(pi/Lambda) / W_{-1}(-(pi/8) gamma / (g^2 Lambda))   (exp)
@@ -26,9 +27,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DomainError, NoCrossing
+from .errors import DomainError, NoConvergence, NoCrossing
 from .numerics import alpha_n, lambert_w_m1, zeta_odd
 from .rates import continuous_rate, golden_rule_rate, kick_rate, zeno_rate
 from .spectral import (EXPONENTIAL, POLYNOMIAL, ThermalSpectralDensity,
@@ -51,6 +51,9 @@ _SCAN_HI = 1e4
 _POINTS_PER_DECADE = 400
 # scan points per batched kernel call
 _SCAN_BLOCK = 64
+# root refinement stops once the bracket is below _XTOL + _RTOL |x|
+_XTOL = 2e-12
+_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,61 @@ class CrossoverReport:
     all_crossings: tuple[float, ...] = field(default=())
 
 
+def _brent(f: Callable[[float], float], xa: float, xb: float,
+           maxiter: int = 200) -> float:
+    """Root of ``f`` between xa and xb, where ``f`` changes sign.
+
+    Brent's method as in scipy.optimize.brentq (inverse quadratic or
+    secant steps, bisection when a step is poor): the same iterates, so
+    the same roots and kernel calls.  It stops once the bracket is below
+    _XTOL + _RTOL |x|, and raises NoConvergence after ``maxiter`` steps.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError(f"f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NoConvergence(f"root refinement in [{xa!r}, {xb!r}] took more than "
+                        f"{maxiter} steps")
+
+
 def _scan_first_crossing(ratio_fn: Callable,
                          grid: np.ndarray,
                          find_all: bool) -> tuple[float, tuple[float, float], list[float]]:
-    """First sign change of ratio-1 along ``grid``, refined by bisection.
+    """First sign change of ratio-1 along ``grid``, refined by Brent's method.
 
     ``ratio_fn`` takes a point or an array of points.  The grid is
-    evaluated _SCAN_BLOCK points at a time; ``brentq`` runs only inside
+    evaluated _SCAN_BLOCK points at a time; ``_brent`` runs only inside
     brackets whose ends change sign, and without ``find_all`` the scan
     stops at the first block holding a sign change.
     """
@@ -89,7 +140,7 @@ def _scan_first_crossing(ratio_fn: Callable,
                 crossings.append(xs[i])
             else:
                 a, b = sorted((xs[i], xs[i + 1]))
-                crossings.append(brentq(f, a, b, rtol=1e-13, maxiter=200))
+                crossings.append(_brent(f, a, b))
             if first is None:
                 first = (xs[i], xs[i + 1])
             if not find_all:

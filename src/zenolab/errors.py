@@ -18,7 +18,7 @@ class DivergentIntegral(ZenolabError):
 
 
 class NoConvergence(ZenolabError):
-    """Quadrature error estimate stayed above tolerance at the subdivision cap."""
+    """Quadrature or root refinement missed its tolerance within its step budget."""
 
 
 class NoCrossing(ZenolabError):

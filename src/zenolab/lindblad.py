@@ -21,11 +21,6 @@ at 2 gamma_0 + (gamma_down + gamma_up)/2 with precession Omega.
 
 Basis convention: index 0 = |up>, index 1 = |down>; sz = diag(1, -1).
 
-The strong-coupling control adds a monitor level |M> degenerate with
-|down>; the dressed basis {|up>, |+>, |->} with splittings
-(Omega/2, -Omega/2 + K, -Omega/2 - K) carries four decay channels whose
-rates are the dressed_rates of the rates module.
-
 Kick and continuous control of the *dephasing* channel is exposed with
 the center frequency set to 0, but only the Zeno analogue is derived in
 the source material; treat those two combinations as experimental.
@@ -39,15 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidState, NoRelaxation
-from .rates import ControlStrategy, Free, dressed_rates, strategy_rate
+from .rates import ControlStrategy, Free, strategy_rate
 from .spectral import ThermalSpectralDensity
 
 __all__ = [
     "QubitDensityMatrix",
     "QubitGenerator",
-    "ThreeLevelGenerator",
     "build_qubit_generator",
-    "build_three_level_generator",
     "evolve",
     "stationary_state",
     "observables",
@@ -206,61 +199,3 @@ def observables(rho: QubitDensityMatrix) -> dict:
         "coherence": float(abs(rho.matrix[0, 1])),
     }
 
-
-# ---------------------------------------------------------------------------
-# dressed three-level generator (continuous-coupling control)
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-# dressed {|up>, |+>, |->}  ->  bare {|up>, |down>, |M>}
-_DRESSED_TO_BARE = np.array([[1.0, 0.0, 0.0],
-                             [0.0, _SQ2, _SQ2],
-                             [0.0, _SQ2, -_SQ2]])
-
-
-@dataclass(frozen=True)
-class ThreeLevelGenerator:
-    """Dressed-basis channels of the continuously monitored qubit.
-
-    gamma_plus/minus drain |up> into |+>/|->; gamma_bar_plus/minus feed it
-    back.  Level splittings are omega0/2 and -omega0/2 +/- K.
-    """
-
-    omega0: float
-    K: float
-    gamma_plus: float
-    gamma_minus: float
-    gamma_bar_plus: float
-    gamma_bar_minus: float
-
-    def __post_init__(self):
-        if min(self.gamma_plus, self.gamma_minus,
-               self.gamma_bar_plus, self.gamma_bar_minus) < 0:
-            raise DomainError("channel rates must be nonnegative")
-
-    @property
-    def upper_level_rate(self) -> float:
-        """Total decay rate out of |up>; equals continuous_rate(K)."""
-        return 0.5 * (self.gamma_plus + self.gamma_minus)
-
-    @property
-    def upper_feed_rate(self) -> float:
-        return 0.5 * (self.gamma_bar_plus + self.gamma_bar_minus)
-
-    @property
-    def splittings(self) -> tuple[float, float, float]:
-        return (0.5 * self.omega0, -0.5 * self.omega0 + self.K,
-                -0.5 * self.omega0 - self.K)
-
-    @staticmethod
-    def dressed_to_bare() -> np.ndarray:
-        """Orthogonal map from {|up>, |+>, |->} to {|up>, |down>, |M>}."""
-        return _DRESSED_TO_BARE.copy()
-
-
-def build_three_level_generator(tsd: ThermalSpectralDensity, omega0: float,
-                                K: float) -> ThreeLevelGenerator:
-    if not omega0 > 0:
-        raise DomainError("omega0 must be positive")
-    r = dressed_rates(tsd, omega0, K)
-    return ThreeLevelGenerator(omega0, K, r.gamma_plus, r.gamma_minus,
-                               r.gamma_bar_plus, r.gamma_bar_minus)

@@ -1,34 +1,28 @@
 """Shared numerical kernels.
 
-Adaptive quadrature over the real line with declared split points, a
-vectorized segmented integrator for oscillatory kernels (which can run
-several integrals through shared passes), the guard for control
-parameters, the -1 branch of Lambert's W, the Riemann zeta function at
-odd integers, the Bose occupation number and the Gamma-ratio coefficient
-alpha_n used by the crossover estimates.
+One adaptive quadrature engine: a vectorized segmented integrator (nested
+Gauss-Legendre rules, bisection) that can run several integrals through
+shared passes.  Besides it: the guard for control parameters, the -1
+branch of Lambert's W, the Riemann zeta function at odd integers, the
+trigamma tail of the half-integer series and the Gamma-ratio coefficient
+alpha_n used by the crossover estimates.  numpy is the only dependency.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special
 
 from .errors import DomainError, NoConvergence
 
 __all__ = [
-    "QuadratureSpec",
     "IntegralResult",
-    "integrate_line",
     "segmented_integral",
     "lambert_w_m1",
     "zeta_odd",
-    "bose_occupation",
     "alpha_n",
     "half_integer_series_tail",
 ]
@@ -36,62 +30,9 @@ __all__ = [
 _INV_E = math.exp(-1.0)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for line integrals.
-
-    ``split_points`` declares interior points (integrable kinks, kernel
-    zeros) where the integration domain must be subdivided.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 200
-    split_points: tuple[float, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise DomainError("max_subdivisions must be at least 10")
-        pts = tuple(sorted(float(p) for p in self.split_points))
-        object.__setattr__(self, "split_points", pts)
-
-
 class IntegralResult(NamedTuple):
     value: float
     error: float
-
-
-def integrate_line(f: Callable[[float], float],
-                   spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
-    """Integrate ``f`` over the whole real line.
-
-    The domain is cut at ``spec.split_points``; each piece (including the
-    two infinite tails, which scipy maps to a finite interval) is handled
-    by adaptive Gauss-Kronrod quadrature.  Raises :class:`NoConvergence`
-    if the summed error estimate exceeds the requested tolerance.
-    """
-    edges = [-np.inf, *spec.split_points, np.inf]
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        # a tripped subdivision cap surfaces as NoConvergence below
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in zip(edges[:-1], edges[1:]):
-            if a == b:
-                continue
-            val, est = integrate.quad(f, a, b, epsabs=spec.abs_tol,
-                                      epsrel=spec.rel_tol,
-                                      limit=spec.max_subdivisions)
-            total += val
-            err += est
-    n_pieces = len(edges) - 1
-    tol = max(n_pieces * spec.abs_tol, spec.rel_tol * abs(total))
-    if err > 10.0 * tol:
-        raise NoConvergence(
-            f"error estimate {err:.3e} above tolerance {tol:.3e}")
-    return IntegralResult(total, err)
 
 
 _GL_LO = leggauss(8)
@@ -249,27 +190,17 @@ def lambert_w_m1(x: float) -> float:
     raise NoConvergence(f"lambert_w_m1 failed to converge at x={x}")
 
 
+# zeta(3), zeta(5), ..., zeta(15), correctly rounded
+_ZETA_ODD = (1.2020569031595942, 1.03692775514337, 1.008349277381923,
+             1.0020083928260821, 1.0004941886041194, 1.0001227133475785,
+             1.000030588236307)
+
+
 def zeta_odd(m: int) -> float:
     """Riemann zeta at an odd integer m, 3 <= m <= 15."""
     if m != int(m) or m % 2 == 0 or not 3 <= m <= 15:
         raise DomainError(f"zeta_odd requires an odd integer in [3, 15], got {m}")
-    return float(special.zeta(int(m)))
-
-
-def bose_occupation(omega: float, beta: float) -> float:
-    """Bose occupation N(omega) = 1/(e^{beta omega} - 1).
-
-    Stable over the full range of beta*omega via expm1.  beta may be
-    +inf (zero temperature): N -> 0 for omega > 0 and -1 for omega < 0.
-    """
-    if omega == 0.0:
-        raise DomainError("bose_occupation is singular at omega = 0")
-    if math.isinf(beta):
-        return 0.0 if omega > 0 else -1.0
-    x = beta * omega
-    if x > 700.0:
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    return _ZETA_ODD[(int(m) - 3) // 2]
 
 
 def alpha_n(n: int) -> float:
@@ -283,11 +214,26 @@ def alpha_n(n: int) -> float:
     return 0.5 * math.sqrt(math.pi) * math.gamma(n - 1.5) / math.gamma(n - 1.0)
 
 
-def half_integer_series_tail(j_from: int) -> float:
-    """Exact tail sum_{j >= j_from} (j + 1/2)^{-2} via the trigamma function.
+# Bernoulli numbers B_2 .. B_14 of the trigamma asymptotic series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
-    The full series (j_from = 0) sums to pi^2/2.
+
+def half_integer_series_tail(j_from: int) -> float:
+    """Exact tail sum_{j >= j_from} (j + 1/2)^{-2}, the trigamma psi'(j_from + 1/2).
+
+    The recurrence psi'(x) = 1/x^2 + psi'(x + 1) carries x up to 16, where
+    the asymptotic series 1/x + 1/(2x^2) + sum_k B_2k x^{-(2k+1)} (seven
+    terms, summed largest first) is within about 2 ulp.  The full series
+    (j_from = 0) sums to pi^2/2.
     """
     if j_from < 0:
         raise DomainError("j_from must be nonnegative")
-    return float(special.polygamma(1, j_from + 0.5))
+    x = j_from + 0.5
+    acc = 0.0
+    while x < 16.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    total = acc + 1.0 / x + 0.5 / (x * x)
+    for k, b in enumerate(_BERNOULLI, start=1):
+        total += b * x ** -(2 * k + 1)
+    return total

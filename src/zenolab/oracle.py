@@ -40,7 +40,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh
 
 from .errors import (DomainError, InsufficientModes, NonPositiveProbability,
                      OddN, RecurrenceWindowExceeded, WindowTooShort)
@@ -146,7 +145,7 @@ def _spectral_measure(a: float, poles: np.ndarray,
     H[idx, idx] = poles
     H[0, 1:] = couplings
     H[1:, 0] = couplings
-    evals, evecs = eigh(H)
+    evals, evecs = np.linalg.eigh(H)
     return evals, evecs[0] ** 2
 
 

@@ -54,21 +54,16 @@ __all__ = [
     "BangBangKick",
     "ContinuousCoupling",
     "ControlStrategy",
-    "RateQuery",
-    "RateResult",
     "SeriesRate",
-    "DressedRates",
     "SummaryAsymptotics",
     "golden_rule_rate",
     "zeno_rate",
     "kick_rate",
     "kick_rate_integral",
     "continuous_rate",
-    "dressed_rates",
     "dephasing_rate",
     "summary_asymptotics",
     "strategy_rate",
-    "controlled_rate",
 ]
 
 
@@ -113,35 +108,9 @@ class ContinuousCoupling:
 ControlStrategy = Union[Free, ZenoMeasurement, BangBangKick, ContinuousCoupling]
 
 
-@dataclass(frozen=True)
-class RateQuery:
-    tsd: ThermalSpectralDensity
-    omega0: float
-    strategy: ControlStrategy
-
-    def __post_init__(self):
-        if not self.omega0 > 0:
-            raise DomainError("level splitting Omega must be positive")
-
-
-@dataclass(frozen=True)
-class RateResult:
-    gamma: float
-    gamma_free: float
-    ratio: float
-    truncation_error: float = 0.0
-
-
 class SeriesRate(NamedTuple):
     gamma: float
     truncation_error: float
-
-
-class DressedRates(NamedTuple):
-    gamma_plus: float
-    gamma_minus: float
-    gamma_bar_plus: float
-    gamma_bar_minus: float
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +134,6 @@ def continuous_rate(tsd: ThermalSpectralDensity, omega0: float, K):
     Ks = require_finite(K, "coupling K", allow_zero=True)
     return _shaped(math.pi * (thermal_density(tsd, omega0 + Ks)
                               + thermal_density(tsd, omega0 - Ks)), K)
-
-
-def dressed_rates(tsd: ThermalSpectralDensity, omega0: float, K: float) -> DressedRates:
-    """Rates of the four dressed channels at coupling K.
-
-    gamma_+/- = 2 pi kappa_beta(omega0 -/+ K) drain the upper level into
-    the dressed pair; gamma_bar_+/- = 2 pi kappa_beta(-omega0 +/- K) feed
-    it back.  Their mean (gamma_+ + gamma_-)/2 equals continuous_rate.
-    """
-    require_finite(K, "coupling K", allow_zero=True)
-    two_pi = 2.0 * math.pi
-    return DressedRates(
-        gamma_plus=two_pi * thermal_density(tsd, omega0 - K),
-        gamma_minus=two_pi * thermal_density(tsd, omega0 + K),
-        gamma_bar_plus=two_pi * thermal_density(tsd, -omega0 + K),
-        gamma_bar_minus=two_pi * thermal_density(tsd, -omega0 - K),
-    )
 
 
 def dephasing_rate(tsd: ThermalSpectralDensity) -> float:
@@ -270,7 +222,9 @@ def _zeno_near(tsd: ThermalSpectralDensity, omega0: float, taus: np.ndarray,
     a, b, owner = [], [], []
     for q, tau in enumerate(taus):
         u_struct = (struct - omega0) * tau / 2.0
-        edges = np.unique(np.concatenate([lobes, u_struct[np.abs(u_struct) < U]]))
+        # sort and drop repeats by hand: np.unique imports numpy.ma lazily
+        edges = np.sort(np.concatenate([lobes, u_struct[np.abs(u_struct) < U]]))
+        edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
         a.append(edges[:-1])
         b.append(edges[1:])
         owner.append(np.full(edges.size - 1, q))
@@ -486,9 +440,3 @@ def strategy_rate(tsd: ThermalSpectralDensity, center: float,
         return SeriesRate(continuous_rate(tsd, center, strategy.K), 0.0)
     raise DomainError(f"unknown strategy {strategy!r}")
 
-
-def controlled_rate(query: RateQuery) -> RateResult:
-    """Rate of the spin-flip channel under the query's control strategy."""
-    gamma_free = golden_rule_rate(query.tsd, query.omega0)
-    gamma, trunc = strategy_rate(query.tsd, query.omega0, query.strategy)
-    return RateResult(gamma, gamma_free, gamma / gamma_free, trunc)

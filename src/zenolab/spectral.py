@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentIntegral, DivergentMoment, DomainError, NoConvergence
-from .numerics import QuadratureSpec, alpha_n, integrate_line
+from .numerics import alpha_n, require_finite, segmented_integral
 
 __all__ = [
     "EXPONENTIAL",
@@ -72,10 +72,8 @@ class FormFactor:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        if not self.g > 0:
-            raise DomainError("coupling g must be positive")
-        if not self.cutoff > 0:
-            raise DomainError("cutoff must be positive")
+        require_finite(self.g, "coupling g")
+        require_finite(self.cutoff, "cutoff")
         if self.family == POLYNOMIAL:
             if self.n != int(self.n) or self.n < 1:
                 raise DomainError("polynomial exponent n must be an integer >= 1")
@@ -96,12 +94,23 @@ class ThermalSpectralDensity:
             raise DomainError("inverse temperature beta must be positive")
 
 
+def _reject_nan(w: np.ndarray, rest: np.ndarray) -> None:
+    """DomainError if a frequency is NaN.  ``rest`` masks the entries that
+    fell outside the sign masks, the only place a NaN can be."""
+    if rest.any() and np.isnan(w[rest]).any():
+        raise DomainError("frequency omega is NaN")
+
+
 def bare_density(ff: FormFactor, omega):
-    """kappa(omega); exactly 0 for omega < 0.  Accepts scalars or arrays."""
+    """kappa(omega); exactly 0 for omega < 0.  Accepts scalars or arrays.
+
+    A NaN frequency raises DomainError.
+    """
     w = np.asarray(omega, dtype=float)
     g2 = ff.g * ff.g
     lam = ff.cutoff
     pos = w > 0
+    _reject_nan(w, ~pos)
     out = np.zeros_like(w)
     if ff.family == EXPONENTIAL:
         wp = w[pos]
@@ -120,7 +129,8 @@ def thermal_density(tsd: ThermalSpectralDensity, omega):
     Evaluated as kappa(|omega|)/(-expm1(-beta omega)) for omega > 0 and
     kappa(|omega|)/expm1(beta |omega|) for omega < 0, which is stable for
     both tiny and huge |beta omega|; the omega = 0 value is the limit
-    g^2/beta.  At beta = +inf the bare density is returned.
+    g^2/beta.  At beta = +inf the bare density is returned.  A NaN
+    frequency raises DomainError.
     """
     w = np.asarray(omega, dtype=float)
     if math.isinf(tsd.beta):
@@ -131,6 +141,7 @@ def thermal_density(tsd: ThermalSpectralDensity, omega):
     pos = w > 0
     neg = w < 0
     zer = ~(pos | neg)
+    _reject_nan(w, zer)
     if pos.any():
         out[pos] = bare_density(tsd.base, w[pos]) / (-np.expm1(-beta * w[pos]))
     if neg.any():
@@ -163,23 +174,25 @@ def bandwidth(ff: FormFactor) -> float:
     return _bandwidth_closed_form(ff)
 
 
-def zeno_time(tsd: ThermalSpectralDensity,
-              spec: QuadratureSpec | None = None) -> float:
+def zeno_time(tsd: ThermalSpectralDensity) -> float:
     """Zeno time tau_Z = [int_{-inf}^{inf} kappa_beta(omega) d omega]^{-1/2}.
 
-    Computed by quadrature with the domain split at omega = 0, where the
-    exponential family's thermal density has a derivative discontinuity.
+    The integral folds the negative axis onto the positive one,
+    kappa_beta(w) + kappa_beta(-w) for w >= 0, and maps w = Lambda v/(1 - v)
+    onto v in [0, 1), eight equal segments of the segmented integrator.
     """
     if tsd.base.family == POLYNOMIAL and tsd.base.n < 2:
         raise DivergentIntegral("integral of kappa_beta diverges for n = 1")
-    if spec is None:
-        spec = QuadratureSpec(split_points=(0.0,))
-    elif 0.0 not in spec.split_points:
-        spec = QuadratureSpec(spec.abs_tol, spec.rel_tol,
-                              spec.max_subdivisions,
-                              spec.split_points + (0.0,))
+    lam = tsd.base.cutoff
+
+    def folded(v):
+        w = lam * v / (1.0 - v)
+        return (thermal_density(tsd, w) + thermal_density(tsd, -w)) \
+            * lam / (1.0 - v) ** 2
+
     try:
-        total, _ = integrate_line(lambda w: thermal_density(tsd, w), spec)
+        total, _ = segmented_integral(folded, np.linspace(0.0, 1.0, 9),
+                                      rel_tol=1e-12, abs_tol=1e-300)
     except NoConvergence as exc:
         raise DivergentIntegral(str(exc)) from exc
     if not total > 0 or not math.isfinite(total):

@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zenolab
 from zenolab.cli import main
 
 
@@ -298,7 +301,39 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                   "--out", str(out)]) == 2
             assert "period tau" in capsys.readouterr().err
             assert not out.exists()
-    # a non-finite splitting is refused by the model, not inside scipy
+    # a non-finite splitting is refused before any model is built
     assert main(["oracle", "--protocol", "free", "--modes", "50",
                  "--omega", "inf", "--out", str(tmp_path / "om.csv")]) == 2
     assert "omega0" in capsys.readouterr().err
+    # inf passes '> 0' in the splitting and in the coupling too
+    for argv in (["density", "--omega", "inf"],
+                 ["sweep", "--strategy", "zeno", "--omega", "inf"],
+                 ["density", "--g", "inf"],
+                 ["density", "--grid=-inf:1:5lin"]):
+        out = tmp_path / "inf2.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    # a fresh interpreter runs a crossover, a kick oracle and figure 10
+    # without loading scipy, or numpy.ma (which np.unique pulls in lazily)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zenolab.__file__)))
+    script = f"""
+import sys
+from zenolab.cli import main
+out = {str(tmp_path)!r}
+assert main(["crossover", "--family", "poly", "--beta", "inf",
+             "--out", out + "/x.csv"]) == 0
+assert main(["oracle", "--protocol", "kick", "--modes", "300", "--values", "0.7",
+             "--g", "0.1", "--omega", "0.2", "--beta", "inf",
+             "--out", out + "/o.csv"]) == 0
+assert main(["figure", "--id", "10", "--out", out + "/f.csv"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+             or m == "numpy.ma"))
+"""
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

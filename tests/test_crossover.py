@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from scipy.optimize import brentq
 
 import zenolab as z
+from zenolab.crossover import _brent
 
 OMEGA = 0.01
 BETA = 50.0
@@ -140,3 +142,28 @@ def test_quick_estimates_domain():
         z.quick_estimates(1, 0.01, 1.0)
     with pytest.raises(z.DomainError):
         z.quick_estimates(2, -0.01, 1.0)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 1e3, 0.0, 20.0),
+    (lambda x: math.atan(x - 0.3) ** 3, -5.0, 40.0),
+    (lambda x: 1.0 / (x - 0.5) if x != 0.5 else 0.0, 0.0, 1.0),
+])
+def test_brent_matches_scipy_brentq(f, a, b):
+    # the same root bits from the same function calls
+    calls = {"ours": [], "scipy": []}
+    ours = _brent(lambda x: calls["ours"].append(x) or f(x), a, b)
+    ref = brentq(lambda x: calls["scipy"].append(x) or f(x), a, b,
+                 rtol=1e-13, maxiter=200)
+    assert ours == ref
+    assert calls["ours"] == calls["scipy"]
+
+
+def test_brent_edges():
+    assert _brent(lambda x: x, 0.0, 1.0) == 0.0
+    with pytest.raises(z.DomainError):
+        _brent(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(z.NoConvergence):
+        _brent(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, maxiter=2)

@@ -164,21 +164,3 @@ def test_observables():
     assert z.observables(gibbs)["p_up"] == pytest.approx(p, rel=1e-12)
     assert z.observables(gibbs)["coherence"] == 0.0
 
-
-def test_three_level_generator(tsd_exp):
-    gamma = z.golden_rule_rate(tsd_exp, OMEGA)
-    g0 = z.build_three_level_generator(tsd_exp, OMEGA, 0.0)
-    assert g0.upper_level_rate == pytest.approx(gamma, rel=1e-14)
-    g10 = z.build_three_level_generator(tsd_exp, OMEGA, 10.0)
-    envelope = math.pi * z.bare_density(tsd_exp.base, 10.0)
-    assert g10.upper_level_rate == pytest.approx(envelope, rel=0.05)
-    assert g10.upper_level_rate < 1e-5 * gamma
-    # additivity by construction
-    r = z.dressed_rates(tsd_exp, OMEGA, 3.0)
-    g3 = z.build_three_level_generator(tsd_exp, OMEGA, 3.0)
-    assert g3.upper_level_rate == pytest.approx(
-        0.5 * (r.gamma_plus + r.gamma_minus), rel=1e-14)
-    # splittings and the dressed -> bare map
-    assert g3.splittings == pytest.approx((0.005, -0.005 + 3.0, -0.005 - 3.0))
-    U = z.ThreeLevelGenerator.dressed_to_bare()
-    assert np.allclose(U @ U.T, np.eye(3), atol=1e-15)

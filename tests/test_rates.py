@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import zenolab as z
@@ -131,21 +133,23 @@ def test_continuous_rate_examples(tsd_exp):
 
 
 def test_dressed_rates(tsd_exp):
+    # continuous coupling splits the decay of |up> into two dressed channels,
+    # gamma_+/- = 2 pi kappa_beta(Omega -/+ K); their feeding partners at
+    # -(Omega -/+ K) are the Boltzmann-suppressed KMS partners
     K = 0.7
-    r = z.dressed_rates(tsd_exp, OMEGA, K)
-    assert min(r) >= 0.0
-    r0 = z.dressed_rates(tsd_exp, OMEGA, 0.0)
-    gamma = z.golden_rule_rate(tsd_exp, OMEGA)
-    assert r0.gamma_plus == pytest.approx(gamma, rel=1e-14)
-    assert r0.gamma_minus == pytest.approx(gamma, rel=1e-14)
-    # KMS pairing: bar rates are Boltzmann-suppressed partners
-    assert r.gamma_bar_plus == pytest.approx(
-        math.exp(-BETA * (OMEGA - K)) * r.gamma_plus, rel=1e-12)
-    assert r.gamma_bar_minus == pytest.approx(
-        math.exp(-BETA * (OMEGA + K)) * r.gamma_minus, rel=1e-12)
-    # average identity
-    assert 0.5 * (r.gamma_plus + r.gamma_minus) == pytest.approx(
+    plus, minus = (z.golden_rule_rate(tsd_exp, OMEGA - K),
+                   z.golden_rule_rate(tsd_exp, OMEGA + K))
+    bar_plus, bar_minus = (z.golden_rule_rate(tsd_exp, -OMEGA + K),
+                           z.golden_rule_rate(tsd_exp, -OMEGA - K))
+    assert min(plus, minus, bar_plus, bar_minus) >= 0.0
+    assert bar_plus == pytest.approx(math.exp(-BETA * (OMEGA - K)) * plus, rel=1e-12)
+    assert bar_minus == pytest.approx(math.exp(-BETA * (OMEGA + K)) * minus,
+                                      rel=1e-12)
+    # the continuous rate is their mean, and the free rate at K = 0
+    assert 0.5 * (plus + minus) == pytest.approx(
         z.continuous_rate(tsd_exp, OMEGA, K), rel=1e-14)
+    assert z.continuous_rate(tsd_exp, OMEGA, 0.0) == pytest.approx(
+        z.golden_rule_rate(tsd_exp, OMEGA), rel=1e-14)
 
 
 def test_dephasing_rate():
@@ -198,26 +202,28 @@ def test_zeno_ratio_crossing_exists(tsd_exp):
 
 def test_controlled_rate_dispatch(tsd_exp):
     gamma = z.golden_rule_rate(tsd_exp, OMEGA)
-    free = z.controlled_rate(z.RateQuery(tsd_exp, OMEGA, z.Free()))
-    assert free.gamma == free.gamma_free == gamma and free.ratio == 1.0
-    res = z.controlled_rate(z.RateQuery(tsd_exp, OMEGA, z.BangBangKick(1.0)))
-    assert res.ratio == pytest.approx(res.gamma / gamma, rel=1e-15)
+    free = z.strategy_rate(tsd_exp, OMEGA, z.Free())
+    assert free.gamma == gamma and free.truncation_error == 0.0
+    res = z.strategy_rate(tsd_exp, OMEGA, z.BangBangKick(1.0))
+    assert res.gamma == z.kick_rate(tsd_exp, OMEGA, 1.0).gamma
     assert res.truncation_error >= 0.0
-    res = z.controlled_rate(z.RateQuery(tsd_exp, OMEGA, z.ContinuousCoupling(0.5)))
+    res = z.strategy_rate(tsd_exp, OMEGA, z.ContinuousCoupling(0.5))
     assert res.gamma == pytest.approx(z.continuous_rate(tsd_exp, OMEGA, 0.5))
     with pytest.raises(z.DomainError):
         z.ZenoMeasurement(0.0)
     with pytest.raises(z.DomainError):
         z.ContinuousCoupling(-1.0)
     with pytest.raises(z.DomainError):
-        z.RateQuery(tsd_exp, -1.0, z.Free())
-    # a NaN coupling is rejected wherever K enters
+        z.strategy_rate(tsd_exp, OMEGA, 0.5)
+    with pytest.raises(z.DomainError):
+        z.build_qubit_generator(tsd_exp, None, -1.0)
+    # a NaN coupling or frequency is rejected wherever it enters
     with pytest.raises(z.DomainError):
         z.ContinuousCoupling(math.nan)
     with pytest.raises(z.DomainError):
         z.continuous_rate(tsd_exp, OMEGA, math.nan)
     with pytest.raises(z.DomainError):
-        z.dressed_rates(tsd_exp, OMEGA, math.nan)
+        z.golden_rule_rate(tsd_exp, math.nan)
     with pytest.raises(z.DomainError):
         z.SingleExcitationModel.with_ancilla(z.build_bath(tsd_exp.base, 6.0, 10),
                                              OMEGA, math.nan)
@@ -233,10 +239,30 @@ def test_controlled_rate_dispatch(tsd_exp):
         lambda: z.kick_rate_integral(tsd_exp, OMEGA, math.inf, 2),
         lambda: z.continuous_rate(tsd_exp, OMEGA, math.inf),
         lambda: z.continuous_rate(tsd_exp, OMEGA, np.array([0.5, -math.inf])),
-        lambda: z.dressed_rates(tsd_exp, OMEGA, math.inf),
         lambda: z.SingleExcitationModel.with_ancilla(
             z.build_bath(tsd_exp.base, 6.0, 10), OMEGA, math.inf),
     ]
     for case in inf_cases:
         with pytest.raises(z.DomainError):
             case()
+
+
+@settings(max_examples=25, deadline=None)
+@given(fam=st.sampled_from([z.EXPONENTIAL, z.POLYNOMIAL]),
+       beta=st.one_of(st.floats(0.5, 200.0), st.just(math.inf)),
+       omega0=st.floats(1e-3, 2.0),
+       param=st.floats(1e-2, 1e2))
+def test_strategy_rates_nonnegative_and_kms_property(fam, beta, omega0, param):
+    # every strategy, at the emission, absorption and dephasing centres
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0).thermal(beta)
+    strategies = (z.Free(), z.ZenoMeasurement(param), z.BangBangKick(param),
+                  z.ContinuousCoupling(param))
+    for strategy in strategies:
+        for center in (omega0, -omega0, 0.0):
+            rate = z.strategy_rate(tsd, center, strategy)
+            assert rate.gamma >= 0.0 and math.isfinite(rate.gamma)
+            assert rate.truncation_error >= 0.0
+    # the free pair is Boltzmann-related (KMS); zero absorption at beta = inf
+    down = z.strategy_rate(tsd, omega0, z.Free()).gamma
+    up = z.strategy_rate(tsd, -omega0, z.Free()).gamma
+    assert abs(up - math.exp(-beta * omega0) * down) <= 1e-12 * down

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import polygamma
 
 import zenolab as z
-from zenolab.numerics import QuadratureSpec, integrate_line
 
 
 def test_bare_density_examples():
@@ -43,6 +44,12 @@ def test_form_factor_validation():
         z.FormFactor(z.EXPONENTIAL, cutoff=-1.0)
     with pytest.raises(z.DomainError):
         z.FormFactor(z.POLYNOMIAL, n=0)
+    # inf passes '> 0'; a coupling or cutoff must be finite too
+    for bad in (math.inf, math.nan):
+        with pytest.raises(z.DomainError):
+            z.FormFactor(z.EXPONENTIAL, g=bad)
+        with pytest.raises(z.DomainError):
+            z.FormFactor(z.POLYNOMIAL, cutoff=bad)
 
 
 def test_thermal_density_examples():
@@ -71,6 +78,40 @@ def test_kms_symmetry_pointwise(beta, fam, n):
     assert np.all(np.abs(left - right) <= 1e-12 * ref)
 
 
+@settings(max_examples=80, deadline=None)
+@given(fam=st.sampled_from([z.EXPONENTIAL, z.POLYNOMIAL]), n=st.integers(2, 4),
+       beta=st.one_of(st.floats(1e-2, 1e3), st.just(math.inf)),
+       omega=st.floats(1e-6, 50.0))
+def test_kms_symmetry_property(fam, n, beta, omega):
+    # kappa_beta(-omega) = e^{-beta omega} kappa_beta(omega)
+    tsd = z.FormFactor(fam, g=0.8, cutoff=0.7, n=n).thermal(beta)
+    right = z.thermal_density(tsd, omega)
+    left = z.thermal_density(tsd, -omega)
+    assert right >= 0.0 and left >= 0.0
+    assert abs(left - math.exp(-beta * omega) * right) <= 1e-12 * right
+
+
+def test_nan_frequency_rejected():
+    # NaN used to fall through every sign mask and come out as g^2/beta
+    for fam in (z.EXPONENTIAL, z.POLYNOMIAL):
+        ff = z.form_factor_for_bandwidth(fam, W=1.0)
+        for beta in (50.0, math.inf):
+            tsd = ff.thermal(beta)
+            with pytest.raises(z.DomainError, match="NaN"):
+                z.thermal_density(tsd, math.nan)
+            with pytest.raises(z.DomainError, match="NaN"):
+                z.thermal_density(tsd, np.array([-1.0, 0.0, math.nan, 2.0]))
+            with pytest.raises(z.DomainError):
+                z.golden_rule_rate(tsd, math.nan)
+        with pytest.raises(z.DomainError, match="NaN"):
+            z.bare_density(ff, math.nan)
+        with pytest.raises(z.DomainError, match="NaN"):
+            z.bare_density(ff, np.array([0.5, math.nan]))
+        # omega = 0 is no NaN: it keeps its limit g^2/beta
+        assert z.thermal_density(ff.thermal(50.0), np.array([0.0])).tolist() == [
+            ff.g ** 2 / 50.0]
+
+
 def test_thermal_enhancement_and_continuity():
     for fam in (z.EXPONENTIAL, z.POLYNOMIAL):
         ff = z.form_factor_for_bandwidth(fam, W=1.0)
@@ -96,9 +137,10 @@ def test_bandwidth_closed_forms():
 def test_bandwidth_against_quadrature(fam, n):
     # independent oracle: moments of the bare density by quadrature
     ff = z.FormFactor(fam, g=0.9, cutoff=1.7, n=n)
-    spec = QuadratureSpec(split_points=(0.0,))
-    num = integrate_line(lambda w: abs(w) * z.bare_density(ff, w), spec).value
-    den = integrate_line(lambda w: z.bare_density(ff, w), spec).value
+    num = quad(lambda w: w * z.bare_density(ff, w), 0.0, math.inf,
+               epsabs=1e-12, epsrel=1e-10)[0]
+    den = quad(lambda w: z.bare_density(ff, w), 0.0, math.inf,
+               epsabs=1e-12, epsrel=1e-10)[0]
     assert z.bandwidth(ff) == pytest.approx(num / den, rel=1e-8)
 
 
@@ -119,6 +161,39 @@ def test_zeno_time_closed_forms():
     assert z.zeno_time(tsd) == pytest.approx(1.0, rel=1e-8)
     tsd = z.FormFactor(z.POLYNOMIAL, g=1.0, cutoff=1.0, n=2).thermal(math.inf)
     assert z.zeno_time(tsd) == pytest.approx(math.sqrt(2.0), rel=1e-8)
+
+
+_ZENO_BETAS = [1e-3, 1e-2, 0.1, 1.0, 10.0, 50.0, 1e3, math.inf]
+
+
+@pytest.mark.parametrize("beta", _ZENO_BETAS)
+@pytest.mark.parametrize("g", [1.0, 0.1])
+def test_zeno_time_exponential_trigamma_form(beta, g):
+    # int kappa_beta = g^2 [Lambda^2 + (2/beta^2) psi'(1 + 1/(beta Lambda))]
+    lam = 0.5
+    tsd = z.FormFactor(z.EXPONENTIAL, g=g, cutoff=lam).thermal(beta)
+    total = g * g * lam * lam
+    if math.isfinite(beta):
+        total += g * g * 2.0 / beta ** 2 * float(polygamma(1, 1.0 + 1.0 / (beta * lam)))
+    assert abs(z.zeno_time(tsd) * math.sqrt(total) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", _ZENO_BETAS)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_zeno_time_polynomial_against_quad(beta, n):
+    # int kappa_beta = int_0^inf kappa(w) coth(beta w / 2) dw, by a tight
+    # QUADPACK run on the density written out here
+    lam = 2.0 / math.pi
+    tsd = z.FormFactor(z.POLYNOMIAL, g=1.0, cutoff=lam, n=n).thermal(beta)
+
+    def f(w):
+        coth = 1.0 if math.isinf(beta) else 1.0 / math.tanh(0.5 * beta * w)
+        return w / (1.0 + (w / lam) ** 2) ** n * coth
+
+    edges = [0.0, lam, 10.0 * lam, 100.0 * lam, math.inf]
+    total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
+    assert abs(z.zeno_time(tsd) * math.sqrt(total) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("fam", [z.EXPONENTIAL, z.POLYNOMIAL])
