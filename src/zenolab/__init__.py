@@ -8,8 +8,8 @@ discretized-bath oracle that cross-validates every analytic formula.
 """
 
 from .errors import (DivergentIntegral, DivergentMoment, DomainError,
-                     InsufficientModes, InvalidState, NoConvergence,
-                     NoCrossing, NonPositiveProbability, NoRelaxation, OddN,
+                     InvalidState, NoConvergence, NoCrossing,
+                     NonPositiveProbability, NoRelaxation, OddN,
                      RecurrenceWindowExceeded, WindowTooShort, ZenolabError)
 from .numerics import (IntegralResult, alpha_n, half_integer_series_tail,
                        lambert_w_m1, zeta_odd)

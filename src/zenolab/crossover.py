@@ -6,14 +6,16 @@ enhancement on the other.  Roots are located by a log-spaced scan of the
 ratio followed by Brent's method inside each bracket; the closed-form
 estimates are
 
-    tau*_Z  ~ gamma tau_Z^2
-    tau*_k  ~ -(pi/Lambda) / W_{-1}(-(pi/8) gamma / (g^2 Lambda))   (exp)
-    tau*_k  ~ (pi/Lambda) [pi gamma / (8 (1-2^{-2n-1}) zeta(2n+1)
-                           g^2 Lambda)]^{1/(2n-1)}                  (poly)
-    K*      ~ -Lambda W_{-1}(-gamma / (pi g^2 Lambda))              (exp)
-    K*      ~ Lambda [gamma / (pi g^2 Lambda)]^{-1/(2n-1)}          (poly)
+    tau*_Z ~ gamma tau_Z^2,    tau*_k ~ pi / x(w_k),    K* ~ x(pi),
 
-with W_{-1} the lower real branch of Lambert's W.  The kick-rate ratio
+where x(w) solves w kappa(x) = gamma with kappa's large-x form,
+
+    x(w) = -Lambda W_{-1}(-gamma / (w g^2 Lambda))     (exp)
+    x(w) = Lambda (w g^2 Lambda / gamma)^{1/(2n-1)}    (poly)
+
+with W_{-1} the lower real branch of Lambert's W, and w_k is the weight
+of the kick envelope gamma_k ~ w_k kappa(pi/tau): 8/pi (exp) or
+(8/pi)(1-2^{-2n-1}) zeta(2n+1) (poly).  The kick-rate ratio
 oscillates at intermediate tau, so several crossings can exist; the
 smallest crossing from the controlled side is canonical and every
 detected crossing is reported.  Scans evaluate the grid in blocks
@@ -29,9 +31,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NoConvergence, NoCrossing
-from .numerics import alpha_n, lambert_w_m1, zeta_odd
-from .rates import continuous_rate, golden_rule_rate, kick_rate, zeno_rate
-from .spectral import (EXPONENTIAL, POLYNOMIAL, ThermalSpectralDensity,
+from .numerics import alpha_n, lambert_w_m1
+from .rates import (_kick_envelope_weight, continuous_rate, golden_rule_rate,
+                    kick_rate, zeno_rate)
+from .spectral import (EXPONENTIAL, FormFactor, ThermalSpectralDensity,
                        zeno_time)
 
 __all__ = [
@@ -42,9 +45,6 @@ __all__ = [
     "find_K_star",
     "quick_estimates",
 ]
-
-ROOT_FIND = "root-find"
-CLOSED_FORM = "closed-form"
 
 _SCAN_LO = 1e-4
 _SCAN_HI = 1e4
@@ -59,7 +59,6 @@ _RTOL = 1e-13
 @dataclass(frozen=True)
 class CrossoverReport:
     star_value: float
-    method: str
     closed_form_estimate: float
     relative_gap: float
     bracket: tuple[float, float]
@@ -155,38 +154,47 @@ def _log_grid(lo: float, hi: float) -> np.ndarray:
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
+def _envelope_root(ff: FormFactor, weight: float, gamma: float) -> float:
+    """x(weight) of the module docstring; NaN where the Lambert-W
+    argument falls below -1/e."""
+    g2lam = ff.g ** 2 * ff.cutoff
+    if ff.family == EXPONENTIAL:
+        arg = -gamma / (weight * g2lam)
+        return -ff.cutoff * lambert_w_m1(arg) if arg >= -math.exp(-1) else math.nan
+    return ff.cutoff * (weight * g2lam / gamma) ** (1.0 / (2 * ff.n - 1))
+
+
+def _crossover(tsd: ThermalSpectralDensity, omega0: float,
+               rate: Callable, grid: np.ndarray,
+               estimate: Callable[[float], float],
+               find_all: bool) -> CrossoverReport:
+    """First crossing of rate / gamma = 1 along ``grid``, reported against
+    the closed form ``estimate(gamma)``, gamma being the free rate."""
+    gamma = golden_rule_rate(tsd, omega0)
+    root, bracket, crossings = _scan_first_crossing(
+        lambda x: rate(x) / gamma, grid, find_all)
+    est = estimate(gamma)
+    gap = abs(root - est) / root if math.isfinite(est) else math.nan
+    return CrossoverReport(root, est, gap, (min(bracket), max(bracket)),
+                           tuple(sorted(crossings)))
+
+
 def find_tau_star_zeno(tsd: ThermalSpectralDensity, omega0: float,
                        find_all: bool = False) -> CrossoverReport:
     """Smallest tau with gamma_Z(tau) = gamma; estimate gamma tau_Z^2."""
-    gamma = golden_rule_rate(tsd, omega0)
-    ratio = lambda t: zeno_rate(tsd, omega0, t) / gamma
-    root, bracket, crossings = _scan_first_crossing(
-        ratio, _log_grid(_SCAN_LO, _SCAN_HI), find_all)
-    est = gamma * zeno_time(tsd) ** 2
-    return CrossoverReport(root, ROOT_FIND, est, abs(root - est) / root,
-                           bracket, tuple(crossings))
+    return _crossover(tsd, omega0, lambda t: zeno_rate(tsd, omega0, t),
+                      _log_grid(_SCAN_LO, _SCAN_HI),
+                      lambda gamma: gamma * zeno_time(tsd) ** 2, find_all)
 
 
 def find_tau_star_kick(tsd: ThermalSpectralDensity, omega0: float,
                        find_all: bool = False) -> CrossoverReport:
     """Smallest tau with gamma_k(tau) = gamma; Lambert-W / power-law estimate."""
-    gamma = golden_rule_rate(tsd, omega0)
-    ratio = lambda t: kick_rate(tsd, omega0, t).gamma / gamma
-    root, bracket, crossings = _scan_first_crossing(
-        ratio, _log_grid(_SCAN_LO, _SCAN_HI), find_all)
-    ff = tsd.base
-    g2lam = ff.g ** 2 * ff.cutoff
-    if ff.family == EXPONENTIAL:
-        arg = -(math.pi / 8.0) * gamma / g2lam
-        est = -(math.pi / ff.cutoff) / lambert_w_m1(arg) if arg >= -math.exp(-1) \
-            else math.nan
-    else:
-        n = ff.n
-        denom = 8.0 * (1.0 - 2.0 ** (-2 * n - 1)) * zeta_odd(2 * n + 1)
-        est = (math.pi / ff.cutoff) * (math.pi * gamma / (denom * g2lam)) \
-            ** (1.0 / (2 * n - 1))
-    gap = abs(root - est) / root if math.isfinite(est) else math.nan
-    return CrossoverReport(root, ROOT_FIND, est, gap, bracket, tuple(crossings))
+    weight = _kick_envelope_weight(tsd.base)
+    return _crossover(tsd, omega0, lambda t: kick_rate(tsd, omega0, t).gamma,
+                      _log_grid(_SCAN_LO, _SCAN_HI),
+                      lambda gamma: math.pi / _envelope_root(tsd.base, weight, gamma),
+                      find_all)
 
 
 def find_K_star(tsd: ThermalSpectralDensity, omega0: float,
@@ -196,21 +204,10 @@ def find_K_star(tsd: ThermalSpectralDensity, omega0: float,
     The scan runs from the strong-coupling (suppressed) side downward;
     K = 0, where the ratio equals 1 identically, is excluded.
     """
-    gamma = golden_rule_rate(tsd, omega0)
-    ratio = lambda K: continuous_rate(tsd, omega0, K) / gamma
-    grid = _log_grid(_SCAN_LO, _SCAN_HI)[::-1]
-    root, bracket, crossings = _scan_first_crossing(ratio, grid, find_all)
-    ff = tsd.base
-    g2lam = ff.g ** 2 * ff.cutoff
-    if ff.family == EXPONENTIAL:
-        arg = -gamma / (math.pi * g2lam)
-        est = -ff.cutoff * lambert_w_m1(arg) if arg >= -math.exp(-1) else math.nan
-    else:
-        est = ff.cutoff * (gamma / (math.pi * g2lam)) ** (-1.0 / (2 * ff.n - 1))
-    gap = abs(root - est) / root if math.isfinite(est) else math.nan
-    lo, hi = min(bracket), max(bracket)
-    return CrossoverReport(root, ROOT_FIND, est, gap, (lo, hi),
-                           tuple(sorted(crossings)))
+    return _crossover(tsd, omega0, lambda K: continuous_rate(tsd, omega0, K),
+                      _log_grid(_SCAN_LO, _SCAN_HI)[::-1],
+                      lambda gamma: _envelope_root(tsd.base, math.pi, gamma),
+                      find_all)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,6 @@ class NoRelaxation(ZenolabError):
     """Generator has no population relaxation channel (gamma_down + gamma_up = 0)."""
 
 
-class InsufficientModes(ZenolabError):
-    """Discretized bath recurrence time is shorter than the requested span."""
-
-
 class RecurrenceWindowExceeded(ZenolabError):
     """Requested evolution time exceeds the discretized-bath recurrence time."""
 

@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-One adaptive quadrature engine: a vectorized segmented integrator (nested
-Gauss-Legendre rules, bisection) that can run several integrals through
-shared passes.  Besides it: the guard for control parameters, the -1
+One adaptive quadrature engine: a vectorized segmented integrator (8- and
+16-point Gauss-Legendre rules, bisection) that can run several integrals
+through shared passes.  Besides it: the guard for control parameters, the -1
 branch of Lambert's W, the Riemann zeta function at odd integers, the
 trigamma tail of the half-integer series and the Gamma-ratio coefficient
 alpha_n used by the crossover estimates.  numpy is the only dependency.
@@ -70,16 +70,6 @@ def _gl_apply(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     return half * (f(nodes, owner) @ w)
 
 
-def _query_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums of consecutive runs of ``counts`` entries of ``x``.
-
-    Each run is summed by its own ``.sum()``, the pairwise order a lone
-    array gets, so a run's sum does not depend on its neighbours.
-    """
-    ends = np.cumsum(counts).tolist()
-    return np.array([x[s:e].sum() for s, e in zip([0] + ends[:-1], ends)])
-
-
 def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
                          n_queries: int, rel_tol: float, abs_tol: float,
                          max_passes: int,
@@ -87,49 +77,49 @@ def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Several adaptive bisection integrals sharing every pass.
 
-    Segment i = [a_i, b_i] belongs to query ``owner[i]``; ``owner`` is
-    sorted, so each query's segments are contiguous.  Each pass evaluates
-    the pending segments of all queries in one call of ``f(nodes, owner)``
-    per rule.  A query accepts its segments and bisects the rest exactly as
-    a lone integral would: tolerances come from its own running total, its
-    sums run over its own segments in their own order, and bisection keeps
-    that order.  Only the rule dot products (one matrix-vector product over
-    all segments) may round a segment's estimate differently in the last
-    bit than a lone integral's would.
-    Raises :class:`NoConvergence`, naming the query by ``label(q)``, if
-    segments are still pending after ``max_passes`` passes.
+    Segment i = [a_i, b_i] belongs to query ``owner[i]``; segments may come
+    in any order, and those with a_i == b_i are dropped.  Each pass
+    evaluates the pending segments of all queries in one call of
+    ``f(nodes, owner)`` per rule.  A query accepts its segments and
+    bisects the rest exactly as a lone integral would: tolerances come
+    from its own running total, ``np.bincount`` sums its segments in array
+    order, and bisection (all left halves, then all right halves) keeps
+    its segments in a lone integral's order.  Only the rule dot products
+    (one matrix-vector product over all segments) may round a segment's
+    estimate differently in the last bit than a lone integral's would.
+    Raises :class:`NoConvergence`, naming the lowest pending query by
+    ``label(q)``, if segments are still pending after ``max_passes``
+    passes.
     """
+    pending = a != b
+    a, b, owner = a[pending], b[pending], owner[pending]
     values = np.zeros(n_queries)
     errors = np.zeros(n_queries)
     floor = abs_tol / max(rel_tol, 1e-300)
     for _ in range(max_passes):
+        if not a.size:
+            break
         hi = _gl_apply(f, a, b, owner, _GL_HI)
         lo = _gl_apply(f, a, b, owner, _GL_LO)
         disc = np.abs(hi - lo)
-        # the queries with pending segments, and their segment counts
         counts = np.bincount(owner, minlength=n_queries)
-        live = np.flatnonzero(counts)
-        counts = counts[live]
-        total = _query_sums(hi, counts)
-        scale = np.maximum(np.abs(values[live] + total), floor)
-        bad = disc > np.repeat(np.maximum(abs_tol, rel_tol * scale) / counts, counts)
+        scale = np.maximum(np.abs(values + np.bincount(owner, hi, n_queries)),
+                           floor)
+        # a query without pending segments looks up no tolerance
+        tol = np.maximum(abs_tol, rel_tol * scale) / np.maximum(counts, 1)
+        bad = disc > tol[owner]
         good = ~bad
-        kept = np.bincount(owner[good], minlength=n_queries)[live]
-        values[live] += _query_sums(hi[good], kept)
-        errors[live] += _query_sums(disc[good], kept)
-        if not bad.any():
-            return values, errors
+        values += np.bincount(owner[good], hi[good], n_queries)
+        errors += np.bincount(owner[good], disc[good], n_queries)
         a, b, owner = a[bad], b[bad], owner[bad]
         mid = 0.5 * (a + b)
-        # per query: the bisected segments' left halves, then their right
-        # halves, the order a lone integral keeps
-        order = np.argsort(np.concatenate([owner, owner]), kind="stable")
-        a = np.concatenate([a, mid])[order]
-        b = np.concatenate([mid, b])[order]
-        owner = owner[order % owner.size]
-    raise NoConvergence(
-        f"segmented quadrature of {label(int(owner[0]))} ran out of passes: "
-        f"{a.size} segments above tolerance after {max_passes} passes")
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        owner = np.concatenate([owner, owner])
+    if a.size:
+        raise NoConvergence(
+            f"segmented quadrature of {label(int(owner.min()))} ran out of "
+            f"passes: {a.size} segments above tolerance after {max_passes} passes")
+    return values, errors
 
 
 def segmented_integral(f_vec, edges: Sequence[float],
@@ -138,18 +128,16 @@ def segmented_integral(f_vec, edges: Sequence[float],
     """Adaptive bisection quadrature over the segments defined by ``edges``.
 
     ``f_vec`` must accept a flat numpy array.  Each segment is estimated
-    with nested 8- and 16-point Gauss-Legendre rules; segments whose
-    discrepancy exceeds the (scaled) tolerance are bisected, all pending
-    segments being evaluated in a single vectorized call per pass.  Raises
-    :class:`NoConvergence` if segments are still pending after
-    ``max_passes`` passes.
+    with 8- and 16-point Gauss-Legendre rules; segments whose discrepancy
+    exceeds the (scaled) tolerance are bisected, all pending segments
+    being evaluated in a single vectorized call per pass.  Repeated edges
+    add nothing.  Raises :class:`NoConvergence` if segments are still
+    pending after ``max_passes`` passes.
     """
-    edges = np.asarray(sorted(set(float(e) for e in edges)))
-    if edges.size < 2:
-        return IntegralResult(0.0, 0.0)
+    edges = np.sort(np.asarray(edges, dtype=float))
     values, errors = _segmented_integrals(
         lambda x, _: f_vec(x.ravel()).reshape(x.shape),
-        edges[:-1].copy(), edges[1:].copy(), np.zeros(edges.size - 1, dtype=int),
+        edges[:-1], edges[1:], np.zeros(edges[1:].size, dtype=int),
         1, rel_tol, abs_tol, max_passes, label=lambda q: "the integral")
     return IntegralResult(values[0], errors[0])
 

@@ -41,8 +41,8 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (DomainError, InsufficientModes, NonPositiveProbability,
-                     OddN, RecurrenceWindowExceeded, WindowTooShort)
+from .errors import (DomainError, NonPositiveProbability, OddN,
+                     RecurrenceWindowExceeded, WindowTooShort)
 from .numerics import require_finite
 from .spectral import FormFactor, bare_density
 
@@ -72,9 +72,7 @@ class DiscretizedBath:
 
     omegas: np.ndarray
     couplings: np.ndarray
-    form_factor: FormFactor
     omega_max: float
-    scheme: str
 
     def __post_init__(self):
         om = np.asarray(self.omegas, dtype=float)
@@ -104,13 +102,8 @@ class DiscretizedBath:
 
 
 def build_bath(ff: FormFactor, omega_max: float, M: int,
-               scheme: str = GAUSS_LEGENDRE,
-               required_span: float | None = None) -> DiscretizedBath:
-    """Discretize ``ff`` into M modes on [0, omega_max].
-
-    ``required_span``, when given, asserts that the recurrence time
-    exceeds the planned simulation span (InsufficientModes otherwise).
-    """
+               scheme: str = GAUSS_LEGENDRE) -> DiscretizedBath:
+    """Discretize ``ff`` into M modes on [0, omega_max]."""
     if not omega_max > 0:
         raise DomainError("omega_max must be positive")
     if M < 2:
@@ -126,12 +119,7 @@ def build_bath(ff: FormFactor, omega_max: float, M: int,
     else:
         raise DomainError(f"unknown scheme {scheme!r}")
     gi = np.sqrt(bare_density(ff, om) * wq)
-    bath = DiscretizedBath(om, gi, ff, float(omega_max), scheme)
-    if required_span is not None and bath.recurrence_time < required_span:
-        raise InsufficientModes(
-            f"recurrence time {bath.recurrence_time:.1f} below requested "
-            f"span {required_span:.1f}; increase M")
-    return bath
+    return DiscretizedBath(om, gi, float(omega_max))
 
 
 def _spectral_measure(a: float, poles: np.ndarray,

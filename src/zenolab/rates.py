@@ -222,9 +222,7 @@ def _zeno_near(tsd: ThermalSpectralDensity, omega0: float, taus: np.ndarray,
     a, b, owner = [], [], []
     for q, tau in enumerate(taus):
         u_struct = (struct - omega0) * tau / 2.0
-        # sort and drop repeats by hand: np.unique imports numpy.ma lazily
         edges = np.sort(np.concatenate([lobes, u_struct[np.abs(u_struct) < U]]))
-        edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
         a.append(edges[:-1])
         b.append(edges[1:])
         owner.append(np.full(edges.size - 1, q))
@@ -253,17 +251,16 @@ def _zeno_tails(tsd: ThermalSpectralDensity, omega0: float,
             tsd, omega0 + sign[owner][:, None] * (2.0 * U / (t[owner][:, None] * v)))
 
     # omega0 + sign 2U/(tau v) = 0 at v = -sign 2U/(tau omega0); a tail
-    # without that point inside repeats its last edge instead
+    # without that point inside repeats its last edge, a zero-width
+    # segment the engine drops
     with np.errstate(divide="ignore"):
         kink = -sign * (2.0 * U / (t * omega0))
     kink = np.where((kink > _TAIL_EDGES[0]) & (kink < 1.0), kink, 1.0)
     edges = np.sort(np.column_stack([np.tile(_TAIL_EDGES, (2 * n, 1)), kink]), axis=1)
-    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    keep = a < b
     owner = np.repeat(np.arange(2 * n), edges.shape[1] - 1)
     tails, _ = _segmented_integrals(
-        f, a[keep], b[keep], owner[keep], 2 * n, rel_tol=1e-9, abs_tol=1e-300,
-        max_passes=14,
+        f, edges[:, :-1].ravel(), edges[:, 1:].ravel(), owner, 2 * n,
+        rel_tol=1e-9, abs_tol=1e-300, max_passes=14,
         label=lambda q: f"a zeno_rate tail at tau={t[q]!r}")
     return 0.5 * (tails[:n] + tails[n:]) / U
 
@@ -271,8 +268,10 @@ def _zeno_tails(tsd: ThermalSpectralDensity, omega0: float,
 # ---------------------------------------------------------------------------
 # kick (bang-bang) rate: series and finite-time integral forms
 
-# periods per comb block: a block holds (j_max + 1) and 64 tail probes
-# per period
+# comb terms j = 0.._J_MAX summed explicitly
+_J_MAX = 50
+# periods per comb block: a block holds _J_MAX + 1 terms and 64 tail
+# probes per period
 _KICK_BLOCK = 32
 
 
@@ -284,22 +283,20 @@ def _tail_supremum(tsd: ThermalSpectralDensity, start: np.ndarray,
     return np.max(thermal_density(tsd, probe), axis=1)
 
 
-def _kick_tail_estimate(tsd: ThermalSpectralDensity, omega0: float, taus,
-                        j_max: int):
-    """(tail weight, next comb argument, tail estimate) beyond term j_max."""
-    h_next = (2 * (j_max + 1) + 1) * math.pi / taus
-    tail_w = half_integer_series_tail(j_max + 1)
+def _kick_tail_estimate(tsd: ThermalSpectralDensity, omega0: float, taus):
+    """(tail weight, next comb argument, tail estimate) beyond term _J_MAX."""
+    h_next = (2 * (_J_MAX + 1) + 1) * math.pi / taus
+    tail_w = half_integer_series_tail(_J_MAX + 1)
     tail_est = tail_w * (thermal_density(tsd, omega0 + h_next)
                          + thermal_density(tsd, omega0 - h_next))
     return tail_w, h_next, tail_est
 
 
-def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau,
-              j_max: int = 50) -> SeriesRate:
+def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau) -> SeriesRate:
     """Delta-comb (large-N) kick rate as a weighted comb series.
 
-    Terms j = 0..j_max are summed explicitly; the remainder is estimated
-    with the exact tail weight sum_{j>j_max} (j+1/2)^{-2} evaluated at the
+    Terms j = 0.._J_MAX are summed explicitly; the remainder is estimated
+    with the exact tail weight sum_{j>_J_MAX} (j+1/2)^{-2} evaluated at the
     next comb argument, and bounded (``truncation_error``) by the same
     weight times a coarse supremum of kappa_beta over the tail arguments.
 
@@ -308,9 +305,7 @@ def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau,
     _KICK_BLOCK periods.
     """
     taus = require_finite(tau, "kick period tau")
-    if j_max < 1:
-        raise DomainError("j_max must be at least 1")
-    j = np.arange(j_max + 1)
+    j = np.arange(_J_MAX + 1)
     weights = (j + 0.5) ** -2.0
     pref = 2.0 / math.pi
     gamma = np.empty(taus.size)
@@ -320,7 +315,7 @@ def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau,
         h = (2 * j + 1) * math.pi / t[:, None]
         partial = np.sum(weights * (thermal_density(tsd, omega0 + h)
                                     + thermal_density(tsd, omega0 - h)), axis=1)
-        tail_w, h_next, tail_est = _kick_tail_estimate(tsd, omega0, t, j_max)
+        tail_w, h_next, tail_est = _kick_tail_estimate(tsd, omega0, t)
         gamma[s:s + _KICK_BLOCK] = pref * (partial + tail_est)
         bound[s:s + _KICK_BLOCK] = pref * (tail_w * (
             _tail_supremum(tsd, omega0 + h_next, +1.0)
@@ -345,11 +340,11 @@ def _kick_weight(x: np.ndarray, n_cycles: int) -> np.ndarray:
 
 
 def kick_rate_integral(tsd: ThermalSpectralDensity, omega0: float, tau: float,
-                       n_cycles: int, j_max: int = 50) -> float:
+                       n_cycles: int) -> float:
     """Finite-time form of the kick rate at t = N tau (N even).
 
     gamma = (2/N) int kappa_beta(omega0 + 2x/tau) sin^2(Nx) tan^2(x) / x^2 dx
-    over x in R, integrated over the comb cells j = 0..j_max on each side
+    over x in R, integrated over the comb cells j = 0.._J_MAX on each side
     with segment edges at every multiple of pi/2 (the tan^2 poles, where
     the integrand stays finite for even N, are segment boundaries).  The
     remainder beyond the covered cells uses the same analytic tail
@@ -359,7 +354,7 @@ def kick_rate_integral(tsd: ThermalSpectralDensity, omega0: float, tau: float,
     require_finite(tau, "kick period tau")
     if n_cycles < 2 or n_cycles % 2 != 0:
         raise DomainError("n_cycles must be a positive even integer")
-    edges = np.arange(0, 2 * (j_max + 1) + 1) * (math.pi / 2.0)
+    edges = np.arange(0, 2 * (_J_MAX + 1) + 1) * (math.pi / 2.0)
 
     total = 0.0
     for sign in (+1.0, -1.0):
@@ -371,12 +366,25 @@ def kick_rate_integral(tsd: ThermalSpectralDensity, omega0: float, tau: float,
                                     max_passes=16)
         total += val
     rate = (2.0 / n_cycles) * total
-    tail_est = _kick_tail_estimate(tsd, omega0, tau, j_max)[2]
+    tail_est = _kick_tail_estimate(tsd, omega0, tau)[2]
     return rate + (2.0 / math.pi) * tail_est
 
 
 # ---------------------------------------------------------------------------
 # closed-form asymptotics (plot overlays, crossover estimates)
+
+def _kick_envelope_weight(ff: FormFactor) -> float:
+    """w in the small-tau kick envelope gamma_k ~ w kappa(pi/tau).
+
+    8/pi for the exponential family, (8/pi)(1 - 2^{-2n-1}) zeta(2n+1) for
+    the polynomial one, whose kappa ~ omega^{1-2n} tail weights every comb
+    term (2j+1)^{-2n-1}.
+    """
+    if ff.family == EXPONENTIAL:
+        return 8.0 / math.pi
+    n = ff.n
+    return (8.0 / math.pi) * (1.0 - 2.0 ** (-2 * n - 1)) * zeta_odd(2 * n + 1)
+
 
 @dataclass(frozen=True)
 class SummaryAsymptotics:
@@ -398,15 +406,14 @@ def summary_asymptotics(family: str, n: int, omega0: float, W: float,
     if family == EXPONENTIAL:
         ff = FormFactor(EXPONENTIAL, g=g, cutoff=W / 2.0)
         slope = g * g * ff.cutoff ** 2
-        pref = 8.0 / math.pi
     elif family == POLYNOMIAL:
         if n < 2:
             raise DomainError("polynomial asymptotics require n >= 2")
         ff = FormFactor(POLYNOMIAL, g=g, cutoff=W / alpha_n(n), n=n)
         slope = g * g * ff.cutoff ** 2 / (2.0 * (n - 1))
-        pref = (8.0 / math.pi) * (1.0 - 2.0 ** (-2 * n - 1)) * zeta_odd(2 * n + 1)
     else:
         raise DomainError(f"unknown family {family!r}")
+    pref = _kick_envelope_weight(ff)
 
     def kick_env(tau: float) -> float:
         return pref * bare_density(ff, math.pi / tau)

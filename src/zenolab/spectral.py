@@ -102,14 +102,15 @@ def _reject_nan(w: np.ndarray, rest: np.ndarray) -> None:
 
 
 def bare_density(ff: FormFactor, omega):
-    """kappa(omega); exactly 0 for omega < 0.  Accepts scalars or arrays.
+    """kappa(omega); exactly 0 for omega < 0 and at omega = +inf.  Accepts
+    scalars or arrays.
 
     A NaN frequency raises DomainError.
     """
     w = np.asarray(omega, dtype=float)
     g2 = ff.g * ff.g
     lam = ff.cutoff
-    pos = w > 0
+    pos = (w > 0) & (w < math.inf)
     _reject_nan(w, ~pos)
     out = np.zeros_like(w)
     if ff.family == EXPONENTIAL:
@@ -129,8 +130,8 @@ def thermal_density(tsd: ThermalSpectralDensity, omega):
     Evaluated as kappa(|omega|)/(-expm1(-beta omega)) for omega > 0 and
     kappa(|omega|)/expm1(beta |omega|) for omega < 0, which is stable for
     both tiny and huge |beta omega|; the omega = 0 value is the limit
-    g^2/beta.  At beta = +inf the bare density is returned.  A NaN
-    frequency raises DomainError.
+    g^2/beta, and omega = +-inf gives 0.  At beta = +inf the bare density
+    is returned.  A NaN frequency raises DomainError.
     """
     w = np.asarray(omega, dtype=float)
     if math.isinf(tsd.beta):

@@ -55,6 +55,55 @@ def test_segmented_integral_out_of_passes_raises():
     with pytest.raises(z.NoConvergence, match="query 1"):
         _segmented_integrals(smooth_then_kink, a, b, np.array([0, 1]), 2,
                              1e-9, 1e-13, 3)
+    # owner need not be sorted: the error names the lowest pending query
+    three = lambda x, owner: np.where(owner[:, None] == 1, x ** 2, kink(x))
+    with pytest.raises(z.NoConvergence, match="query 0"):
+        _segmented_integrals(three, np.zeros(3), np.ones(3), np.array([2, 1, 0]),
+                             3, 1e-9, 1e-13, 3)
+
+
+# integrands of different difficulty, and the edges of each query: a
+# smooth one, an interior kink that takes many passes, repeated edges and
+# a zero-width segment, and a query made only of zero-width segments
+_QUERIES = [
+    (lambda x: np.cos(3.0 * x) * np.exp(-x), [0.0, 1.0, 4.0]),
+    (lambda x: np.abs(x - 0.3) ** 0.5, [0.0, 1.0]),
+    (lambda x: 1.0 / (1.0 + 25.0 * x * x), [-1.0, 0.2, 0.2, 0.2, 1.0]),
+    (lambda x: np.exp(-np.abs(x - 0.7)), [0.0, 0.5, 0.5, 2.0, 2.0]),
+    (lambda x: x, [0.5, 0.5, 0.5]),
+]
+
+
+def test_batched_queries_match_lone_integrals():
+    # each query's segments, interleaved across queries, converge after
+    # their own number of passes and sum as in a lone integral
+    segments = []
+    for q, (_, edges) in enumerate(_QUERIES):
+        segments += [(i, ea, eb, q) for i, (ea, eb) in enumerate(zip(edges, edges[1:]))]
+    segments.sort(key=lambda s: (s[0], -s[3]))
+    _, a, b, owner = (np.array(c) for c in zip(*segments))
+
+    def f(x, owner):
+        out = np.empty_like(x)
+        for q, (fq, _) in enumerate(_QUERIES):
+            rows = owner == q
+            out[rows] = fq(x[rows])
+        return out
+
+    values, errors = _segmented_integrals(f, a, b, owner, len(_QUERIES),
+                                          1e-10, 1e-300, 30)
+    for q, (fq, edges) in enumerate(_QUERIES):
+        lone = segmented_integral(fq, edges, 1e-10, 1e-300, 30)
+        assert abs(values[q] - lone.value) <= 1e-15 * abs(lone.value)
+    assert values[-1] == errors[-1] == 0.0
+
+
+def test_zero_width_only_integral_is_zero_without_evaluating():
+    def never(x):
+        raise AssertionError("integrand called")
+
+    for edges in ([], [0.5], [0.5, 0.5, 0.5]):
+        assert segmented_integral(never, edges) == (0.0, 0.0)
 
 
 def test_lambert_w_m1_examples():

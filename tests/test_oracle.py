@@ -85,8 +85,6 @@ def test_bath_validation(oracle_ff):
         z.build_bath(oracle_ff, 6.0, 1)
     with pytest.raises(z.DomainError):
         z.build_bath(oracle_ff, 6.0, 100, scheme="chebyshev")
-    with pytest.raises(z.InsufficientModes):
-        z.build_bath(oracle_ff, 6.0, 50, required_span=1e4)
 
 
 def _fit_free_rate(model, t_lo, t_hi, n=60):

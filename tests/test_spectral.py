@@ -112,6 +112,21 @@ def test_nan_frequency_rejected():
             ff.g ** 2 / 50.0]
 
 
+def test_densities_vanish_at_infinite_frequency():
+    # inf * exp(-700) and inf / inf used to give inf or NaN here
+    w = np.array([math.inf, -math.inf, 1.5, -1.5])
+    for fam, n in [(z.EXPONENTIAL, 2), (z.POLYNOMIAL, 2), (z.POLYNOMIAL, 3)]:
+        ff = z.FormFactor(fam, g=0.8, cutoff=0.7, n=n)
+        assert z.bare_density(ff, math.inf) == 0.0
+        for beta in (50.0, math.inf):
+            tsd = ff.thermal(beta)
+            vals = z.thermal_density(tsd, w)
+            assert vals[:2].tolist() == [0.0, 0.0]
+            assert vals[2:].tolist() == [z.thermal_density(tsd, 1.5),
+                                         z.thermal_density(tsd, -1.5)]
+            assert z.thermal_density(tsd, -math.inf) == 0.0
+
+
 def test_thermal_enhancement_and_continuity():
     for fam in (z.EXPONENTIAL, z.POLYNOMIAL):
         ff = z.form_factor_for_bandwidth(fam, W=1.0)
