@@ -8,7 +8,9 @@ Three control strategies modulate it:
       gamma_Z(tau) = tau * int kappa_beta(omega)
                      sinc^2((omega - Omega) tau / 2) d omega,
 
-  with the small-tau law gamma_Z ~ tau / tau_Z^2;
+  with the small-tau law gamma_Z ~ tau / tau_Z^2, integrated along a
+  ray in the lower half of the complex frequency plane where the sinc^2
+  oscillations are damped;
 
 * bang-bang kicks every tau, whose delta-comb limit is the series
 
@@ -46,7 +48,8 @@ from .errors import DomainError
 from .numerics import (_segmented_integrals, alpha_n, half_integer_series_tail,
                        require_finite, segmented_integral, zeta_odd)
 from .spectral import (EXPONENTIAL, POLYNOMIAL, FormFactor,
-                       ThermalSpectralDensity, bare_density, thermal_density)
+                       ThermalSpectralDensity, _emission_density, bare_density,
+                       thermal_density)
 
 __all__ = [
     "Free",
@@ -149,33 +152,33 @@ def dephasing_rate(tsd: ThermalSpectralDensity) -> float:
 # ---------------------------------------------------------------------------
 # Zeno rate (sinc^2-weighted line integral)
 
-_K_SPLIT = 64          # sinc^2 lobes summed explicitly on each side
-_TAIL_EDGES = np.array([1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 0.003, 0.01, 0.03,
-                        0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-# periods per engine run: a period's near field starts with ~250 segments
-# and its two tails with 34, so a block's first pass holds ~750 (near) or
-# ~1100 (tails) segments x 24 nodes; larger blocks add memory, not speed
-_ZENO_BLOCK = 3
-_TAIL_BLOCK = 32
+# periods per engine run: a block's first pass holds 17 segments x 24
+# nodes per period; larger blocks add memory, not speed
+_ZENO_BLOCK = 16
+# segment edges along the ray, in v = y/(Lambda + y), which maps y in
+# [0, inf) onto [0, 1): geometric in y from 8^-7 Lambda (thermal and
+# small-period scales) to 8^8 Lambda, then one segment holding the whole
+# far tail, where the integrand decays only as kappa_beta(y)/y
+_RAY_EDGES = np.concatenate([[0.0], 1.0 / (1.0 + 8.0 ** -np.arange(-7, 9)), [1.0]])
+_RAY = np.exp(-0.25j * math.pi)
+# 2/(m+2)!, the Taylor coefficients of _window in powers of -ix
+_WINDOW_TAYLOR = np.array([2.0 / math.factorial(m + 2) for m in range(12)])
 
 
-def _structure_points(tsd: ThermalSpectralDensity) -> np.ndarray:
-    """Frequencies where kappa_beta has structure worth a segment edge.
+def _window(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """H(x) = 2 (1 - ix - e^{-ix}) / x^2 from ``e`` = e^{-ix}.
 
-    Quarter-cutoff spacing over the peak region plus a geometric ladder
-    covering the tails, plus thermal-scale points near omega = 0.
+    H is entire, Re H(x) = sinc^2(x/2) on the real axis and H decays for
+    Im x < 0.  Below |x| = 1/4, where the closed form cancels, H is the
+    series 2 sum_m (-ix)^m/(m+2)!, 12 terms.
     """
-    lam = tsd.base.cutoff
-    radii = [0.25 * k * lam for k in range(1, 11)]
-    # geometric ladder: resolves the exponential tail and reaches far
-    # enough that the polynomial families' omega^{-(2n-1)} tails are below
-    # 1e-10 of the total integral
-    radii += list(lam * np.geomspace(0.05, 1e5, 50))
-    if not math.isinf(tsd.beta):
-        radii += [k / tsd.beta for k in (1, 2, 4, 8, 16, 32)]
-    pts = [0.0]
-    pts += [s * r for r in radii for s in (1.0, -1.0)]
-    return np.asarray(pts)
+    small = np.abs(x) < 0.25
+    big = ~small
+    out = np.empty_like(x)
+    xb = x[big]
+    out[big] = 2.0 * (1.0 - 1j * xb - e[big]) / (xb * xb)
+    out[small] = np.polynomial.polynomial.polyval(-1j * x[small], _WINDOW_TAYLOR)
+    return out
 
 
 def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau):
@@ -183,86 +186,61 @@ def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau):
 
     gamma_Z(tau) = tau * int kappa_beta(omega) sinc^2((omega-omega0) tau/2).
 
-    In the variable u = (omega - omega0) tau / 2 the kernel zeros sit at
-    multiples of pi; the first _K_SPLIT lobes on each side are integrated
-    segment by segment (with extra edges at the density's own structure),
-    and the remaining tails use the mean value sin^2 -> 1/2, which leaves
-    a smooth integrand; the oscillatory remainder is bounded by the lobe
-    envelope and is below 1e-5 relative.
+    On the real axis sinc^2(x/2) = Re H(x) with the entire function
+    H(x) = 2 (1 - ix - e^{-ix}) / x^2 (see :func:`_window`).  Folding
+    omega < 0 onto w > 0 with the KMS relation
+    kappa_beta(-w) = e^{-beta w} kappa_beta(w) gives
+
+        gamma_Z = tau Re int_0^inf kappa_beta(w)
+                  [H((w - omega0) tau) + e^{-beta w} H((w + omega0) tau)] dw,
+
+    without the second term at beta = +inf.  The integrand is analytic
+    in the sector -pi/4 <= arg w <= 0 (its poles, at -i Lambda and at
+    2 pi i k/beta, lie on the imaginary axis) and decays there, so the
+    integral moves to the ray w = y e^{-i pi/4}.  Along the ray the
+    sinc^2 oscillations are damped by e^{-y tau/sqrt 2}, and one adaptive
+    quadrature on fixed edges (_RAY_EDGES, in v = y/(Lambda + y)) serves
+    every family, temperature, period and real centre up to |omega0| of
+    about 1e5 Lambda; beyond that the edges do not resolve the window and
+    the engine raises NoConvergence.  A NaN centre raises DomainError; an
+    infinite one gives 0, the density there.
 
     ``tau`` is a period or a 1-D array of periods.  Arrays run through
-    the quadrature engine in blocks (_ZENO_BLOCK periods for the near
-    field, _TAIL_BLOCK for the tails), all integrals of a block sharing
-    each adaptive pass.  A period's value equals the one-period call's up
-    to the last-bit rounding of the rule dot products, which can depend
-    on the block's size.
+    the quadrature engine in blocks of _ZENO_BLOCK periods, all integrals
+    of a block sharing each adaptive pass.  A period's value equals the
+    one-period call's up to the last-bit rounding of the rule dot
+    products, which can depend on the block's size.
     """
     taus = require_finite(tau, "measurement period tau")
-    struct = _structure_points(tsd)
-    near = np.empty(taus.size)
-    tail = np.empty(taus.size)
+    if math.isnan(omega0):
+        raise DomainError("frequency omega is NaN")
+    if math.isinf(omega0):
+        return _shaped(np.zeros(taus.size), tau)
+    lam = tsd.base.cutoff
+    out = np.empty(taus.size)
     for s in range(0, taus.size, _ZENO_BLOCK):
-        near[s:s + _ZENO_BLOCK] = _zeno_near(tsd, omega0, taus[s:s + _ZENO_BLOCK],
-                                             struct)
-    for s in range(0, taus.size, _TAIL_BLOCK):
-        tail[s:s + _TAIL_BLOCK] = _zeno_tails(tsd, omega0, taus[s:s + _TAIL_BLOCK])
-    return _shaped(2.0 * (near + tail), tau)
+        t = taus[s:s + _ZENO_BLOCK]
 
+        def f(v, owner):
+            tq = t[owner][:, None]
+            w = _RAY * lam * v / (1.0 - v)
+            # e^{-i (w -+ omega0) tau} from one exponential per node
+            ew = np.exp(-1j * w * tq)
+            ec = np.exp(1j * omega0 * tq)
+            h = _window((w - omega0) * tq, ew * ec)
+            if not math.isinf(tsd.beta):
+                h += np.exp(-tsd.beta * w) * _window((w + omega0) * tq, ew / ec)
+            # dy/dv = Lambda/(1 - v)^2
+            return (_RAY * lam / (1.0 - v) ** 2 * tq
+                    * _emission_density(tsd, w) * h).real
 
-def _zeno_near(tsd: ThermalSpectralDensity, omega0: float, taus: np.ndarray,
-               struct: np.ndarray) -> np.ndarray:
-    """The sinc^2 integral over |u| < U at each period of a block."""
-    U = _K_SPLIT * math.pi
-    lobes = np.arange(-_K_SPLIT, _K_SPLIT + 1) * math.pi
-
-    def f(u, owner):
-        t = taus[owner][:, None]
-        return thermal_density(tsd, omega0 + 2.0 * u / t) * np.sinc(u / np.pi) ** 2
-
-    a, b, owner = [], [], []
-    for q, tau in enumerate(taus):
-        u_struct = (struct - omega0) * tau / 2.0
-        edges = np.sort(np.concatenate([lobes, u_struct[np.abs(u_struct) < U]]))
-        a.append(edges[:-1])
-        b.append(edges[1:])
-        owner.append(np.full(edges.size - 1, q))
-    near, _ = _segmented_integrals(
-        f, np.concatenate(a), np.concatenate(b), np.concatenate(owner), taus.size,
-        rel_tol=1e-10, abs_tol=1e-300, max_passes=14,
-        label=lambda q: f"the zeno_rate near field at tau={taus[q]!r}")
-    return near
-
-
-def _zeno_tails(tsd: ThermalSpectralDensity, omega0: float,
-                taus: np.ndarray) -> np.ndarray:
-    """The |u| > U remainder at each period of a block.
-
-    There sin^2 -> 1/2; substituting u = U/v puts each tail on v in (0, 1].
-    Queries 0..n-1 are the right tails, n..2n-1 the left ones.  A tail
-    that reaches omega = 0, where kappa_beta has a kink, gets an edge there.
-    """
-    n = taus.size
-    U = _K_SPLIT * math.pi
-    sign = np.repeat([1.0, -1.0], n)
-    t = np.tile(taus, 2)
-
-    def f(v, owner):
-        return thermal_density(
-            tsd, omega0 + sign[owner][:, None] * (2.0 * U / (t[owner][:, None] * v)))
-
-    # omega0 + sign 2U/(tau v) = 0 at v = -sign 2U/(tau omega0); a tail
-    # without that point inside repeats its last edge, a zero-width
-    # segment the engine drops
-    with np.errstate(divide="ignore"):
-        kink = -sign * (2.0 * U / (t * omega0))
-    kink = np.where((kink > _TAIL_EDGES[0]) & (kink < 1.0), kink, 1.0)
-    edges = np.sort(np.column_stack([np.tile(_TAIL_EDGES, (2 * n, 1)), kink]), axis=1)
-    owner = np.repeat(np.arange(2 * n), edges.shape[1] - 1)
-    tails, _ = _segmented_integrals(
-        f, edges[:, :-1].ravel(), edges[:, 1:].ravel(), owner, 2 * n,
-        rel_tol=1e-9, abs_tol=1e-300, max_passes=14,
-        label=lambda q: f"a zeno_rate tail at tau={t[q]!r}")
-    return 0.5 * (tails[:n] + tails[n:]) / U
+        n = t.size
+        out[s:s + n], _ = _segmented_integrals(
+            f, np.tile(_RAY_EDGES[:-1], n), np.tile(_RAY_EDGES[1:], n),
+            np.repeat(np.arange(n), _RAY_EDGES.size - 1), n,
+            rel_tol=1e-10, abs_tol=1e-300, max_passes=14,
+            label=lambda q: f"zeno_rate at tau={float(t[q])!r}")
+    return _shaped(out, tau)
 
 
 # ---------------------------------------------------------------------------

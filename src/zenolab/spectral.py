@@ -124,6 +124,26 @@ def bare_density(ff: FormFactor, omega):
     return out
 
 
+def _emission_density(tsd: ThermalSpectralDensity, z: np.ndarray) -> np.ndarray:
+    """kappa_beta continued off the positive axis, kappa(z)/(1 - e^{-beta z})
+    with the family's closed form kappa(z), for a complex array ``z``.
+
+    Its poles (+-i Lambda, poly; 2 pi i k/beta, k != 0) lie on the
+    imaginary axis.  z = 0 gives the limit g^2/beta.
+    """
+    ff = tsd.base
+    g2 = ff.g * ff.g
+    if ff.family == EXPONENTIAL:
+        out = g2 * z * np.exp(-z / ff.cutoff)
+    else:
+        out = g2 * z / (1.0 + (z / ff.cutoff) ** 2) ** ff.n
+    if math.isinf(tsd.beta):
+        return out
+    zero = z == 0
+    return np.where(zero, g2 / tsd.beta,
+                    out / -np.expm1(-tsd.beta * np.where(zero, 1.0, z)))
+
+
 def thermal_density(tsd: ThermalSpectralDensity, omega):
     """kappa_beta(omega) on the whole real axis.
 

@@ -47,6 +47,74 @@ def test_zeno_rate_against_quadrature_oracle(fam, tau, tsd_exp, tsd_poly):
         _zeno_reference(tsd, OMEGA, tau), rel=1e-8)
 
 
+def _zeno_reference_off_resonance(tsd, center, tau):
+    """gamma_Z at beta = inf and center < 0 by QUADPACK's Fourier rules.
+
+    Writing 1 - cos((w - c) tau) = 1 - cos(c tau) cos(w tau)
+    - sin(c tau) sin(w tau), gamma_Z = (2/tau) int_0^inf kappa(w)
+    (1 - cos((w - c) tau)) / (w - c)^2 dw splits into a smooth integral
+    and two Fourier integrals (weight "cos"/"sin", QAWF on [0, inf)).
+    """
+    f = lambda w: z.bare_density(tsd.base, w) / (w - center) ** 2
+    flat = quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=2000)[0]
+    fourier = {weight: quad(f, 0.0, np.inf, weight=weight, wvar=tau,
+                            epsabs=1e-14 * flat, limlst=400, limit=2000)[0]
+               for weight in ("cos", "sin")}
+    return (2.0 / tau) * (flat - math.cos(center * tau) * fourier["cos"]
+                          - math.sin(center * tau) * fourier["sin"])
+
+
+@pytest.mark.parametrize("tau", [300.0, 2000.0, 9000.0])
+@pytest.mark.parametrize("fam,n,center", [(z.EXPONENTIAL, 2, -0.2),
+                                          (z.POLYNOMIAL, 2, -0.2),
+                                          (z.POLYNOMIAL, 3, -0.05)])
+def test_zeno_rate_absorption_centre(fam, n, center, tau):
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0, n=n).thermal(math.inf)
+    assert z.zeno_rate(tsd, center, tau) == pytest.approx(
+        _zeno_reference_off_resonance(tsd, center, tau), rel=1e-10)
+
+
+@pytest.mark.parametrize("n,tau", [(3, 0.5), (3, 7.3), (3, 40.0),
+                                   (1, 1e-4), (1, 0.3)])
+def test_zeno_rate_dephasing_centre(n, tau):
+    # centre 0 at beta = inf: the window's peak sits on the density's
+    # edge.  n = 1 checks the far tail: there kappa ~ 1/omega, and the
+    # integrand along the ray decays only as 1/y^2.  Reference: quad lobe
+    # by lobe between the zeros w = 2 pi k/tau up to w ~ 50 (at least 40
+    # lobes), then the tail (2/tau) int kappa (1 - cos(w tau))/w^2 with a
+    # Fourier (QAWF) rule for the cosine part
+    tsd = z.FormFactor(z.POLYNOMIAL, cutoff=1.0, n=n).thermal(math.inf)
+    f = lambda w: z.bare_density(tsd.base, w) * np.sinc(w * tau / TWO_PI) ** 2
+    edges = np.arange(0.0, max(50.0, 40.5 * TWO_PI / tau), TWO_PI / tau)
+    lobes = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
+    g = lambda w: z.bare_density(tsd.base, w) / w ** 2
+    # w = E/u puts the smooth part of the tail on u in (0, 1]
+    flat = quad(lambda u: g(edges[-1] / u) * edges[-1] / u ** 2, 0.0, 1.0,
+                epsabs=0.0, epsrel=1e-13)[0]
+    osc = quad(g, edges[-1], np.inf, weight="cos", wvar=tau, epsabs=1e-8 * flat,
+               limlst=400)[0]
+    want = tau * lobes + (2.0 / tau) * (flat - osc)
+    assert z.zeno_rate(tsd, 0.0, tau) == pytest.approx(want, rel=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fam_n=st.sampled_from([(z.EXPONENTIAL, 2), (z.POLYNOMIAL, 2),
+                              (z.POLYNOMIAL, 3), (z.POLYNOMIAL, 4)]),
+       beta=st.one_of(st.floats(0.5, 1000.0), st.just(math.inf)),
+       omega0=st.floats(1e-3, 2.0))
+def test_zeno_rate_small_tau_slope_property(fam_n, beta, omega0):
+    # gamma_Z(tau)/tau -> int kappa_beta = tau_Z^{-2}: zeno_rate's ray
+    # integral against zeno_time's folded real-axis integral
+    fam, n = fam_n
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0, n=n).thermal(beta)
+    tau = 1e-7
+    tau_z = z.zeno_time(tsd)
+    for center in (omega0, -omega0, 0.0):
+        slope = z.zeno_rate(tsd, center, tau) / tau
+        assert abs(slope * tau_z ** 2 - 1.0) <= 1e-12
+
+
 def test_zeno_rate_limits(tsd_exp, tsd_poly):
     # small tau: gamma_Z/tau -> 1/tau_Z^2 within 2%
     tau = 1e-3
@@ -266,3 +334,21 @@ def test_strategy_rates_nonnegative_and_kms_property(fam, beta, omega0, param):
     down = z.strategy_rate(tsd, omega0, z.Free()).gamma
     up = z.strategy_rate(tsd, -omega0, z.Free()).gamma
     assert abs(up - math.exp(-beta * omega0) * down) <= 1e-12 * down
+
+
+@pytest.mark.parametrize("beta", [BETA, math.inf])
+@pytest.mark.parametrize("param", [0.7, np.array([0.3, 2.0])])
+def test_strategy_rates_at_non_finite_centres(beta, param):
+    # a NaN centre is rejected by every strategy; at an infinite centre
+    # kappa_beta vanishes and so does every rate
+    tsd = z.form_factor_for_bandwidth(z.EXPONENTIAL, W=1.0).thermal(beta)
+    strategies = (z.Free(), z.ZenoMeasurement(param), z.BangBangKick(param),
+                  z.ContinuousCoupling(param))
+    for strategy in strategies:
+        with pytest.raises(z.DomainError):
+            z.strategy_rate(tsd, math.nan, strategy)
+        for center in (math.inf, -math.inf):
+            rate = z.strategy_rate(tsd, center, strategy)
+            assert np.all(np.asarray(rate.gamma) == 0.0)
+            assert np.shape(rate.gamma) == (() if isinstance(strategy, z.Free)
+                                            else np.shape(param))
