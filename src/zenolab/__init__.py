@@ -19,18 +19,16 @@ from .spectral import (EXPONENTIAL, POLYNOMIAL, FormFactor,
                        thermal_density, zeno_time)
 from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy, Free,
                     SeriesRate, ZenoMeasurement, continuous_rate,
-                    dephasing_rate, golden_rule_rate, kick_rate,
-                    kick_rate_integral, strategy_rate, summary_asymptotics,
-                    zeno_rate)
+                    golden_rule_rate, kick_rate, kick_rate_integral,
+                    strategy_rate, summary_asymptotics, zeno_rate)
 from .crossover import (CrossoverReport, QuickEstimates, find_K_star,
                         find_tau_star_kick, find_tau_star_zeno,
                         quick_estimates)
 from .lindblad import (QubitDensityMatrix, QubitGenerator,
-                       build_qubit_generator, evolve, observables,
-                       stationary_state)
+                       build_qubit_generator, evolve, stationary_state)
 from .oracle import (GAUSS_LEGENDRE, LINEAR, DecayFit, DiscretizedBath,
                      SingleExcitationModel, build_bath, continuous_survival,
-                     fit_decay_rate, free_survival, kick_survival,
-                     kick_survival_trace, zeno_effective_rate, zeno_survival)
+                     fit_decay_rate, free_survival, kick_survival_trace,
+                     zeno_effective_rate, zeno_survival)
 
 __version__ = "0.1.0"

@@ -37,8 +37,8 @@ import numpy as np
 
 from . import crossover as xo
 from . import lindblad, oracle, rates, spectral
-from .errors import (DivergentIntegral, DomainError, NoConvergence,
-                     NoCrossing, OddN, ZenolabError)
+from .errors import (DivergentIntegral, DivergentMoment, DomainError,
+                     NoConvergence, NoCrossing, OddN, ZenolabError)
 from .numerics import require_finite
 
 __all__ = ["RunConfig", "main"]
@@ -236,10 +236,8 @@ def cmd_crossover(cfg: RunConfig) -> int:
     for name, finder, label in finders:
         try:
             rep = finder(tsd, cfg.omega0, find_all=True)
-            out_rows.append([_nan_to_num(rep.star_value),
-                             _nan_to_num(rep.closed_form_estimate),
-                             _nan_to_num(rep.relative_gap),
-                             float(len(rep.all_crossings)), 0.0])
+            out_rows.append([rep.star_value, rep.closed_form_estimate,
+                             rep.relative_gap, float(len(rep.all_crossings)), 0.0])
             text.append(f"{label} = {rep.star_value:.6g}  "
                         f"estimate = {rep.closed_form_estimate:.6g}  "
                         f"rel_gap = {rep.relative_gap:.3f}  "
@@ -262,10 +260,6 @@ def cmd_crossover(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _nan_to_num(x: float) -> float:
-    return x if math.isfinite(x) else math.nan
-
-
 _STATES = {
     "up": lindblad.QubitDensityMatrix.excited,
     "down": lindblad.QubitDensityMatrix.ground,
@@ -279,22 +273,14 @@ def cmd_evolve(cfg: RunConfig, state: str, g0: float, strategy_name: str,
     if state not in _STATES:
         raise DomainError(f"unknown initial state {state!r}")
     rho = _STATES[state]()
-    lam = spectral.form_factor_for_bandwidth(cfg.family, W=cfg.W,
-                                             n=cfg.n).cutoff
+    # g = 0 closes the spin-flip channel, g0 = 0 the dephasing one
+    tsd_flip = cfg.thermal() if cfg.g != 0.0 else None
     tsd_deph = None
     if g0 > 0:
-        ff0 = spectral.FormFactor(cfg.family, g=g0, cutoff=lam, n=cfg.n)
-        tsd_deph = ff0.thermal(cfg.beta)
+        tsd_deph = spectral.form_factor_for_bandwidth(
+            cfg.family, W=cfg.W, g=g0, n=cfg.n).thermal(cfg.beta)
     strategy = _STRATEGIES[strategy_name](tau, K)
-    if cfg.g == 0.0:
-        # pure dephasing: no spin-flip channel at all
-        gamma_0 = (rates.strategy_rate(tsd_deph, 0.0, strategy).gamma
-                   if tsd_deph is not None else 0.0)
-        gen = lindblad.QubitGenerator(cfg.omega0, gamma_0, 0.0, 0.0,
-                                      beta=cfg.beta)
-    else:
-        gen = lindblad.build_qubit_generator(cfg.thermal(), tsd_deph,
-                                             cfg.omega0, strategy)
+    gen = lindblad.build_qubit_generator(tsd_flip, tsd_deph, cfg.omega0, strategy)
     t_scale = max(gen.relaxation_rate, gen.transverse_rate, 1e-12)
     grid = cfg.grid or GridSpec(0.0, 10.0 / t_scale, 201, "lin")
     rows = []
@@ -353,7 +339,7 @@ def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
             require_finite(tau, "period tau")
             span = max(12.0 * lam, cfg.omega0 + math.pi / tau + 3.0 * lam)
             bath = oracle.build_bath(ff, span, M)
-            model = oracle.SingleExcitationModel.with_ancilla(bath, cfg.omega0, 0.0)
+            model = oracle.SingleExcitationModel.qubit(bath, cfg.omega0)
             t, P = oracle.kick_survival_trace(model, tau, n_cycles)
             sel = (np.arange(n_cycles) % 2 == 1) & (t >= 0.25 * n_cycles * tau)
             fit = oracle.fit_decay_rate(list(zip(t[sel], P[sel])))
@@ -366,7 +352,7 @@ def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
         for K in values:
             if cfg.omega0 + K > 0.9 * bath.omega_max:
                 bath = oracle.build_bath(ff, (cfg.omega0 + K) / 0.8, M)
-            model = oracle.SingleExcitationModel.with_ancilla(bath, cfg.omega0, K)
+            model = oracle.SingleExcitationModel.qubit(bath, cfg.omega0, K)
             an = rates.continuous_rate(tsd0, cfg.omega0, K)
             t_hi = min(0.8 * model.recurrence_time,
                        2.0 / max(an, gamma_free * 1e-3))
@@ -489,20 +475,10 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _config_from(args) -> RunConfig:
     W = 1.0 if args.unit == "W" else 2.0   # lambda units anchor Lambda_exp = 1
-    beta_env = _env("BETA", "")
-    omega_env = _env("OMEGA", "")
-    if args.beta is not None:
-        beta = args.beta
-    elif beta_env:
-        beta = float(beta_env)
-    else:
-        beta = 50.0 / W
-    if args.omega is not None:
-        omega0 = args.omega
-    elif omega_env:
-        omega0 = float(omega_env)
-    else:
-        omega0 = 0.01 * W
+    beta = (args.beta if args.beta is not None
+            else float(_env("BETA", "") or 50.0 / W))
+    omega0 = (args.omega if args.omega is not None
+              else float(_env("OMEGA", "") or 0.01 * W))
     if not beta > 0:
         raise DomainError("beta must be positive (or inf)")
     require_finite(omega0, "level splitting omega0")
@@ -578,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure":
             return cmd_figure(cfg, args.fig_id)
         raise DomainError(f"unknown command {args.command!r}")
-    except (DomainError, OddN, ValueError) as exc:
+    except (DomainError, DivergentMoment, OddN, ValueError) as exc:
         print(f"zenolab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoConvergence, DivergentIntegral) as exc:

@@ -43,7 +43,6 @@ __all__ = [
     "build_qubit_generator",
     "evolve",
     "stationary_state",
-    "observables",
 ]
 
 _HERM_TOL = 1e-12
@@ -138,22 +137,26 @@ class QubitGenerator:
         return abs(self.gamma_up - target) <= 1e-10 * scale
 
 
-def build_qubit_generator(tsd_flip: ThermalSpectralDensity,
+def build_qubit_generator(tsd_flip: ThermalSpectralDensity | None,
                           tsd_dephase: ThermalSpectralDensity | None,
                           omega0: float,
                           strategy: ControlStrategy = Free()) -> QubitGenerator:
     """Generator with the flip/dephasing channels set by ``strategy``.
 
-    ``tsd_dephase=None`` means g_0 = 0 (pure spin-flip decoherence).
+    ``None`` closes a channel: ``tsd_dephase=None`` means g_0 = 0 (pure
+    spin-flip decoherence), ``tsd_flip=None`` means g = 0 (pure
+    dephasing).  beta is read from whichever density is given.
     """
     if not omega0 > 0:
         raise DomainError("omega0 must be positive")
-    gamma_down = strategy_rate(tsd_flip, omega0, strategy).gamma
-    gamma_up = strategy_rate(tsd_flip, -omega0, strategy).gamma
-    gamma_0 = (strategy_rate(tsd_dephase, 0.0, strategy).gamma
-               if tsd_dephase is not None else 0.0)
-    return QubitGenerator(omega0, gamma_0, gamma_down, gamma_up,
-                          beta=tsd_flip.beta)
+
+    def rate(tsd, center):
+        return 0.0 if tsd is None else strategy_rate(tsd, center, strategy).gamma
+
+    given = tsd_flip if tsd_flip is not None else tsd_dephase
+    return QubitGenerator(omega0, rate(tsd_dephase, 0.0), rate(tsd_flip, omega0),
+                          rate(tsd_flip, -omega0),
+                          beta=math.inf if given is None else given.beta)
 
 
 def evolve(rho0: QubitDensityMatrix, gen: QubitGenerator,
@@ -187,15 +190,3 @@ def stationary_state(gen: QubitGenerator) -> QubitDensityMatrix:
         raise NoRelaxation("no population relaxation channel")
     p_up = gen.gamma_up / g1
     return QubitDensityMatrix.from_bloch(0.0, 0.0, 2.0 * p_up - 1.0)
-
-
-def observables(rho: QubitDensityMatrix) -> dict:
-    """Standard scalar readouts of a qubit state."""
-    x, y, z = rho.bloch
-    return {
-        "p_up": rho.p_up,
-        "bloch": (x, y, z),
-        "purity": rho.purity,
-        "coherence": float(abs(rho.matrix[0, 1])),
-    }
-

@@ -56,7 +56,6 @@ __all__ = [
     "free_survival",
     "zeno_survival",
     "zeno_effective_rate",
-    "kick_survival",
     "kick_survival_trace",
     "continuous_survival",
     "fit_decay_rate",
@@ -139,27 +138,20 @@ def _spectral_measure(a: float, poles: np.ndarray,
 
 @dataclass(frozen=True)
 class SingleExcitationModel:
-    """Spectral measure of |up, vac> (optionally with the ancilla level)."""
+    """Spectral measure of |up, vac>, with the ancilla level at K != 0."""
 
     bath: DiscretizedBath
     omega0: float
-    K: float | None                 # None: no ancilla level
+    K: float
     eigenvalues: np.ndarray
     weights: np.ndarray             # |<k|up, vac>|^2, summing to 1
 
     @classmethod
-    def qubit(cls, bath: DiscretizedBath, omega0: float) -> "SingleExcitationModel":
-        """{|up, vac>, |down, 1_i>}: M+1 levels."""
-        require_finite(omega0, "omega0")
-        return cls(bath, omega0, None,
-                   *_spectral_measure(0.5 * omega0, -0.5 * omega0 + bath.omegas,
-                                      bath.couplings))
-
-    @classmethod
-    def with_ancilla(cls, bath: DiscretizedBath, omega0: float,
-                     K: float) -> "SingleExcitationModel":
-        """+ {|M, 1_i>}: the qubit on the doubled bath omega_i -+ K,
-        g_i / sqrt 2 (M+1 levels at K = 0, 2M+1 otherwise)."""
+    def qubit(cls, bath: DiscretizedBath, omega0: float,
+              K: float = 0.0) -> "SingleExcitationModel":
+        """{|up, vac>, |down, 1_i>} (M+1 levels) at K = 0; otherwise
+        + {|M, 1_i>}, the qubit on the doubled bath omega_i -+ K,
+        g_i / sqrt 2 (2M+1 levels)."""
         require_finite(omega0, "omega0")
         require_finite(K, "coupling K", allow_zero=True)
         poles = -0.5 * omega0 + bath.omegas
@@ -169,10 +161,6 @@ class SingleExcitationModel:
             couplings = np.tile(couplings / math.sqrt(2.0), 2)
         return cls(bath, omega0, float(K),
                    *_spectral_measure(0.5 * omega0, poles, couplings))
-
-    @property
-    def has_ancilla(self) -> bool:
-        return self.K is not None
 
     @property
     def recurrence_time(self) -> float:
@@ -226,8 +214,6 @@ def kick_survival_trace(model: SingleExcitationModel, tau: float,
     y = v * c (c the state in that basis, y = w at t = 0) the amplitude of
     |up, vac> is sum(y) and a kick is y <- 2 w sum(y) - y; N must be even.
     """
-    if not model.has_ancilla:
-        raise DomainError("kick protocol requires the ancilla model")
     if N < 2 or N % 2 != 0:
         raise OddN("kick protocol requires an even number of cycles >= 2")
     require_finite(tau, "period tau")
@@ -245,15 +231,9 @@ def kick_survival_trace(model: SingleExcitationModel, tau: float,
     return t, P
 
 
-def kick_survival(model: SingleExcitationModel, tau: float, N: int) -> float:
-    """Survival probability after N kick cycles (N even)."""
-    _, P = kick_survival_trace(model, tau, N)
-    return float(P[-1])
-
-
 def continuous_survival(model: SingleExcitationModel, K: float, t):
     """Survival under continuous coupling; model must carry that K."""
-    if not model.has_ancilla or not math.isclose(model.K, K):
+    if not math.isclose(model.K, K):
         raise DomainError("model was not built with the requested K")
     return free_survival(model, t)
 

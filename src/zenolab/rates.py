@@ -45,11 +45,11 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (_segmented_integrals, alpha_n, half_integer_series_tail,
+from .numerics import (_segmented_integrals, half_integer_series_tail,
                        require_finite, segmented_integral, zeta_odd)
 from .spectral import (EXPONENTIAL, POLYNOMIAL, FormFactor,
                        ThermalSpectralDensity, _emission_density, bare_density,
-                       thermal_density)
+                       form_factor_for_bandwidth, thermal_density)
 
 __all__ = [
     "Free",
@@ -64,7 +64,6 @@ __all__ = [
     "kick_rate",
     "kick_rate_integral",
     "continuous_rate",
-    "dephasing_rate",
     "summary_asymptotics",
     "strategy_rate",
 ]
@@ -137,16 +136,6 @@ def continuous_rate(tsd: ThermalSpectralDensity, omega0: float, K):
     Ks = require_finite(K, "coupling K", allow_zero=True)
     return _shaped(math.pi * (thermal_density(tsd, omega0 + Ks)
                               + thermal_density(tsd, omega0 - Ks)), K)
-
-
-def dephasing_rate(tsd: ThermalSpectralDensity) -> float:
-    """Pure-dephasing rate gamma_0 = 2 pi kappa_beta(0) = 2 pi g^2/beta.
-
-    Zero at beta = +inf: Ohmic dephasing freezes at zero temperature.
-    """
-    if math.isinf(tsd.beta):
-        return 0.0
-    return 2.0 * math.pi * thermal_density(tsd, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +266,10 @@ def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau) -> SeriesRate:
     with the exact tail weight sum_{j>_J_MAX} (j+1/2)^{-2} evaluated at the
     next comb argument, and bounded (``truncation_error``) by the same
     weight times a coarse supremum of kappa_beta over the tail arguments.
+    Against the series summed to convergence, the estimate is off by up
+    to about 1.6 % of gamma at the emission centre (beta = inf,
+    W tau ~ 450-700), more at the absorption and dephasing centres where
+    gamma is small, and always by less than ``truncation_error``.
 
     ``tau`` is a period or a 1-D array of periods (then both fields are
     arrays); arrays are summed as (periods x terms) comb blocks of
@@ -381,16 +374,10 @@ def summary_asymptotics(family: str, n: int, omega0: float, W: float,
     factor (1 - 2^{-2n-1}) zeta(2n+1) for the polynomial one; the
     continuous envelope is pi kappa(K).
     """
-    if family == EXPONENTIAL:
-        ff = FormFactor(EXPONENTIAL, g=g, cutoff=W / 2.0)
-        slope = g * g * ff.cutoff ** 2
-    elif family == POLYNOMIAL:
-        if n < 2:
-            raise DomainError("polynomial asymptotics require n >= 2")
-        ff = FormFactor(POLYNOMIAL, g=g, cutoff=W / alpha_n(n), n=n)
-        slope = g * g * ff.cutoff ** 2 / (2.0 * (n - 1))
-    else:
-        raise DomainError(f"unknown family {family!r}")
+    ff = form_factor_for_bandwidth(family, W=W, g=g, n=n)
+    slope = g * g * ff.cutoff ** 2
+    if family == POLYNOMIAL:
+        slope /= 2.0 * (n - 1)
     pref = _kick_envelope_weight(ff)
 
     def kick_env(tau: float) -> float:

@@ -178,10 +178,15 @@ def thermal_density(tsd: ThermalSpectralDensity, omega):
     return out
 
 
-def _bandwidth_closed_form(ff: FormFactor) -> float:
-    if ff.family == EXPONENTIAL:
-        return 2.0 * ff.cutoff
-    return alpha_n(ff.n) * ff.cutoff
+def _bandwidth_ratio(family: str, n: int) -> float:
+    """W / Lambda: 2 (exponential) or alpha_n (polynomial, n >= 2)."""
+    if family == EXPONENTIAL:
+        return 2.0
+    if family == POLYNOMIAL:
+        if n < 2:
+            raise DivergentMoment("bandwidth undefined for polynomial n < 2")
+        return alpha_n(n)
+    raise DomainError(f"unknown family {family!r}")
 
 
 def bandwidth(ff: FormFactor) -> float:
@@ -190,9 +195,7 @@ def bandwidth(ff: FormFactor) -> float:
     Closed forms: W = 2 Lambda (exponential) and W = alpha_n Lambda
     (polynomial, n >= 2).  For n = 1 the numerator diverges.
     """
-    if ff.family == POLYNOMIAL and ff.n < 2:
-        raise DivergentMoment("bandwidth requires polynomial n >= 2")
-    return _bandwidth_closed_form(ff)
+    return _bandwidth_ratio(ff.family, ff.n) * ff.cutoff
 
 
 def zeno_time(tsd: ThermalSpectralDensity) -> float:
@@ -226,21 +229,10 @@ def match_cutoffs(family_a: str, family_b: str, W: float,
     """Cutoffs (Lambda_a, Lambda_b) giving both families bandwidth ``W``."""
     if not W > 0:
         raise DomainError("bandwidth W must be positive")
-    return (_cutoff_for_bandwidth(family_a, W, n_a),
-            _cutoff_for_bandwidth(family_b, W, n_b))
-
-
-def _cutoff_for_bandwidth(family: str, W: float, n: int) -> float:
-    if family == EXPONENTIAL:
-        return W / 2.0
-    if family == POLYNOMIAL:
-        if n < 2:
-            raise DivergentMoment("bandwidth undefined for polynomial n < 2")
-        return W / alpha_n(n)
-    raise DomainError(f"unknown family {family!r}")
+    return W / _bandwidth_ratio(family_a, n_a), W / _bandwidth_ratio(family_b, n_b)
 
 
 def form_factor_for_bandwidth(family: str, W: float = 1.0, g: float = 1.0,
                               n: int = 2) -> FormFactor:
     """FormFactor of the given family with cutoff chosen so bandwidth = W."""
-    return FormFactor(family, g=g, cutoff=_cutoff_for_bandwidth(family, W, n), n=n)
+    return FormFactor(family, g=g, cutoff=W / _bandwidth_ratio(family, n), n=n)

@@ -53,10 +53,10 @@ def kick_model(oracle_ff):
     # span covers the first comb line Omega + pi/tau for tau >= 0.5
     span = ORACLE_OMEGA + math.pi / 0.5 + 3.0 * oracle_ff.cutoff
     bath = z.build_bath(oracle_ff, span, 600)
-    return z.SingleExcitationModel.with_ancilla(bath, ORACLE_OMEGA, 0.0)
+    return z.SingleExcitationModel.qubit(bath, ORACLE_OMEGA)
 
 
 @pytest.fixture(scope="session")
 def continuous_model_k5(oracle_ff):
     bath = z.build_bath(oracle_ff, 12.0 * oracle_ff.cutoff, 600)
-    return z.SingleExcitationModel.with_ancilla(bath, ORACLE_OMEGA, 5.0)
+    return z.SingleExcitationModel.qubit(bath, ORACLE_OMEGA, 5.0)

@@ -130,6 +130,23 @@ def test_evolve_identity_and_convergence(tmp_path):
     _, columns, data = read_csv(out)
     assert np.allclose(col(columns, data, "p_up"), 0.5, atol=1e-12)
     assert col(columns, data, "purity")[-1] < col(columns, data, "purity")[0]
+    # g = 0 under control: the coherence decays at twice the controlled
+    # dephasing rate, the strategy's rate at centre 0
+    tsd0 = zenolab.form_factor_for_bandwidth(zenolab.EXPONENTIAL,
+                                             g=0.5).thermal(50.0)
+    for name, tau, strategy in (("zeno", 0.7, zenolab.ZenoMeasurement(0.7)),
+                                ("kick", 0.3, zenolab.BangBangKick(0.3))):
+        code, out = run(tmp_path, "e4.csv",
+                        ["evolve", "--g", "0", "--g0", "0.5", "--state", "plus",
+                         "--strategy", name, "--tau", str(tau)])
+        assert code == 0
+        _, columns, data = read_csv(out)
+        assert np.all(col(columns, data, "p_up") == 0.5)
+        t = col(columns, data, "t")[1:]
+        r = np.hypot(col(columns, data, "bloch_x"),
+                     col(columns, data, "bloch_y"))[1:]
+        gamma_0 = zenolab.strategy_rate(tsd0, 0.0, strategy).gamma
+        assert np.allclose(-np.log(r) / t, 2.0 * gamma_0, rtol=1e-12, atol=0.0)
     # the header records the strategy's parameter
     for args, line in ((["--strategy", "kick", "--tau", "0.25"], "# tau: 0.25"),
                        (["--strategy", "continuous", "--K", "3"], "# K: 3")):
@@ -165,10 +182,13 @@ def test_oracle_command_zeno_rows(tmp_path):
 
 
 def test_numerical_failure_exits_3(tmp_path):
-    # polynomial n = 1 has no finite bandwidth to anchor the W = 1 units
-    code = main(["crossover", "--family", "poly", "--n", "1",
-                 "--out", str(tmp_path / "x.csv")])
+    # a Zeno period far beyond the discretized bath's recurrence time
+    out = tmp_path / "x.csv"
+    code = main(["oracle", "--protocol", "zeno", "--values", "1e4",
+                 "--modes", "50", "--g", "0.1", "--omega", "0.2",
+                 "--beta", "inf", "--out", str(out)])
     assert code == 3
+    assert not out.exists()
 
 
 def test_oracle_command_odd_cycles_rejected(tmp_path):
@@ -312,6 +332,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  ["density", "--grid=-inf:1:5lin"]):
         out = tmp_path / "inf2.csv"
         assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+    # polynomial n < 2 has no finite bandwidth to anchor the W = 1 units;
+    # density, sweep and figure build the poly density at any --family
+    for argv in (["crossover", "--family", "poly", "--n", "1"],
+                 ["crossover", "--family", "poly", "--n", "0"],
+                 ["density", "--n", "1"],
+                 ["sweep", "--strategy", "zeno", "--n", "1"],
+                 ["figure", "--id", "3", "--n", "1"]):
+        out = tmp_path / "n.csv"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -159,7 +159,7 @@ def test_kick_survival_against_series(kick_model, oracle_tsd0):
 def test_kick_suppression_side(kick_model, oracle_ff):
     # tau = 0.05: every comb line is beyond the spectral support
     gamma = 2.0 * math.pi * z.bare_density(oracle_ff, OMEGA)
-    P = z.kick_survival(kick_model, 0.05, 200)
+    P = z.kick_survival_trace(kick_model, 0.05, 200)[1][-1]
     eff = -math.log(P) / (200 * 0.05)
     assert eff < 0.01 * gamma
 
@@ -167,7 +167,7 @@ def test_kick_suppression_side(kick_model, oracle_ff):
 def test_kick_long_tau_approaches_free(kick_model):
     # kicks become irrelevant once tau is long on the comb scale pi/Omega
     tau, N = 100.0, 2
-    P = z.kick_survival(kick_model, tau, N)
+    P = z.kick_survival_trace(kick_model, tau, N)[1][-1]
     eff = -math.log(P) / (N * tau)
     free = -math.log(z.free_survival(kick_model, N * tau)) / (N * tau)
     assert eff == pytest.approx(free, rel=0.10)
@@ -175,12 +175,7 @@ def test_kick_long_tau_approaches_free(kick_model):
 
 def test_kick_requires_even_n(kick_model):
     with pytest.raises(z.OddN):
-        z.kick_survival(kick_model, 0.5, 3)
-
-
-def test_kick_requires_ancilla(free_model):
-    with pytest.raises(z.DomainError):
-        z.kick_survival(free_model, 0.5, 2)
+        z.kick_survival_trace(kick_model, 0.5, 3)
 
 
 def test_continuous_survival(continuous_model_k5, kick_model, oracle_ff):
@@ -208,7 +203,7 @@ def test_continuous_monotone_suppression(oracle_ff):
     bath = z.build_bath(oracle_ff, 12.0 * oracle_ff.cutoff, 400)
     fits = []
     for K in (2.0, 3.5, 5.0):
-        model = z.SingleExcitationModel.with_ancilla(bath, OMEGA, K)
+        model = z.SingleExcitationModel.qubit(bath, OMEGA, K)
         ts = np.linspace(30.0, 0.75 * model.recurrence_time, 50)
         P = z.continuous_survival(model, K, ts)
         fits.append(z.fit_decay_rate(list(zip(ts, P))).rate)
@@ -255,7 +250,7 @@ def test_spectral_measure_invariants(oracle_ff, M, scheme, K, half_steps,
         assume(K <= 3.0)
     bath = z.build_bath(oracle_ff, omega_max, M, scheme)
     if ancilla:
-        model = z.SingleExcitationModel.with_ancilla(bath, OMEGA, K)
+        model = z.SingleExcitationModel.qubit(bath, OMEGA, K)
     else:
         model = z.SingleExcitationModel.qubit(bath, OMEGA)
         K = 0.0
@@ -307,13 +302,13 @@ def test_discretization_convergence_kick(oracle_ff, kick_model):
 def _half_kick_model(oracle_ff, kick_model):
     bath = z.build_bath(oracle_ff, kick_model.bath.omega_max,
                         kick_model.bath.n_modes // 2)
-    return z.SingleExcitationModel.with_ancilla(bath, OMEGA, 0.0)
+    return z.SingleExcitationModel.qubit(bath, OMEGA)
 
 
 def test_discretization_convergence_continuous(oracle_ff, continuous_model_k5):
     K = 5.0
     rates = []
-    for model in (z.SingleExcitationModel.with_ancilla(
+    for model in (z.SingleExcitationModel.qubit(
             z.build_bath(oracle_ff, 12.0 * oracle_ff.cutoff, 300), OMEGA, K),
             continuous_model_k5):
         ts = np.linspace(30.0, 0.75 * model.recurrence_time, 50)

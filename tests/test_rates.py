@@ -135,6 +135,34 @@ def test_kick_rate_large_tau(tsd_exp):
     assert res.truncation_error < 0.05 * gamma
 
 
+def _long_comb_sum(tsd, center, tau):
+    """The kick comb series summed term by term, smallest terms first.
+
+    max(2000, 10 tau) terms put the last comb line beyond ~60 W, where
+    the neglected terms are far below the kernel's own tail bound.
+    """
+    j = np.arange(max(2000, math.ceil(10.0 * tau)), dtype=float)
+    h = (2.0 * j + 1.0) * math.pi / tau
+    terms = (j + 0.5) ** -2.0 * (z.thermal_density(tsd, center + h)
+                                 + z.thermal_density(tsd, center - h))
+    return (2.0 / math.pi) * float(np.sum(terms[::-1]))
+
+
+@pytest.mark.parametrize("fam", [z.EXPONENTIAL, z.POLYNOMIAL])
+@pytest.mark.parametrize("beta", [2.0, 50.0, math.inf])
+def test_kick_truncation_bound_is_honest(fam, beta):
+    # the tail estimate's true error stays inside truncation_error at the
+    # emission, absorption and dephasing centres, from the suppressed side
+    # to the free limit
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0).thermal(beta)
+    taus = np.logspace(math.log10(5e-2), 4.0, 25)
+    for center in (OMEGA, -OMEGA, 0.0):
+        res = z.kick_rate(tsd, center, taus)
+        exact = np.array([_long_comb_sum(tsd, center, t) for t in taus])
+        assert np.all(np.abs(res.gamma - exact)
+                      <= res.truncation_error + 1e-12 * exact)
+
+
 @pytest.mark.parametrize("fam", [z.EXPONENTIAL, z.POLYNOMIAL])
 def test_kick_rate_small_tau_envelopes(fam, tsd_exp, tsd_poly):
     tau = 0.05
@@ -221,12 +249,13 @@ def test_dressed_rates(tsd_exp):
 
 
 def test_dephasing_rate():
+    # pure dephasing is the golden rule at centre 0: 2 pi g^2/beta
     ff = z.FormFactor(z.EXPONENTIAL, g=1.0, cutoff=0.5)
-    assert z.dephasing_rate(ff.thermal(50.0)) == pytest.approx(TWO_PI / 50.0,
-                                                               rel=1e-14)
-    assert z.dephasing_rate(ff.thermal(math.inf)) == 0.0
+    assert z.golden_rule_rate(ff.thermal(50.0), 0.0) == pytest.approx(
+        TWO_PI / 50.0, rel=1e-14)
+    assert z.golden_rule_rate(ff.thermal(math.inf), 0.0) == 0.0
     ff2 = z.FormFactor(z.POLYNOMIAL, g=0.5, cutoff=0.5)
-    assert z.dephasing_rate(ff2.thermal(10.0)) == pytest.approx(
+    assert z.golden_rule_rate(ff2.thermal(10.0), 0.0) == pytest.approx(
         TWO_PI * 0.25 / 10.0, rel=1e-14)
 
 
@@ -242,6 +271,11 @@ def test_summary_asymptotics_values():
     asym_p = z.summary_asymptotics(z.POLYNOMIAL, 2, OMEGA, 1.0)
     lam_p = 2.0 / math.pi
     assert asym_p.zeno_slope == pytest.approx(lam_p ** 2 / 2.0, rel=1e-12)
+    # the bandwidth anchoring W fails the way form_factor_for_bandwidth does
+    with pytest.raises(z.DivergentMoment):
+        z.summary_asymptotics(z.POLYNOMIAL, 1, OMEGA, 1.0)
+    with pytest.raises(z.DomainError):
+        z.summary_asymptotics("gauss", 2, OMEGA, 1.0)
 
 
 def test_limit_recovery_invariant(tsd_exp, tsd_poly):
@@ -293,8 +327,8 @@ def test_controlled_rate_dispatch(tsd_exp):
     with pytest.raises(z.DomainError):
         z.golden_rule_rate(tsd_exp, math.nan)
     with pytest.raises(z.DomainError):
-        z.SingleExcitationModel.with_ancilla(z.build_bath(tsd_exp.base, 6.0, 10),
-                                             OMEGA, math.nan)
+        z.SingleExcitationModel.qubit(z.build_bath(tsd_exp.base, 6.0, 10),
+                                      OMEGA, math.nan)
     # an infinite period or coupling is rejected too, alone or in an array
     inf_cases = [
         lambda: z.ZenoMeasurement(math.inf),
@@ -307,7 +341,7 @@ def test_controlled_rate_dispatch(tsd_exp):
         lambda: z.kick_rate_integral(tsd_exp, OMEGA, math.inf, 2),
         lambda: z.continuous_rate(tsd_exp, OMEGA, math.inf),
         lambda: z.continuous_rate(tsd_exp, OMEGA, np.array([0.5, -math.inf])),
-        lambda: z.SingleExcitationModel.with_ancilla(
+        lambda: z.SingleExcitationModel.qubit(
             z.build_bath(tsd_exp.base, 6.0, 10), OMEGA, math.inf),
     ]
     for case in inf_cases:
