@@ -18,8 +18,8 @@ on failure.
 
 Defaults follow the high-temperature reference regime Omega = 0.01 W,
 beta = 50/W with bandwidth-matched cutoffs (W = 1 unless --unit lambda,
-which anchors the exponential cutoff at 1 instead).  Flag values override
-ZENOLAB_* environment variables, which override the built-in defaults.
+which anchors the exponential cutoff at 1 instead).  Flags are the only
+configuration input.
 
 Exit codes: 0 success (including a reported no-crossing), 2 usage or
 configuration error, 3 numerical failure.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -43,15 +42,9 @@ from .numerics import require_finite
 
 __all__ = ["RunConfig", "main"]
 
-_ENV_PREFIX = "ZENOLAB_"
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _env(name: str, fallback: str) -> str:
-    return os.environ.get(_ENV_PREFIX + name, fallback)
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,7 @@ def cmd_crossover(cfg: RunConfig) -> int:
                ("continuous", xo.find_K_star, "K*")]
     for name, finder, label in finders:
         try:
-            rep = finder(tsd, cfg.omega0, find_all=True)
+            rep = finder(tsd, cfg.omega0)
             out_rows.append([rep.star_value, rep.closed_form_estimate,
                              rep.relative_gap, float(len(rep.all_crossings)), 0.0])
             text.append(f"{label} = {rep.star_value:.6g}  "
@@ -273,6 +266,7 @@ def cmd_evolve(cfg: RunConfig, state: str, g0: float, strategy_name: str,
     if state not in _STATES:
         raise DomainError(f"unknown initial state {state!r}")
     rho = _STATES[state]()
+    require_finite(g0, "dephasing coupling g0", allow_zero=True)
     # g = 0 closes the spin-flip channel, g0 = 0 the dephasing one
     tsd_flip = cfg.thermal() if cfg.g != 0.0 else None
     tsd_deph = None
@@ -453,32 +447,28 @@ def _figure_response(cfg: RunConfig, fig_id: int, tau: float) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--family", choices=[spectral.EXPONENTIAL, spectral.POLYNOMIAL],
-                   default=_env("FAMILY", spectral.EXPONENTIAL))
-    p.add_argument("--n", type=int, default=int(_env("N", "2")),
+                   default=spectral.EXPONENTIAL)
+    p.add_argument("--n", type=int, default=2,
                    help="polynomial fall-off exponent")
-    p.add_argument("--g", type=float, default=float(_env("G", "1.0")))
+    p.add_argument("--g", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=None,
                    help="inverse temperature (default 50/W; 'inf' allowed)")
     p.add_argument("--omega", type=float, default=None,
                    help="level splitting (default 0.01 W)")
-    p.add_argument("--unit", choices=["W", "lambda"],
-                   default=_env("UNIT", "W"),
+    p.add_argument("--unit", choices=["W", "lambda"], default="W",
                    help="unit system: bandwidth W = 1, or exponential cutoff = 1")
-    p.add_argument("--conversion-c", type=float,
-                   default=float(_env("CONVERSION_C", str(2.0 * math.pi))),
+    p.add_argument("--conversion-c", type=float, default=2.0 * math.pi,
                    help="kick<->continuous conversion constant in tau = c/K")
     p.add_argument("--grid", type=str, default=None,
                    help="lo:hi:points(log|lin)")
-    p.add_argument("--out", type=str, default=_env("OUT", "-"),
+    p.add_argument("--out", type=str, default="-",
                    help="output CSV path ('-' = stdout)")
 
 
 def _config_from(args) -> RunConfig:
     W = 1.0 if args.unit == "W" else 2.0   # lambda units anchor Lambda_exp = 1
-    beta = (args.beta if args.beta is not None
-            else float(_env("BETA", "") or 50.0 / W))
-    omega0 = (args.omega if args.omega is not None
-              else float(_env("OMEGA", "") or 0.01 * W))
+    beta = args.beta if args.beta is not None else 50.0 / W
+    omega0 = args.omega if args.omega is not None else 0.01 * W
     if not beta > 0:
         raise DomainError("beta must be positive (or inf)")
     require_finite(omega0, "level splitting omega0")

@@ -18,14 +18,14 @@ of the kick envelope gamma_k ~ w_k kappa(pi/tau): 8/pi (exp) or
 (8/pi)(1-2^{-2n-1}) zeta(2n+1) (poly).  The kick-rate ratio
 oscillates at intermediate tau, so several crossings can exist; the
 smallest crossing from the controlled side is canonical and every
-detected crossing is reported.  Scans evaluate the grid in blocks
-through the array forms of the rate kernels.
+crossing on the scan grid is reported.  A scan evaluates its whole grid
+in one call to the array form of the rate kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,11 +46,9 @@ __all__ = [
     "quick_estimates",
 ]
 
-_SCAN_LO = 1e-4
-_SCAN_HI = 1e4
-_POINTS_PER_DECADE = 400
-# scan points per batched kernel call
-_SCAN_BLOCK = 64
+# the scan grid, 400 points per decade over 1e-4..1e4 (tau or K)
+_SCAN_GRID = np.logspace(-4.0, 4.0, 3201)
+_SCAN_GRID.setflags(write=False)
 # root refinement stops once the bracket is below _XTOL + _RTOL |x|
 _XTOL = 2e-12
 _RTOL = 1e-13
@@ -62,7 +60,7 @@ class CrossoverReport:
     closed_form_estimate: float
     relative_gap: float
     bracket: tuple[float, float]
-    all_crossings: tuple[float, ...] = field(default=())
+    all_crossings: tuple[float, ...]
 
 
 def _brent(f: Callable[[float], float], xa: float, xb: float,
@@ -113,47 +111,6 @@ def _brent(f: Callable[[float], float], xa: float, xb: float,
                         f"{maxiter} steps")
 
 
-def _scan_first_crossing(ratio_fn: Callable,
-                         grid: np.ndarray,
-                         find_all: bool) -> tuple[float, tuple[float, float], list[float]]:
-    """First sign change of ratio-1 along ``grid``, refined by Brent's method.
-
-    ``ratio_fn`` takes a point or an array of points.  The grid is
-    evaluated _SCAN_BLOCK points at a time; ``_brent`` runs only inside
-    brackets whose ends change sign, and without ``find_all`` the scan
-    stops at the first block holding a sign change.
-    """
-    f = lambda x: ratio_fn(x) - 1.0
-    crossings: list[float] = []
-    first: tuple[float, float] | None = None
-    xs, vs = grid[:0], grid[:0]
-    for s in range(0, grid.size, _SCAN_BLOCK):
-        block = grid[s:s + _SCAN_BLOCK]
-        # the previous block's last point opens this block's first bracket
-        xs = np.concatenate([xs[-1:], block])
-        vs = np.concatenate([vs[-1:], f(block)])
-        lo, hi = vs[:-1], vs[1:]
-        events = (lo == 0.0) | ((lo < 0.0) & (hi >= 0.0)) | ((lo > 0.0) & (hi <= 0.0))
-        for i in np.flatnonzero(events):
-            if lo[i] == 0.0:
-                crossings.append(xs[i])
-            else:
-                a, b = sorted((xs[i], xs[i + 1]))
-                crossings.append(_brent(f, a, b))
-            if first is None:
-                first = (xs[i], xs[i + 1])
-            if not find_all:
-                return crossings[0], first, crossings
-    if first is None:
-        raise NoCrossing("ratio - 1 does not change sign on the scan grid")
-    return crossings[0], first, crossings
-
-
-def _log_grid(lo: float, hi: float) -> np.ndarray:
-    n = int(round(_POINTS_PER_DECADE * math.log10(hi / lo))) + 1
-    return np.logspace(math.log10(lo), math.log10(hi), n)
-
-
 def _envelope_root(ff: FormFactor, weight: float, gamma: float) -> float:
     """x(weight) of the module docstring; NaN where the Lambert-W
     argument falls below -1/e."""
@@ -166,48 +123,59 @@ def _envelope_root(ff: FormFactor, weight: float, gamma: float) -> float:
 
 def _crossover(tsd: ThermalSpectralDensity, omega0: float,
                rate: Callable, grid: np.ndarray,
-               estimate: Callable[[float], float],
-               find_all: bool) -> CrossoverReport:
-    """First crossing of rate / gamma = 1 along ``grid``, reported against
-    the closed form ``estimate(gamma)``, gamma being the free rate."""
+               estimate: Callable[[float], float]) -> CrossoverReport:
+    """Every crossing of rate / gamma = 1 along ``grid``, gamma being the
+    free rate; the first in scan order is the root, reported against the
+    closed form ``estimate(gamma)``.
+
+    ``rate`` takes a point or an array of points.  The whole grid goes
+    through one kernel call; a cell is a crossing when ratio - 1 is 0 at
+    its start or changes sign across it, and ``_brent`` runs inside each
+    cell that changes sign.
+    """
     gamma = golden_rule_rate(tsd, omega0)
-    root, bracket, crossings = _scan_first_crossing(
-        lambda x: rate(x) / gamma, grid, find_all)
-    est = estimate(gamma)
+    f = lambda x: rate(x) / gamma - 1.0
+    v = f(grid)
+    lo, hi = v[:-1], v[1:]
+    events = np.flatnonzero((lo == 0.0) | ((lo < 0.0) & (hi >= 0.0))
+                            | ((lo > 0.0) & (hi <= 0.0)))
+    if events.size == 0:
+        raise NoCrossing("ratio - 1 does not change sign on the scan grid")
+    crossings = [grid[i] if lo[i] == 0.0
+                 else _brent(f, *sorted((grid[i], grid[i + 1])))
+                 for i in events]
+    root, est = crossings[0], estimate(gamma)
     gap = abs(root - est) / root if math.isfinite(est) else math.nan
-    return CrossoverReport(root, est, gap, (min(bracket), max(bracket)),
+    bracket = sorted((grid[events[0]], grid[events[0] + 1]))
+    return CrossoverReport(root, est, gap, tuple(bracket),
                            tuple(sorted(crossings)))
 
 
-def find_tau_star_zeno(tsd: ThermalSpectralDensity, omega0: float,
-                       find_all: bool = False) -> CrossoverReport:
+def find_tau_star_zeno(tsd: ThermalSpectralDensity,
+                       omega0: float) -> CrossoverReport:
     """Smallest tau with gamma_Z(tau) = gamma; estimate gamma tau_Z^2."""
     return _crossover(tsd, omega0, lambda t: zeno_rate(tsd, omega0, t),
-                      _log_grid(_SCAN_LO, _SCAN_HI),
-                      lambda gamma: gamma * zeno_time(tsd) ** 2, find_all)
+                      _SCAN_GRID, lambda gamma: gamma * zeno_time(tsd) ** 2)
 
 
-def find_tau_star_kick(tsd: ThermalSpectralDensity, omega0: float,
-                       find_all: bool = False) -> CrossoverReport:
+def find_tau_star_kick(tsd: ThermalSpectralDensity,
+                       omega0: float) -> CrossoverReport:
     """Smallest tau with gamma_k(tau) = gamma; Lambert-W / power-law estimate."""
     weight = _kick_envelope_weight(tsd.base)
     return _crossover(tsd, omega0, lambda t: kick_rate(tsd, omega0, t).gamma,
-                      _log_grid(_SCAN_LO, _SCAN_HI),
-                      lambda gamma: math.pi / _envelope_root(tsd.base, weight, gamma),
-                      find_all)
+                      _SCAN_GRID,
+                      lambda gamma: math.pi / _envelope_root(tsd.base, weight, gamma))
 
 
-def find_K_star(tsd: ThermalSpectralDensity, omega0: float,
-                find_all: bool = False) -> CrossoverReport:
+def find_K_star(tsd: ThermalSpectralDensity, omega0: float) -> CrossoverReport:
     """Largest K with gamma_c(K) = gamma (smallest crossing in 1/K).
 
     The scan runs from the strong-coupling (suppressed) side downward;
     K = 0, where the ratio equals 1 identically, is excluded.
     """
     return _crossover(tsd, omega0, lambda K: continuous_rate(tsd, omega0, K),
-                      _log_grid(_SCAN_LO, _SCAN_HI)[::-1],
-                      lambda gamma: _envelope_root(tsd.base, math.pi, gamma),
-                      find_all)
+                      _SCAN_GRID[::-1],
+                      lambda gamma: _envelope_root(tsd.base, math.pi, gamma))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidState, NoRelaxation
+from .numerics import require_finite
 from .rates import ControlStrategy, Free, strategy_rate
 from .spectral import ThermalSpectralDensity
 
@@ -147,8 +148,7 @@ def build_qubit_generator(tsd_flip: ThermalSpectralDensity | None,
     spin-flip decoherence), ``tsd_flip=None`` means g = 0 (pure
     dephasing).  beta is read from whichever density is given.
     """
-    if not omega0 > 0:
-        raise DomainError("omega0 must be positive")
+    require_finite(omega0, "level splitting omega0")
 
     def rate(tsd, center):
         return 0.0 if tsd is None else strategy_rate(tsd, center, strategy).gamma

@@ -32,6 +32,21 @@ def tsd_exp_zero_t():
 
 
 @pytest.fixture(scope="session")
+def reports_exp(tsd_exp):
+    """(tau*_Z, tau*_k, K*) reports in the reference regime, scanned once."""
+    return (z.find_tau_star_zeno(tsd_exp, OMEGA),
+            z.find_tau_star_kick(tsd_exp, OMEGA),
+            z.find_K_star(tsd_exp, OMEGA))
+
+
+@pytest.fixture(scope="session")
+def reports_poly(tsd_poly):
+    return (z.find_tau_star_zeno(tsd_poly, OMEGA),
+            z.find_tau_star_kick(tsd_poly, OMEGA),
+            z.find_K_star(tsd_poly, OMEGA))
+
+
+@pytest.fixture(scope="session")
 def oracle_ff():
     lam = z.form_factor_for_bandwidth(z.EXPONENTIAL, W=W).cutoff
     return z.FormFactor(z.EXPONENTIAL, g=ORACLE_G, cutoff=lam)

@@ -1,4 +1,4 @@
-"""The array forms of the rate kernels and the block-wise crossover scan."""
+"""The array forms of the rate kernels and the whole-grid crossover scan."""
 
 import math
 
@@ -86,17 +86,19 @@ def _scalar_scan(ratio, grid):
     return crossings, first
 
 
+_FINDERS = (xo.find_tau_star_zeno, xo.find_tau_star_kick, xo.find_K_star)
+
+
 @pytest.mark.parametrize("finder, scalar, reverse", [
     (xo.find_tau_star_zeno, lambda tsd, t: z.zeno_rate(tsd, OMEGA, t), False),
     (xo.find_tau_star_kick, lambda tsd, t: z.kick_rate(tsd, OMEGA, t).gamma, False),
     (xo.find_K_star, lambda tsd, K: z.continuous_rate(tsd, OMEGA, K), True),
 ])
-def test_block_scan_matches_scalar_loop(tsd_exp, finder, scalar, reverse):
+def test_block_scan_matches_scalar_loop(tsd_exp, reports_exp, finder, scalar,
+                                        reverse):
     gamma = z.golden_rule_rate(tsd_exp, OMEGA)
-    rep = finder(tsd_exp, OMEGA, find_all=True)
-    grid = xo._log_grid(xo._SCAN_LO, xo._SCAN_HI)
-    if reverse:
-        grid = grid[::-1]
+    rep = reports_exp[_FINDERS.index(finder)]   # finder(tsd_exp, OMEGA)
+    grid = xo._SCAN_GRID[::-1] if reverse else xo._SCAN_GRID
     for root in rep.all_crossings:
         # the decade around the root, in scan order
         sub = grid[(grid > root / math.sqrt(10.0)) & (grid < root * math.sqrt(10.0))]
@@ -106,7 +108,3 @@ def test_block_scan_matches_scalar_loop(tsd_exp, finder, scalar, reverse):
         assert sorted(crossings) == inside
         if root == rep.star_value:
             assert tuple(sorted(rep.bracket)) == tuple(sorted(first))
-    # without find_all the scan stops at the first crossing, same root
-    early = finder(tsd_exp, OMEGA)
-    assert early.star_value == rep.star_value
-    assert early.bracket == rep.bracket

@@ -258,13 +258,19 @@ def test_figure_unknown_id(tmp_path):
     assert code == 2
 
 
-def test_csv_round_trip_and_determinism(tmp_path):
+def test_csv_round_trip_and_determinism(tmp_path, monkeypatch):
     code, a = run(tmp_path, "a.csv",
                   ["density", "--grid=-0.5:1.5:17lin", "--beta", "7"])
     code2, b = run(tmp_path, "b.csv",
                    ["density", "--grid=-0.5:1.5:17lin", "--beta", "7"])
     assert code == code2 == 0
     assert a.read_bytes() == b.read_bytes()
+    # flags are the only input: the environment changes no byte
+    code, plain = run(tmp_path, "plain.csv", ["density", "--grid=-0.1:0.1:3lin"])
+    monkeypatch.setenv("ZENOLAB_BETA", "7")
+    code2, env = run(tmp_path, "env.csv", ["density", "--grid=-0.1:0.1:3lin"])
+    assert code == code2 == 0
+    assert env.read_bytes() == plain.read_bytes()
     # 17 significant digits round-trip bit-exactly
     _, columns, data = read_csv(a)
     ff = __import__("zenolab").form_factor_for_bandwidth("exp", W=1.0)
@@ -273,21 +279,6 @@ def test_csv_round_trip_and_determinism(tmp_path):
     w = col(columns, data, "omega_over_W")
     exact = np.array([thermal_density(tsd, x) for x in w])
     assert np.array_equal(col(columns, data, "kappa_beta_exp"), exact)
-
-
-def test_env_precedence(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZENOLAB_BETA", "7")
-    code, out = run(tmp_path, "envd.csv",
-                    ["density", "--grid=-0.1:0.1:3lin"])
-    assert code == 0
-    _, columns, data = read_csv(out)
-    i0 = int(np.argmin(np.abs(col(columns, data, "omega_over_W"))))
-    assert col(columns, data, "kappa_beta_exp")[i0] == pytest.approx(1 / 7.0)
-    # explicit flag wins over the environment
-    code, out = run(tmp_path, "envd2.csv",
-                    ["density", "--beta", "9", "--grid=-0.1:0.1:3lin"])
-    _, columns, data = read_csv(out)
-    assert col(columns, data, "kappa_beta_exp")[i0] == pytest.approx(1 / 9.0)
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -306,7 +297,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for argv in (["evolve", "--strategy", "zeno", "--tau", "inf"],
                  ["evolve", "--strategy", "kick", "--tau", "inf"],
                  ["evolve", "--strategy", "continuous", "--K", "inf"],
-                 ["sweep", "--strategy", "continuous", "--conversion-c", "inf"]):
+                 ["sweep", "--strategy", "continuous", "--conversion-c", "inf"],
+                 # a negative or NaN dephasing coupling is not "no dephasing"
+                 ["evolve", "--g", "0", "--g0", "-0.5"],
+                 ["evolve", "--g", "0", "--g0", "nan"]):
         out = tmp_path / "inf.csv"
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()

@@ -10,20 +10,6 @@ OMEGA = 0.01
 BETA = 50.0
 
 
-@pytest.fixture(scope="module")
-def reports_exp(tsd_exp):
-    return (z.find_tau_star_zeno(tsd_exp, OMEGA),
-            z.find_tau_star_kick(tsd_exp, OMEGA),
-            z.find_K_star(tsd_exp, OMEGA))
-
-
-@pytest.fixture(scope="module")
-def reports_poly(tsd_poly):
-    return (z.find_tau_star_zeno(tsd_poly, OMEGA),
-            z.find_tau_star_kick(tsd_poly, OMEGA),
-            z.find_K_star(tsd_poly, OMEGA))
-
-
 def test_zeno_root_near_linear_estimate(reports_exp, reports_poly):
     for rep in (reports_exp[0], reports_poly[0]):
         factor = rep.star_value / rep.closed_form_estimate
@@ -105,6 +91,22 @@ def test_k_zero_endpoint_excluded(tsd_exp, reports_exp):
     assert all(k > 0.0 for k in crep.all_crossings)
 
 
+def test_default_call_reports_every_crossing(tsd_exp_zero_t):
+    # the kick ratio crosses 1 twice at exp, beta = inf, Omega = 0.05:
+    # tau*_k ~ 2.78 and again near 3.7e3
+    kick = z.find_tau_star_kick(tsd_exp_zero_t, 0.05).all_crossings
+    assert len(kick) == 2
+    assert kick[0] == pytest.approx(2.78, rel=1e-2)
+    assert kick[1] == pytest.approx(3667.0, rel=1e-2)
+    # and the continuous ratio twice at Omega = 0.01: K ~ 0.0104 and 2.39
+    rep = z.find_K_star(tsd_exp_zero_t, 0.01)
+    assert len(rep.all_crossings) == 2
+    assert rep.all_crossings[0] == pytest.approx(0.0104, rel=1e-2)
+    assert rep.all_crossings[1] == pytest.approx(2.39, rel=1e-2)
+    # the root is the largest K, the first crossing from the strong side
+    assert rep.star_value == rep.all_crossings[-1]
+
+
 def test_reports_carry_brackets_and_crossings(reports_exp):
     for rep in reports_exp:
         lo, hi = rep.bracket
@@ -123,15 +125,16 @@ def test_quick_estimates_values():
     assert q.K_star > 1.0
 
 
-def test_quick_estimates_factor_against_roots(tsd_poly):
+def test_quick_estimates_factor_against_roots(tsd_poly, reports_poly):
     # low-temperature asymptotic estimates: factor-level agreement only.
     # At beta Omega = 0.25 the thermal enhancement of gamma pushes the
     # Zeno entry to ~4.8x; everything else stays within ~3x.
+    finders = (z.find_tau_star_zeno, z.find_tau_star_kick, z.find_K_star)
     for omega0 in (0.005, 0.01, 0.05):
         q = z.quick_estimates(2, omega0, 1.0)
-        rz = z.find_tau_star_zeno(tsd_poly, omega0).star_value
-        rk = z.find_tau_star_kick(tsd_poly, omega0).star_value
-        rK = z.find_K_star(tsd_poly, omega0).star_value
+        reps = reports_poly if omega0 == OMEGA else [
+            find(tsd_poly, omega0) for find in finders]
+        rz, rk, rK = (rep.star_value for rep in reps)
         assert 1.0 / 5.0 < rz / q.tau_star_zeno < 5.0
         assert 1.0 / 5.0 < rk / q.tau_star_kick < 5.0
         assert 1.0 / 5.0 < rK / q.K_star < 5.0

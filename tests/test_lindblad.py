@@ -43,6 +43,13 @@ def test_generator_construction_free(tsd_exp):
                                                rel=1e-14)
 
 
+def test_generator_rejects_nonfinite_splitting(tsd_exp):
+    # inf passes '> 0'; it must not reach evolve as a math domain error
+    for omega0 in (math.inf, math.nan):
+        with pytest.raises(z.DomainError):
+            z.build_qubit_generator(tsd_exp, None, omega0)
+
+
 def test_generator_zeno_limit_recovers_free(tsd_exp):
     ff0 = z.FormFactor(z.EXPONENTIAL, g=1.0, cutoff=tsd_exp.base.cutoff)
     tsd0 = ff0.thermal(BETA)
@@ -140,9 +147,9 @@ def test_gibbs_fixed_point(tsd_exp):
     assert np.allclose(out.matrix, st.matrix, atol=1e-10)
 
 
-def test_controlled_generator_suppression(tsd_exp):
+def test_controlled_generator_suppression(tsd_exp, reports_exp):
     free = z.build_qubit_generator(tsd_exp, None, OMEGA)
-    tau_star = z.find_tau_star_zeno(tsd_exp, OMEGA).star_value
+    tau_star = reports_exp[0].star_value
     fast = z.build_qubit_generator(tsd_exp, None, OMEGA,
                                    z.ZenoMeasurement(0.3 * tau_star))
     slow = z.build_qubit_generator(tsd_exp, None, OMEGA,
