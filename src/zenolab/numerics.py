@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
-One adaptive quadrature engine: a vectorized segmented integrator (8- and
-16-point Gauss-Legendre rules, bisection) that can run several integrals
+One adaptive quadrature engine: a vectorized segmented integrator (the
+nested Gauss-Kronrod 7/15 pair, bisection) that can run several integrals
 through shared passes.  Besides it: the guard for control parameters, the -1
 branch of Lambert's W, the Riemann zeta function at odd integers, the
 trigamma tail of the half-integer series and the Gamma-ratio coefficient
@@ -14,7 +14,6 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NoConvergence
 
@@ -35,8 +34,24 @@ class IntegralResult(NamedTuple):
     error: float
 
 
-_GL_LO = leggauss(8)
-_GL_HI = leggauss(16)
+# QUADPACK's qk15 pair on [-1, 1] (Piessens et al., QUADPACK, 1983), its
+# 33-digit constants as the shortest decimals of the same doubles: per
+# nonnegative Kronrod node, from the largest down, its K15 weight and its
+# G7 weight (0 on the Kronrod-only nodes; every other node is a 7-point
+# Gauss-Legendre node)
+_QK15 = np.array([
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+])
+# the 15 nodes in ascending order and their (15 x 2) K15 and G7 weights
+_K15_NODES = np.concatenate([-_QK15[:, 0], _QK15[-2::-1, 0]])
+_K15_WEIGHTS = np.concatenate([_QK15[:, 1:], _QK15[-2::-1, 1:]])
 
 
 def require_finite(values, what: str, allow_zero: bool = False) -> np.ndarray:
@@ -56,20 +71,6 @@ def require_finite(values, what: str, allow_zero: bool = False) -> np.ndarray:
     return arr
 
 
-def _gl_apply(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
-              rule) -> np.ndarray:
-    """Gauss-Legendre on a batch of segments [a_i, b_i] (vectorized).
-
-    ``f(nodes, owner)`` gets the (segments x rule points) node array and
-    the owning query of each segment.
-    """
-    x, w = rule
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    return half * (f(nodes, owner) @ w)
-
-
 def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
                          n_queries: int, rel_tol: float, abs_tol: float,
                          max_passes: int,
@@ -80,16 +81,18 @@ def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     Segment i = [a_i, b_i] belongs to query ``owner[i]``; segments may come
     in any order, and those with a_i == b_i are dropped.  Each pass
     evaluates the pending segments of all queries in one call of
-    ``f(nodes, owner)`` per rule.  A query accepts its segments and
-    bisects the rest exactly as a lone integral would: tolerances come
-    from its own running total, ``np.bincount`` sums its segments in array
-    order, and bisection (all left halves, then all right halves) keeps
-    its segments in a lone integral's order.  Only the rule dot products
-    (one matrix-vector product over all segments) may round a segment's
-    estimate differently in the last bit than a lone integral's would.
-    Raises :class:`NoConvergence`, naming the lowest pending query by
-    ``label(q)``, if segments are still pending after ``max_passes``
-    passes.
+    ``f(nodes, owner)`` on the (segments x 15) array of their Gauss-Kronrod
+    nodes; the K15 sum is a segment's estimate and |K15 - G7| its error.
+    A query accepts its segments and bisects the rest exactly as a lone
+    integral would: tolerances come from its own running total,
+    ``np.bincount`` sums its segments in array order, and bisection (all
+    left halves, then all right halves) keeps its segments in a lone
+    integral's order.  Only the rule dot products (one matrix product over
+    all segments) may round a segment's estimate differently in the last
+    bit than a lone integral's would.  Raises :class:`NoConvergence`,
+    naming the lowest offending query by ``label(q)``, at once if a
+    segment's estimate or error is not finite, or if segments are still
+    pending after ``max_passes`` passes.
     """
     pending = a != b
     a, b, owner = a[pending], b[pending], owner[pending]
@@ -99,20 +102,31 @@ def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     for _ in range(max_passes):
         if not a.size:
             break
-        hi = _gl_apply(f, a, b, owner, _GL_HI)
-        lo = _gl_apply(f, a, b, owner, _GL_LO)
-        disc = np.abs(hi - lo)
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        fx = f(mid[:, None] + half[:, None] * _K15_NODES, owner)
+        # an infinite value meets a zero G7 weight; the check below reports it
+        with np.errstate(invalid="ignore"):
+            rules = half[:, None] * (fx @ _K15_WEIGHTS)
+            kronrod = rules[:, 0]
+            disc = np.abs(kronrod - rules[:, 1])
+        # NaN passes any tolerance test; bisecting it would only multiply it
+        nonfinite = ~np.isfinite(disc)
+        if nonfinite.any():
+            raise NoConvergence(
+                f"segmented quadrature of {label(int(owner[nonfinite].min()))} "
+                f"met a non-finite integrand value")
         counts = np.bincount(owner, minlength=n_queries)
-        scale = np.maximum(np.abs(values + np.bincount(owner, hi, n_queries)),
+        scale = np.maximum(np.abs(values + np.bincount(owner, kronrod, n_queries)),
                            floor)
         # a query without pending segments looks up no tolerance
         tol = np.maximum(abs_tol, rel_tol * scale) / np.maximum(counts, 1)
         bad = disc > tol[owner]
         good = ~bad
-        values += np.bincount(owner[good], hi[good], n_queries)
+        values += np.bincount(owner[good], kronrod[good], n_queries)
         errors += np.bincount(owner[good], disc[good], n_queries)
         a, b, owner = a[bad], b[bad], owner[bad]
-        mid = 0.5 * (a + b)
+        mid = mid[bad]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         owner = np.concatenate([owner, owner])
     if a.size:
@@ -124,15 +138,16 @@ def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
 
 def segmented_integral(f_vec, edges: Sequence[float],
                        rel_tol: float = 1e-9, abs_tol: float = 1e-13,
-                       max_passes: int = 14) -> IntegralResult:
+                       max_passes: int = 16) -> IntegralResult:
     """Adaptive bisection quadrature over the segments defined by ``edges``.
 
     ``f_vec`` must accept a flat numpy array.  Each segment is estimated
-    with 8- and 16-point Gauss-Legendre rules; segments whose discrepancy
+    with the nested Gauss-Kronrod 7/15 pair; segments whose discrepancy
     exceeds the (scaled) tolerance are bisected, all pending segments
-    being evaluated in a single vectorized call per pass.  Repeated edges
-    add nothing.  Raises :class:`NoConvergence` if segments are still
-    pending after ``max_passes`` passes.
+    being evaluated in one vectorized call per pass.  Repeated edges add
+    nothing.  Raises :class:`NoConvergence` if the integrand is not finite
+    on a segment, or if segments are still pending after ``max_passes``
+    passes.
     """
     edges = np.sort(np.asarray(edges, dtype=float))
     values, errors = _segmented_integrals(

@@ -141,7 +141,7 @@ def continuous_rate(tsd: ThermalSpectralDensity, omega0: float, K):
 # ---------------------------------------------------------------------------
 # Zeno rate (sinc^2-weighted line integral)
 
-# periods per engine run: a block's first pass holds 17 segments x 24
+# periods per engine run: a block's first pass holds 17 segments x 15
 # nodes per period; larger blocks add memory, not speed
 _ZENO_BLOCK = 16
 # segment edges along the ray, in v = y/(Lambda + y), which maps y in
@@ -227,7 +227,7 @@ def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau):
         out[s:s + n], _ = _segmented_integrals(
             f, np.tile(_RAY_EDGES[:-1], n), np.tile(_RAY_EDGES[1:], n),
             np.repeat(np.arange(n), _RAY_EDGES.size - 1), n,
-            rel_tol=1e-10, abs_tol=1e-300, max_passes=14,
+            rel_tol=3e-11, abs_tol=1e-300, max_passes=14,
             label=lambda q: f"zeno_rate at tau={float(t[q])!r}")
     return _shaped(out, tau)
 

@@ -6,8 +6,8 @@ from scipy.special import erf, polygamma, zeta
 from scipy.special import lambertw as scipy_lambertw
 
 import zenolab as z
-from zenolab.numerics import (_segmented_integrals, half_integer_series_tail,
-                              segmented_integral)
+from zenolab.numerics import (_K15_NODES, _K15_WEIGHTS, _segmented_integrals,
+                              half_integer_series_tail, segmented_integral)
 
 
 def test_quadrature_error_estimates_honest():
@@ -32,6 +32,45 @@ def test_quadrature_error_estimates_honest():
         res = segmented_integral(f, [mu - L, mu, mu + L])
         true_err = abs(res.value - exact)
         assert true_err <= max(3.0 * res.error, 1e-13)
+
+
+def test_qk15_table():
+    # K15 is exact for x^d, d <= 22, and G7 for d <= 13, on [-1, 1]
+    x = _K15_NODES
+    for d in range(23):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        kronrod, gauss = (x ** d) @ _K15_WEIGHTS
+        assert abs(kronrod - exact) <= 1e-15
+        if d <= 13:
+            assert abs(gauss - exact) <= 1e-15
+    assert np.all(np.abs(_K15_WEIGHTS.sum(axis=0) - 2.0) <= 1e-15)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1])
+    # the G7 nodes are every other Kronrod node, and only those carry G7 weight
+    assert np.all(_K15_WEIGHTS[0::2, 1] == 0.0)
+    assert np.all(_K15_WEIGHTS[1::2, 1] > 0.0)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(x[1::2], gl_x, rtol=0.0, atol=1e-15)
+    assert np.allclose(_K15_WEIGHTS[1::2, 1], gl_w, rtol=0.0, atol=1e-15)
+
+
+def test_nonfinite_integrand_raises():
+    # NaN passes every tolerance test; it must raise, not come back as a value
+    with pytest.raises(z.NoConvergence, match="the integral.*non-finite"):
+        segmented_integral(lambda x: np.full_like(x, np.nan), [0.0, 1.0])
+    with pytest.raises(z.NoConvergence, match="non-finite"):
+        segmented_integral(lambda x: np.full_like(x, np.inf), [0.0, 1.0])
+    calls = []
+
+    def nan_in_query_1(x, owner):
+        calls.append(x.shape)
+        return np.where(owner[:, None] == 1, np.nan, x ** 2)
+
+    with pytest.raises(z.NoConvergence, match="query 1 .*non-finite"):
+        _segmented_integrals(nan_in_query_1, np.zeros(2), np.ones(2),
+                             np.array([0, 1]), 2, 1e-9, 1e-13, 16)
+    # raised on the first pass, without bisecting
+    assert calls == [(2, 15)]
 
 
 def test_segmented_integral_polynomial_exact():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -103,6 +103,15 @@ def test_zeno_rate_dephasing_centre(n, tau):
                               (z.POLYNOMIAL, 3), (z.POLYNOMIAL, 4)]),
        beta=st.one_of(st.floats(0.5, 1000.0), st.just(math.inf)),
        omega0=st.floats(1e-3, 2.0))
+# draws that once missed the bound: the first two by 2.9e-12 and 1.3e-12
+# at a Zeno rel_tol of 1e-10 with Gauss-Legendre 8/16, the last two by
+# 1.2e-12 at that rel_tol with Gauss-Kronrod 7/15
+@example(fam_n=(z.POLYNOMIAL, 3), beta=935.0, omega0=1.0)
+@example(fam_n=(z.EXPONENTIAL, 2), beta=316.5, omega0=1.0)
+@example(fam_n=(z.POLYNOMIAL, 4), beta=824.0898067460943,
+         omega0=1.3616919648148547)
+@example(fam_n=(z.POLYNOMIAL, 4), beta=825.5750694868591,
+         omega0=0.3298500256817285)
 def test_zeno_rate_small_tau_slope_property(fam_n, beta, omega0):
     # gamma_Z(tau)/tau -> int kappa_beta = tau_Z^{-2}: zeno_rate's ray
     # integral against zeno_time's folded real-axis integral
