@@ -65,7 +65,9 @@ class QubitDensityMatrix:
             raise InvalidState("density matrix is not Hermitian")
         if abs(m.trace().real - 1.0) > _TRACE_TOL or abs(m.trace().imag) > _TRACE_TOL:
             raise InvalidState("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(m)) < _EIG_TOL:
+        # the smaller eigenvalue of a Hermitian 2x2, from its lower triangle
+        half = 0.5 * (m[0, 0].real - m[1, 1].real)
+        if 0.5 * m.trace().real - math.hypot(half, abs(m[1, 0])) < _EIG_TOL:
             raise InvalidState("density matrix has a negative eigenvalue")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

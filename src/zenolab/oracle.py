@@ -8,11 +8,18 @@ an arrowhead: Omega/2, then poles -Omega/2 + omega_i coupled by g_i.
 
 A model is the spectral measure of |up, vac>: eigenvalues lambda_k and
 weights w_k = |<k|up, vac>|^2, so the survival amplitude is
-sum_k w_k e^{-i lambda_k t} at any t.  An ancilla level |M>, degenerate
-with |down> and coupled by K(|down><M| + h.c.), makes the qubit model on
-a doubled bath: modes (|down, 1_i> +- |M, 1_i>)/sqrt 2 with poles
--Omega/2 + omega_i +- K and couplings g_i / sqrt 2.  At K = 0 the
-antisymmetric half carries no amplitude and the model is the qubit's.
+sum_k w_k e^{-i lambda_k t} at any t.  No dense eigensolver is used: the
+eigenvalues are the roots of the arrowhead's secular equation, one per
+interval between neighbouring poles, each found in O(d) per iteration from
+pole-relative differences, and the weights follow in closed form, so a
+model costs O(d^2) time and O(d) memory per root.  The Gauss-Legendre bath
+comes from Newton's method on the Legendre recurrence, also O(M^2).
+
+An ancilla level |M>, degenerate with |down> and coupled by
+K(|down><M| + h.c.), makes the qubit model on a doubled bath: modes
+(|down, 1_i> +- |M, 1_i>)/sqrt 2 with poles -Omega/2 + omega_i +- K and
+couplings g_i / sqrt 2.  At K = 0 the antisymmetric half carries no
+amplitude and the model is the qubit's.
 
 * Zeno: projecting onto |up> leaves |up, vac> invariant in this sector,
   so N nonselective measurement cycles give exactly P_N = P_1(tau)^N.
@@ -39,9 +46,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .errors import (DomainError, NonPositiveProbability, OddN,
+from .errors import (DomainError, NoConvergence, NonPositiveProbability, OddN,
                      RecurrenceWindowExceeded, WindowTooShort)
 from .numerics import require_finite
 from .spectral import FormFactor, bare_density
@@ -64,6 +70,10 @@ __all__ = [
 LINEAR = "linear"
 GAUSS_LEGENDRE = "gauss-legendre"
 
+_EPS = float(np.finfo(float).eps)
+_NEWTON_MAX = 64        # iteration cap of both Newton solvers (a few is typical)
+_BLOCK = 1 << 16        # roots x poles entries per block of the secular solver
+
 
 @dataclass(frozen=True)
 class DiscretizedBath:
@@ -78,8 +88,12 @@ class DiscretizedBath:
         gi = np.asarray(self.couplings, dtype=float)
         if om.ndim != 1 or om.shape != gi.shape or om.size < 2:
             raise DomainError("need 1-d omegas/couplings of equal length >= 2")
+        if not np.all(np.isfinite(om)):
+            raise DomainError("mode frequencies must be finite")
         if not np.all(np.diff(om) > 0):
             raise DomainError("mode frequencies must be strictly increasing")
+        require_finite(gi, "couplings", allow_zero=True)
+        require_finite(self.omega_max, "omega_max")
         om.setflags(write=False)
         gi.setflags(write=False)
         object.__setattr__(self, "omegas", om)
@@ -112,7 +126,7 @@ def build_bath(ff: FormFactor, omega_max: float, M: int,
         om = (np.arange(M) + 0.5) * step
         wq = np.full(M, step)
     elif scheme == GAUSS_LEGENDRE:
-        x, w = leggauss(M)
+        x, w = _gauss_legendre(M)
         om = 0.5 * omega_max * (x + 1.0)
         wq = 0.5 * omega_max * w
     else:
@@ -121,19 +135,195 @@ def build_bath(ff: FormFactor, omega_max: float, M: int,
     return DiscretizedBath(om, gi, float(omega_max))
 
 
+def _legendre(M: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_M(x) and P_M'(x) from the three-term recurrence (|x| < 1)."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, M + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, M * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+
+
+def _gauss_legendre(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the M-point Gauss-Legendre rule on
+    [-1, 1]: Newton's method on P_M from Tricomi's estimate of its zeros,
+    vectorized over the nonnegative nodes and mirrored, with weights
+    2 / ((1 - x^2) P_M'(x)^2).  O(M^2) time, O(M) memory."""
+    k = np.arange(1, M // 2 + 1)
+    x = ((1.0 - (1.0 - 1.0 / M) / (8.0 * M * M))
+         * np.cos(math.pi * (4 * k - 1) / (4 * M + 2)))
+    if M % 2:
+        x = np.append(x, 0.0)       # P_M(0) = 0 exactly: Newton keeps it
+    for _ in range(_NEWTON_MAX):
+        p, dp = _legendre(M, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 2.0 * _EPS:
+            break
+    else:
+        raise NoConvergence(f"Gauss-Legendre nodes for M = {M} did not "
+                            f"converge in {_NEWTON_MAX} Newton steps")
+    dp = _legendre(M, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    h = M // 2                      # x and w run from the largest node down
+    return (np.concatenate([-x[:h], x[::-1]]),
+            np.concatenate([w[:h], w[::-1]]))
+
+
 def _spectral_measure(a: float, poles: np.ndarray,
                       couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and first-component weights of the arrowhead matrix
-    [[a, g^T], [g, diag(poles)]]."""
-    d = poles.size + 1
-    H = np.zeros((d, d))
-    H[0, 0] = a
-    idx = np.arange(1, d)
-    H[idx, idx] = poles
-    H[0, 1:] = couplings
-    H[1:, 0] = couplings
-    evals, evecs = np.linalg.eigh(H)
-    return evals, evecs[0] ** 2
+    """Eigenvalues (ascending) and first-component weights of the arrowhead
+    matrix H = [[a, g^T], [g, diag(poles)]], d = poles.size + 1 of each.
+
+    Deflation first (tol = 8 eps ||H||-bound): a pole whose coupling is
+    below tol is an eigenvalue of weight 0, and each run of poles closer
+    than tol to the previous live one is rotated (Givens) onto its first
+    pole, which carries the run's coupling sqrt(sum g_i^2); the others are
+    levels of weight 0.  The rest is the secular equation of the live poles
+    (``_secular_roots``).  O(d^2) time, O(d) memory per root.
+    """
+    # scaled by a power of 2 to norm ~ 1, so no square under- or overflows
+    s = math.ldexp(1.0, math.frexp(max(abs(a), float(np.max(np.abs(poles))),
+                                       float(np.max(np.abs(couplings)))))[1])
+    a = a / s
+    order = np.argsort(poles, kind="stable")
+    ps = poles[order] / s
+    g2 = (couplings[order] / s) ** 2
+    tol = 8.0 * _EPS * max(abs(a), float(np.max(np.abs(ps))),
+                           math.sqrt(float(np.sum(g2))))
+    li = np.flatnonzero(g2 > tol * tol)
+    first = np.ones(li.size, dtype=bool)
+    first[1:] = np.diff(ps[li]) > tol
+    z2 = np.bincount(np.cumsum(first) - 1, weights=g2[li])
+    live = np.zeros(ps.size, dtype=bool)
+    live[li[first]] = True
+    lam, w = _secular_roots(a, ps[live], z2)
+    lam = np.concatenate([lam, ps[~live]])
+    w = np.concatenate([w, np.zeros(ps.size - z2.size)])
+    o = np.argsort(lam, kind="stable")
+    return lam[o] * s, w[o]
+
+
+def _secular_roots(a: float, d: np.ndarray,
+                   z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n + 1 roots of lambda - a = sum_i z2_i / (lambda - d_i) (d
+    strictly increasing, z2 > 0), one per interlacing interval, and their
+    weights 1 / (1 + sum_i zh_i^2 / (lambda - d_i)^2).
+
+    Each root is kept as an offset mu from its nearer pole (``_root_block``),
+    so every lambda - d_i is the exact pole difference minus mu.  zh are the
+    couplings for which the computed roots are exact (Gu & Eisenstat, SIAM
+    J. Matrix Anal. Appl. 15, 1315 (1994)),
+    zh_i^2 = -prod_k (d_i - lambda_k) / prod_{j != i} (d_i - d_j), so the
+    eigenvectors are orthogonal to working precision and sum(w) = 1.  Roots
+    go in row blocks of ``_BLOCK`` entries: O(n^2) time, O(_BLOCK) memory.
+    """
+    n = d.size
+    if n == 0:
+        return np.array([a]), np.array([1.0])
+    znorm = math.sqrt(float(np.sum(z2)))
+    origin = np.empty(n + 1, dtype=int)
+    mu = np.empty(n + 1)
+    rows = max(1, _BLOCK // n)
+    blocks = [np.arange(s, min(s + rows, n + 1)) for s in range(0, n + 1, rows)]
+    for k in blocks:
+        origin[k], mu[k] = _root_block(a, d, z2, znorm, k)
+    # zh_i^2 = -(d_i - lambda_i)(d_i - lambda_n) prod_{k != i, n} of
+    # (d_i - lambda_k) / (d_i - d_k): by interlacing the ratios telescope,
+    # so the running product neither over- nor underflows
+    prod = np.ones(n)
+    for k in blocks:
+        den = d - d[np.minimum(k, n - 1), None]
+        inner = k < n
+        den[np.flatnonzero(inner), k[inner]] = 1.0
+        den[~inner] = 1.0
+        diff = d - d[origin[k], None]
+        diff -= mu[k, None]
+        diff /= den
+        prod *= np.prod(diff, axis=0)
+    zh2 = -prod
+    w = np.empty(n + 1)
+    for k in blocks:
+        inv = d - d[origin[k], None]
+        inv -= mu[k, None]
+        np.divide(1.0, inv, out=inv)
+        inv *= inv
+        w[k] = 1.0 / (1.0 + inv @ zh2)
+    return d[origin] + mu, w
+
+
+def _root_block(a: float, d: np.ndarray, z2: np.ndarray, znorm: float,
+                k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots k of the secular equation as (origin pole index, offset mu).
+
+    Root k lies in (d_{k-1}, d_k), with d_{-1} and d_n the Weyl bounds
+    min/max(a, d) -+ ||z||, widened by ||z|| so the root is inside.  Its
+    origin is the nearer end pole: the one end pole of an outer interval,
+    else by the sign of f(lambda) = lambda - a - sum z2 / (lambda - d) at
+    the midpoint.  The search runs on mu = lambda - origin, with every
+    difference taken as (d_i - origin) - mu.  g(mu) = mu f(mu) has no pole
+    at mu = 0 and is convex on the interval, so Newton from the far side of
+    the root (the root of g with the other poles frozen at mu = 0)
+    converges monotonically; a step that leaves the bracket falls back to
+    bisection.
+    """
+    n = d.size
+    inner = (k > 0) & (k < n)
+    kl = np.maximum(k - 1, 0)
+    kr = np.minimum(k, n - 1)
+    ends = np.concatenate([[d[0] - znorm], d, [d[-1] + znorm]])
+    mid = 0.5 * (ends[k] + ends[k + 1])     # used on inner intervals only
+    f_mid = mid - a - (1.0 / (mid[:, None] - d)) @ z2
+    use_left = np.where(inner, f_mid > 0, k == n)
+    origin = np.where(use_left, kl, kr)
+    org = d[origin]
+    far = np.where(inner, mid - org,
+                   np.where(k == 0, min(a - d[0], 0.0) - 2.0 * znorm,
+                            max(a - d[-1], 0.0) + 2.0 * znorm))
+    lo = np.where(use_left, 0.0, far)
+    hi = np.where(use_left, far, 0.0)
+    rows = np.arange(k.size)
+    delta = d - org[:, None]        # exactly 0 in the origin's column
+    delta[rows, origin] = np.inf
+    c = org - a
+    B = c + (1.0 / delta) @ z2
+    delta[rows, origin] = 0.0
+    zo2 = z2[origin]
+    BD = np.abs(B) + np.sqrt(B * B + 4.0 * zo2)
+    mu = np.where(use_left,
+                  np.minimum(np.where(B >= 0, 2.0 * zo2 / BD, 0.5 * BD), far),
+                  np.maximum(np.where(B <= 0, -2.0 * zo2 / BD, -0.5 * BD), far))
+    sgn = np.where(use_left, 1.0, -1.0)
+    act = rows
+    for _ in range(_NEWTON_MAX):
+        m = mu[act]
+        inv = delta - m[:, None]
+        np.divide(1.0, inv, out=inv)
+        s1 = inv @ z2
+        np.abs(inv, out=inv)
+        s_abs = inv @ z2
+        inv *= inv
+        s2 = inv @ z2
+        f = m + c[act] + s1
+        g = m * f
+        right = g * sgn[act] < 0    # f(m) < 0: the root lies above m
+        lo[act] = np.where(right, m, lo[act])
+        hi[act] = np.where(right, hi[act], m)
+        l, h = lo[act], hi[act]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / (f + m * (1.0 + s2))
+        new = m - step
+        inside = (new > l) & (new < h)
+        # f is known to about eps times the sum of its terms' sizes
+        done = ((np.abs(f) <= 8.0 * _EPS * (np.abs(m) + np.abs(c[act]) + s_abs))
+                | (np.abs(step) <= 2.0 * _EPS * np.abs(m))
+                | (h - l <= 2.0 * _EPS * np.maximum(np.abs(l), np.abs(h))))
+        mu[act] = np.where(inside, new, np.where(done, m, 0.5 * (l + h)))
+        act = act[~done]
+        if act.size == 0:
+            return origin, mu
+        delta = delta[~done]
+    raise NoConvergence(f"{act.size} secular roots did not converge in "
+                        f"{_NEWTON_MAX} Newton steps")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
 import zenolab as z
+from zenolab.oracle import _gauss_legendre, _spectral_measure
 
 G = 0.1
 OMEGA = 0.2
@@ -85,6 +86,113 @@ def test_bath_validation(oracle_ff):
         z.build_bath(oracle_ff, 6.0, 1)
     with pytest.raises(z.DomainError):
         z.build_bath(oracle_ff, 6.0, 100, scheme="chebyshev")
+
+
+@pytest.mark.parametrize("omegas", [[0.5, 1.5, math.inf], [0.5, 1.5, math.nan],
+                                    [-math.inf, 0.5, 1.5]])
+def test_bath_rejects_nonfinite_frequencies(omegas):
+    with pytest.raises(z.DomainError, match="finite"):
+        z.DiscretizedBath(omegas, [0.1, 0.1, 0.2], 2.0)
+
+
+@pytest.mark.parametrize("couplings", [[0.1, math.nan, 0.2],
+                                       [0.1, math.inf, 0.2],
+                                       [0.1, -0.1, 0.2]])
+def test_bath_rejects_nonfinite_or_negative_couplings(couplings):
+    with pytest.raises(z.DomainError, match="couplings"):
+        z.DiscretizedBath([0.5, 1.5, 2.5], couplings, 3.0)
+
+
+@pytest.mark.parametrize("omega_max", [math.inf, math.nan, 0.0, -3.0])
+def test_bath_rejects_bad_omega_max(omega_max):
+    with pytest.raises(z.DomainError, match="omega_max"):
+        z.DiscretizedBath([0.5, 1.5, 2.5], [0.1, 0.1, 0.2], omega_max)
+
+
+@pytest.mark.parametrize("M", [2, 3, 301, 600])
+def test_gauss_legendre_rule(M):
+    x, w = _gauss_legendre(M)
+    # exact on x^{2j} for every j < M (odd powers vanish by symmetry)
+    j = np.arange(M)
+    moments = (x[None, :] ** (2 * j[:, None])) @ w
+    assert np.max(np.abs(moments - 2.0 / (2 * j + 1))) <= 1e-14
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert w.sum() == pytest.approx(2.0, abs=1e-14)
+    xl, wl = np.polynomial.legendre.leggauss(M)
+    assert np.max(np.abs(x - xl)) <= 2e-16
+    # leggauss's own end weights are off by up to ~6e-10 relative
+    assert np.max(np.abs(w / wl - 1.0)) <= 1e-9
+
+
+def _entries(bound):
+    # 0 or at least 1e-150 in size: scipy's LAPACK eigensolvers misplace
+    # eigenvalues by ~1e-3 when an entry's square underflows (a = pole =
+    # 4.06e-161, second pole 0, couplings 1 and 0.5 give +-1.11887 for
+    # +-sqrt(1.25) with every driver)
+    return st.floats(-bound, bound).filter(lambda x: x == 0 or abs(x) >= 1e-150)
+
+
+@st.composite
+def _arrowheads(draw):
+    """(a, poles, couplings): poles in any order, some repeated two or three
+    times or one ulp apart, couplings that may be exactly 0, and a diagonal
+    entry a that may sit on a pole."""
+    poles = []
+    for p in draw(st.lists(_entries(3.0), min_size=1, max_size=12)):
+        poles += draw(st.sampled_from([[p], [p, p], [p, p, p],
+                                       [p, math.nextafter(p, math.inf)]]))
+    g = draw(st.lists(st.one_of(st.just(0.0), _entries(2.0)),
+                      min_size=len(poles), max_size=len(poles)))
+    a = draw(st.one_of(_entries(3.0), st.sampled_from(poles)))
+    return a, np.array(poles), np.array(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arrowheads())
+def test_spectral_measure_matches_dense(arrowhead):
+    a, poles, g = arrowhead
+    ev, w = _spectral_measure(a, poles, g)
+    d = poles.size + 1
+    H = np.diag(np.concatenate([[a], poles]))
+    H[0, 1:] = H[1:, 0] = g
+    scale = max(abs(a), np.max(np.abs(poles)), math.hypot(*g))
+    assert ev.shape == w.shape == (d,)
+    assert np.all(np.diff(ev) >= 0.0)
+    assert np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= 1e-14
+    assert np.max(np.abs(ev - eigh(H, eigvals_only=True))) <= 1e-13 * scale
+
+
+def test_spectral_measure_tiny_entries():
+    # entries whose squares underflow, which the dense comparison above
+    # leaves out: two levels split by +-g, and a pole within 8 eps of a
+    # second one and of a, merged into one coupling sqrt(1.25)
+    ev, w = _spectral_measure(0.0, np.array([0.0]), np.array([3.2e-212]))
+    assert ev == pytest.approx([-3.2e-212, 3.2e-212], rel=1e-15)
+    assert w == pytest.approx([0.5, 0.5], abs=1e-15)
+    tiny = 4.0615774931220265e-161
+    ev, w = _spectral_measure(tiny, np.array([tiny, 0.0]), np.array([1.0, 0.5]))
+    assert ev == pytest.approx([-math.sqrt(1.25), 0.0, math.sqrt(1.25)],
+                               abs=1e-15)
+    assert w == pytest.approx([0.5, 0.0, 0.5], abs=1e-15)
+
+
+def test_spectral_measure_large_model(oracle_ff):
+    # d = 4001: beyond what a dense eigensolver affords in the suite
+    bath = z.build_bath(oracle_ff, 12.0 * oracle_ff.cutoff, 2000)
+    model = z.SingleExcitationModel.qubit(bath, OMEGA, 3.0)
+    w, ev = model.weights, model.eigenvalues
+    assert ev.size == 4001 and np.all(w > 0.0)
+    assert abs(w.sum() - 1.0) <= 1e-13
+    mean = np.sum(w * ev)
+    assert abs(mean - 0.5 * OMEGA) <= 1e-13
+    assert np.sum(w * (ev - mean) ** 2) == pytest.approx(
+        bath.coupling_sum_rule, rel=1e-12)
+    # every pole is live, and the eigenvalues strictly interlace the poles
+    poles = np.sort(np.concatenate([bath.omegas - 3.0, bath.omegas + 3.0])
+                    - 0.5 * OMEGA)
+    assert np.all(ev[:-1] < poles) and np.all(poles < ev[1:])
 
 
 def _fit_free_rate(model, t_lo, t_hi, n=60):
@@ -234,8 +342,13 @@ def test_continuous_matches_dense_reference(continuous_model_k5):
 
 
 # K = j * step / 2 on the linear grid makes poles omega_i + K and
-# omega_{i+j} - K of the doubled bath coincide
+# omega_{i+j} - K of the doubled bath coincide; the examples pin both
+# deflation paths: a doubled bath whose halves coincide (K = 1e-17) and
+# coinciding poles of the two halves (K = step)
 @settings(max_examples=40, deadline=None)
+@example(M=20, scheme=z.GAUSS_LEGENDRE, K=1e-17, half_steps=None,
+         ancilla=True, frac=0.5)
+@example(M=12, scheme=z.LINEAR, K=0.0, half_steps=2, ancilla=True, frac=0.5)
 @given(M=st.integers(2, 40),
        scheme=st.sampled_from([z.LINEAR, z.GAUSS_LEGENDRE]),
        K=st.floats(0.0, 3.0),
