@@ -28,6 +28,7 @@ configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -481,6 +482,9 @@ def _config_from(args) -> RunConfig:
                      out=args.out)
 
 
+# built once per process: parse_args leaves the parser unchanged, and
+# in-process callers run main many times
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenolab",

@@ -30,7 +30,7 @@ def _assert_close(got, want, what):
     assert np.all(np.abs(got - want) <= REL * np.abs(want)), what
 
 
-# up to 40 points: crosses the 3-period Zeno, 32-period kick and tail blocks
+# up to 40 points: crosses the 16-period Zeno and 32-period kick blocks
 @settings(max_examples=12, deadline=None)
 @given(family=st.sampled_from([z.EXPONENTIAL, z.POLYNOMIAL]),
        beta=st.one_of(st.just(math.inf), st.floats(5.0, 200.0)),

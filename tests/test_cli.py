@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import zenolab
+from zenolab import cli
 from zenolab.cli import main
 
 
@@ -339,6 +340,22 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys):
+    # in-process callers reuse one parser: a failed parse and a call with
+    # other flags leave no trace in the next call
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["sweep", "--strategy", "kick", "--grid", "0.1:10:9log"]
+    assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--strategy", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["sweep", "--strategy", "zeno", "--beta", "inf", "--n", "3",
+                 "--out", str(tmp_path / "b.csv")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "c.csv")]) == 0
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 def test_runtime_needs_numpy_only(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import zenolab as z
+from zenolab import rates
+from zenolab.numerics import _segmented_integrals
+from zenolab.spectral import _emission_density
 
 OMEGA = 0.01
 BETA = 50.0
@@ -135,6 +139,99 @@ def test_zeno_rate_limits(tsd_exp, tsd_poly):
     assert z.zeno_rate(tsd_exp, OMEGA, 1e4) == pytest.approx(gamma, rel=0.02)
     # Zeno-side enhancement for the polynomial family at tau = 3/W
     assert z.zeno_rate(tsd_poly, OMEGA, 3.0) > z.golden_rule_rate(tsd_poly, OMEGA)
+
+
+def _window_before(x, e):
+    """_window as it was before it dropped masked copies and polyval."""
+    small = np.abs(x) < 0.25
+    big = ~small
+    out = np.empty_like(x)
+    xb = x[big]
+    out[big] = 2.0 * (1.0 - 1j * xb - e[big]) / (xb * xb)
+    out[small] = np.polynomial.polynomial.polyval(-1j * x[small],
+                                                  rates._WINDOW_TAYLOR)
+    return out
+
+
+def _zeno_rate_per_period(tsd, omega0, taus):
+    """zeno_rate with its integrand as it was before the tau-free factors
+    were shared between periods: every factor on every row."""
+    _RAY, lam = rates._RAY, tsd.base.cutoff
+    edges, block = rates._RAY_EDGES, rates._ZENO_BLOCK
+    out = np.empty(taus.size)
+    for s in range(0, taus.size, block):
+        t = taus[s:s + block]
+
+        def f(v, owner):
+            tq = t[owner][:, None]
+            w = _RAY * lam * v / (1.0 - v)
+            # e^{-i (w -+ omega0) tau} from one exponential per node
+            ew = np.exp(-1j * w * tq)
+            ec = np.exp(1j * omega0 * tq)
+            h = _window_before((w - omega0) * tq, ew * ec)
+            if not math.isinf(tsd.beta):
+                h += np.exp(-tsd.beta * w) * _window_before((w + omega0) * tq, ew / ec)
+            # dy/dv = Lambda/(1 - v)^2
+            return (_RAY * lam / (1.0 - v) ** 2 * tq
+                    * _emission_density(tsd, w) * h).real
+
+        n = t.size
+        out[s:s + n], _ = _segmented_integrals(
+            f, np.tile(edges[:-1], n), np.tile(edges[1:], n),
+            np.repeat(np.arange(n), edges.size - 1), n,
+            rel_tol=3e-11, abs_tol=1e-300, max_passes=14)
+    return out
+
+
+# 40 periods cross two block boundaries; the small ones run mostly in the
+# window's series branch, the large ones refine unevenly across periods
+_EXACT_GRID = np.logspace(-4.0, 4.0, 40)
+
+
+@pytest.mark.parametrize("beta", [BETA, math.inf])
+@pytest.mark.parametrize("fam", [z.EXPONENTIAL, z.POLYNOMIAL])
+def test_zeno_rate_equals_per_period_integrand(fam, beta):
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0).thermal(beta)
+    for center in (OMEGA, -OMEGA, 0.0):
+        assert np.array_equal(z.zeno_rate(tsd, center, _EXACT_GRID),
+                              _zeno_rate_per_period(tsd, center, _EXACT_GRID))
+
+
+def test_zeno_rate_density_once_per_segment(tsd_exp, monkeypatch):
+    seen = []
+
+    def recording(tsd, w):
+        seen.append(np.sort(w.ravel().real))
+        return _emission_density(tsd, w)
+
+    monkeypatch.setattr(rates, "_emission_density", recording)
+    z.zeno_rate(tsd_exp, OMEGA, _EXACT_GRID[:rates._ZENO_BLOCK])
+    assert seen
+    for nodes in seen:
+        assert np.all(nodes[1:] != nodes[:-1])
+    # the first pass meets each of the 17 segments once per period
+    assert seen[0].size == (rates._RAY_EDGES.size - 1) * 15
+
+
+def test_window_branches():
+    rng = np.random.default_rng(11)
+    # the series branch is polyval's recurrence, bit for bit
+    x = 0.249 * rng.uniform(0.0, 1.0, 500) * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, 500))
+    assert np.array_equal(rates._window(x, np.exp(-1j * x)),
+                          np.polynomial.polynomial.polyval(-1j * x, rates._WINDOW_TAYLOR))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h0 = rates._window(np.zeros(3, dtype=complex), np.ones(3, dtype=complex))
+    assert np.array_equal(h0, np.ones(3, dtype=complex))
+    # closed form and series agree across |x| = 1/4, at every argument
+    for r in (0.25 * (1.0 - 1e-12), 0.25, 0.25 * (1.0 + 1e-12)):
+        x = r * np.exp(1j * np.linspace(-math.pi, math.pi, 73))
+        closed = 2.0 * (1.0 - 1j * x - np.exp(-1j * x)) / (x * x)
+        series = np.polynomial.polynomial.polyval(-1j * x, rates._WINDOW_TAYLOR)
+        assert np.all(np.abs(closed - series) <= 1e-14 * np.abs(series))
+        assert np.array_equal(rates._window(x, np.exp(-1j * x)),
+                              np.where(np.abs(x) < 0.25, series, closed))
 
 
 def test_kick_rate_large_tau(tsd_exp):
