@@ -18,8 +18,11 @@ of the kick envelope gamma_k ~ w_k kappa(pi/tau): 8/pi (exp) or
 (8/pi)(1-2^{-2n-1}) zeta(2n+1) (poly).  The kick-rate ratio
 oscillates at intermediate tau, so several crossings can exist; the
 smallest crossing from the controlled side is canonical and every
-crossing on the scan grid is reported.  A scan evaluates its whole grid
-in one call to the array form of the rate kernel.
+crossing on the scan grid is reported.  A scan evaluates its grid in
+one call to the array form of the rate kernel: the whole grid for the
+kick and K* finders, and for tau*_Z the grid from its last point below
+gamma tau_Z^2 upward, a floor under every Zeno crossing (see
+:func:`find_tau_star_zeno`).
 """
 
 from __future__ import annotations
@@ -121,6 +124,16 @@ def _envelope_root(ff: FormFactor, weight: float, gamma: float) -> float:
     return ff.cutoff * (weight * g2lam / gamma) ** (1.0 / (2 * ff.n - 1))
 
 
+def _free_rate(tsd: ThermalSpectralDensity, omega0: float) -> float:
+    """The free (golden-rule) rate gamma; DomainError unless it is
+    positive and finite, since every ratio divides by it."""
+    gamma = golden_rule_rate(tsd, omega0)
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"free rate gamma = {gamma!r} at omega0 = "
+                          f"{omega0!r}: no crossover is defined")
+    return gamma
+
+
 def _crossover(tsd: ThermalSpectralDensity, omega0: float,
                rate: Callable, grid: np.ndarray,
                estimate: Callable[[float], float]) -> CrossoverReport:
@@ -128,12 +141,12 @@ def _crossover(tsd: ThermalSpectralDensity, omega0: float,
     free rate; the first in scan order is the root, reported against the
     closed form ``estimate(gamma)``.
 
-    ``rate`` takes a point or an array of points.  The whole grid goes
+    ``rate`` takes a point or an array of points.  All of ``grid`` goes
     through one kernel call; a cell is a crossing when ratio - 1 is 0 at
     its start or changes sign across it, and ``_brent`` runs inside each
     cell that changes sign.
     """
-    gamma = golden_rule_rate(tsd, omega0)
+    gamma = _free_rate(tsd, omega0)
     f = lambda x: rate(x) / gamma - 1.0
     v = f(grid)
     lo, hi = v[:-1], v[1:]
@@ -153,9 +166,20 @@ def _crossover(tsd: ThermalSpectralDensity, omega0: float,
 
 def find_tau_star_zeno(tsd: ThermalSpectralDensity,
                        omega0: float) -> CrossoverReport:
-    """Smallest tau with gamma_Z(tau) = gamma; estimate gamma tau_Z^2."""
+    """Smallest tau with gamma_Z(tau) = gamma; estimate gamma tau_Z^2.
+
+    gamma tau_Z^2 is also a floor: gamma_Z(tau) <= tau / tau_Z^2, so the
+    ratio is below 1 at every tau below it.  The scan starts at the last
+    grid point below the floor less 1e-6 of it (far above the quadrature
+    tolerances of zeno_time and zeno_rate), which leaves every crossing
+    and the report as on the whole grid.
+    """
+    gamma = _free_rate(tsd, omega0)
+    tau_z2 = zeno_time(tsd) ** 2
+    start = int(np.searchsorted(_SCAN_GRID, gamma * tau_z2 * (1.0 - 1e-6)))
     return _crossover(tsd, omega0, lambda t: zeno_rate(tsd, omega0, t),
-                      _SCAN_GRID, lambda gamma: gamma * zeno_time(tsd) ** 2)
+                      _SCAN_GRID[max(start - 1, 0):],
+                      lambda g: g * tau_z2)
 
 
 def find_tau_star_kick(tsd: ThermalSpectralDensity,

@@ -1,4 +1,4 @@
-"""The array forms of the rate kernels and the whole-grid crossover scan."""
+"""The array forms of the rate kernels and the one-call crossover scan."""
 
 import math
 

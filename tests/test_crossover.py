@@ -1,9 +1,14 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import zenolab as z
+from zenolab import crossover as xo
 from zenolab.crossover import _brent
 
 OMEGA = 0.01
@@ -112,6 +117,85 @@ def test_reports_carry_brackets_and_crossings(reports_exp):
         lo, hi = rep.bracket
         assert lo < rep.star_value < hi or math.isclose(lo, rep.star_value)
         assert rep.star_value in rep.all_crossings or rep.all_crossings
+
+
+@pytest.mark.parametrize("fam, n, beta, omega0, crossings", [
+    (z.EXPONENTIAL, 2, 50.0 / 3.0, 0.03, 4),   # 3.54, 17.4, 96.4, 159
+    (z.POLYNOMIAL, 4, math.inf, 0.005, 1),     # 1.0005 gamma tau_Z^2
+    (z.EXPONENTIAL, 2, math.inf, 0.2, 0),      # NoCrossing
+])
+def test_zeno_scan_from_floor_equals_whole_grid(fam, n, beta, omega0, crossings):
+    # the scan from the floor against _crossover on the whole grid
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0, n=n).thermal(beta)
+
+    def report(find):
+        try:
+            return find()
+        except z.NoCrossing as exc:
+            return type(exc)
+
+    pruned = report(lambda: xo.find_tau_star_zeno(tsd, omega0))
+    whole = report(lambda: xo._crossover(
+        tsd, omega0, lambda t: z.zeno_rate(tsd, omega0, t), xo._SCAN_GRID,
+        lambda gamma: gamma * z.zeno_time(tsd) ** 2))
+    assert pruned == whole
+    if crossings:
+        assert len(pruned.all_crossings) == crossings
+    else:
+        assert pruned is z.NoCrossing
+
+
+def test_zeno_scan_starts_below_floor(monkeypatch, tsd_exp):
+    # one array call, from the last grid point below gamma tau_Z^2 to the
+    # end of the grid, and no call below its first point
+    calls = []
+    real = xo.zeno_rate
+
+    def recording(tsd, omega0, tau):
+        calls.append((np.ndim(tau) == 1, np.atleast_1d(tau).copy()))
+        return real(tsd, omega0, tau)
+
+    monkeypatch.setattr(xo, "zeno_rate", recording)
+    xo.find_tau_star_zeno(tsd_exp, OMEGA)
+    floor = z.golden_rule_rate(tsd_exp, OMEGA) * z.zeno_time(tsd_exp) ** 2
+    scans = [taus for is_array, taus in calls if is_array]
+    assert len(scans) == 1
+    scan = scans[0]
+    assert scan[0] < floor <= scan[1]
+    assert scan[-1] == xo._SCAN_GRID[-1]
+    assert min(taus.min() for _, taus in calls) == scan[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(fam_n=st.sampled_from([(z.EXPONENTIAL, 2), (z.EXPONENTIAL, 3),
+                              (z.POLYNOMIAL, 2), (z.POLYNOMIAL, 3),
+                              (z.POLYNOMIAL, 4)]),
+       beta=st.one_of(st.floats(2.0, 1e3), st.just(math.inf)),
+       omega0=st.floats(-1.0, 1.0),
+       log_tau=st.floats(-4.0, 4.0))
+@example(fam_n=(z.POLYNOMIAL, 4), beta=math.inf, omega0=1.0, log_tau=-4.0)
+def test_zeno_rate_below_linear_bound_property(fam_n, beta, omega0, log_tau):
+    # the floor the Zeno scan rests on: kappa_beta >= 0 and sinc^2 <= 1
+    # give 0 <= gamma_Z(tau) tau_Z^2 / tau <= 1 (worst seen 1 - 3.7e-10,
+    # at poly n = 4, beta = inf, Omega = 1, tau = 1e-4; the gap shrinks
+    # as tau^2, so tau stays above 1e-4)
+    fam, n = fam_n
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0, n=n).thermal(beta)
+    tau = 10.0 ** log_tau
+    ratio = z.zeno_rate(tsd, omega0, tau) * z.zeno_time(tsd) ** 2 / tau
+    assert 0.0 <= ratio <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("omega0", [-0.01, 0.0, math.inf, -math.inf])
+@pytest.mark.parametrize("finder", [z.find_tau_star_zeno, z.find_tau_star_kick,
+                                    z.find_K_star])
+def test_zero_free_rate_rejected(tsd_exp_zero_t, finder, omega0):
+    # kappa(Omega) = 0 at zero temperature for Omega <= 0, and at
+    # |Omega| = inf: the ratio is undefined, so no plausible NoCrossing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(z.DomainError):
+            finder(tsd_exp_zero_t, omega0)
 
 
 def test_quick_estimates_values():
