@@ -28,7 +28,7 @@ gamma tau_Z^2 upward, a floor under every Zeno crossing (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -59,11 +59,18 @@ _RTOL = 1e-13
 
 @dataclass(frozen=True)
 class CrossoverReport:
+    """The root, its closed-form estimate and every crossing, with what the
+    search cost: ``n_scanned`` grid points sent through the array kernel and
+    ``n_refine`` scalar kernel calls made by ``_brent``.  The costs take no
+    part in equality: two searches that find the same crossings are equal."""
+
     star_value: float
     closed_form_estimate: float
     relative_gap: float
     bracket: tuple[float, float]
     all_crossings: tuple[float, ...]
+    n_scanned: int = field(compare=False)
+    n_refine: int = field(compare=False)
 
 
 def _brent(f: Callable[[float], float], xa: float, xb: float,
@@ -154,14 +161,21 @@ def _crossover(tsd: ThermalSpectralDensity, omega0: float,
                             | ((lo > 0.0) & (hi <= 0.0)))
     if events.size == 0:
         raise NoCrossing("ratio - 1 does not change sign on the scan grid")
+    n_refine = 0
+
+    def refine(x):
+        nonlocal n_refine
+        n_refine += 1
+        return f(x)
+
     crossings = [grid[i] if lo[i] == 0.0
-                 else _brent(f, *sorted((grid[i], grid[i + 1])))
+                 else _brent(refine, *sorted((grid[i], grid[i + 1])))
                  for i in events]
     root, est = crossings[0], estimate(gamma)
     gap = abs(root - est) / root if math.isfinite(est) else math.nan
     bracket = sorted((grid[events[0]], grid[events[0] + 1]))
     return CrossoverReport(root, est, gap, tuple(bracket),
-                           tuple(sorted(crossings)))
+                           tuple(sorted(crossings)), grid.size, n_refine)
 
 
 def find_tau_star_zeno(tsd: ThermalSpectralDensity,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import zenolab
-from zenolab import cli
+from zenolab import cli, oracle
 from zenolab.cli import main
 
 
@@ -180,6 +180,34 @@ def test_oracle_command_zeno_rows(tmp_path):
     _, columns, data = read_csv(out)
     assert data.shape[0] == 2
     assert np.all(col(columns, data, "rel_gap") <= 0.10)
+
+
+def _data_lines(path):
+    return [line for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+
+
+def test_oracle_kick_rows_independent_of_shared_rule(tmp_path):
+    # every period builds its bath from the one cached M = 300 rule
+    oracle._gauss_legendre_rule.cache_clear()
+    args = ["oracle", "--protocol", "kick", "--modes", "300"]
+    code, both = run(tmp_path, "both.csv", args + ["--values", "0.558,1.0"])
+    assert code == 0
+    rows = _data_lines(both)
+    for i, v in enumerate(["0.558", "1.0"]):
+        code, one = run(tmp_path, f"{v}.csv", args + ["--values", v])
+        assert code == 0
+        assert _data_lines(one) == [rows[0], rows[i + 1]]
+
+
+def test_oracle_command_cold_and_warm_cache_byte_identical(tmp_path):
+    args = ["oracle", "--protocol", "zeno", "--values", "0.1,0.5",
+            "--modes", "250", "--g", "0.1", "--omega", "0.2"]
+    oracle._gauss_legendre_rule.cache_clear()
+    code, cold = run(tmp_path, "cold.csv", args)
+    code2, warm = run(tmp_path, "warm.csv", args)
+    assert code == code2 == 0
+    assert cold.read_bytes() == warm.read_bytes()
 
 
 def test_numerical_failure_exits_3(tmp_path):

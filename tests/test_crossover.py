@@ -156,7 +156,7 @@ def test_zeno_scan_starts_below_floor(monkeypatch, tsd_exp):
         return real(tsd, omega0, tau)
 
     monkeypatch.setattr(xo, "zeno_rate", recording)
-    xo.find_tau_star_zeno(tsd_exp, OMEGA)
+    rep = xo.find_tau_star_zeno(tsd_exp, OMEGA)
     floor = z.golden_rule_rate(tsd_exp, OMEGA) * z.zeno_time(tsd_exp) ** 2
     scans = [taus for is_array, taus in calls if is_array]
     assert len(scans) == 1
@@ -164,6 +164,28 @@ def test_zeno_scan_starts_below_floor(monkeypatch, tsd_exp):
     assert scan[0] < floor <= scan[1]
     assert scan[-1] == xo._SCAN_GRID[-1]
     assert min(taus.min() for _, taus in calls) == scan[0]
+    # the report counts the scanned points and the scalar refinement calls
+    assert rep.n_scanned == scan.size < xo._SCAN_GRID.size
+    assert rep.n_refine == sum(not is_array for is_array, _ in calls) > 0
+
+
+@pytest.mark.parametrize("finder, kernel", [
+    (xo.find_tau_star_kick, "kick_rate"),
+    (xo.find_K_star, "continuous_rate"),
+])
+def test_report_counts_whole_grid_scan_and_refinement(monkeypatch, tsd_exp,
+                                                      finder, kernel):
+    points, scalars = [], []
+    real = getattr(xo, kernel)
+
+    def counting(tsd, omega0, x):
+        (scalars if np.ndim(x) == 0 else points).append(np.size(x))
+        return real(tsd, omega0, x)
+
+    monkeypatch.setattr(xo, kernel, counting)
+    rep = finder(tsd_exp, OMEGA)
+    assert points == [rep.n_scanned] == [xo._SCAN_GRID.size]
+    assert rep.n_refine == len(scalars) >= 2 * len(rep.all_crossings)
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 
 import zenolab as z
+from zenolab import oracle
 from zenolab.oracle import _gauss_legendre, _spectral_measure
 
 G = 0.1
@@ -109,7 +110,7 @@ def test_bath_rejects_bad_omega_max(omega_max):
         z.DiscretizedBath([0.5, 1.5, 2.5], [0.1, 0.1, 0.2], omega_max)
 
 
-@pytest.mark.parametrize("M", [2, 3, 301, 600])
+@pytest.mark.parametrize("M", [2, 3, 4, 5, 64, 101, 200, 301, 400, 600, 1200])
 def test_gauss_legendre_rule(M):
     x, w = _gauss_legendre(M)
     # exact on x^{2j} for every j < M (odd powers vanish by symmetry)
@@ -121,8 +122,54 @@ def test_gauss_legendre_rule(M):
     assert w.sum() == pytest.approx(2.0, abs=1e-14)
     xl, wl = np.polynomial.legendre.leggauss(M)
     assert np.max(np.abs(x - xl)) <= 2e-16
-    # leggauss's own end weights are off by up to ~6e-10 relative
-    assert np.max(np.abs(w / wl - 1.0)) <= 1e-9
+    # leggauss's own end weights are off by up to ~6e-10 relative for
+    # M <= 600 and by 1.2e-8 at M = 1200 (against 50-digit references), so
+    # past 600 only the moments above check the end weights
+    if M <= 600:
+        assert np.max(np.abs(w / wl - 1.0)) <= 1e-9
+
+
+def test_gauss_legendre_rule_is_cached_read_only(oracle_ff):
+    oracle._gauss_legendre_rule.cache_clear()
+    x, w = _gauss_legendre(300)
+    x2, w2 = _gauss_legendre(np.int64(300))     # the same entry as int 300
+    assert x2 is x and w2 is w
+    assert z.build_bath(oracle_ff, 6.0, np.int64(300)).n_modes == 300
+    assert oracle._gauss_legendre_rule.cache_info().currsize == 1
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("M", [101, 301, 600, 1200])
+def test_gauss_legendre_recurrence_passes(M, monkeypatch):
+    # two Halley passes from Tricomi's start, none once the rule is cached
+    passes = []
+    real = oracle._legendre
+    monkeypatch.setattr(oracle, "_legendre",
+                        lambda m, x: passes.append(m) or real(m, x))
+    oracle._gauss_legendre_rule.cache_clear()
+    _gauss_legendre(M)
+    assert 1 <= len(passes) <= 2
+    passes.clear()
+    _gauss_legendre(M)
+    assert passes == []
+
+
+def test_bath_cold_and_warm_cache_bit_identical(oracle_ff):
+    oracle._gauss_legendre_rule.cache_clear()
+    cold = z.build_bath(oracle_ff, 12.0 * oracle_ff.cutoff, 400)
+    warm = z.build_bath(oracle_ff, 12.0 * oracle_ff.cutoff, 400)
+    assert np.array_equal(cold.omegas, warm.omegas)
+    assert np.array_equal(cold.couplings, warm.couplings)
+
+
+@pytest.mark.parametrize("M", [300.0, 300.5, "300", None])
+def test_mode_count_must_be_an_integer(oracle_ff, M):
+    with pytest.raises(z.DomainError, match="integer"):
+        z.build_bath(oracle_ff, 6.0, M)
+    with pytest.raises(z.DomainError, match="integer"):
+        _gauss_legendre(M)
 
 
 def _entries(bound):
