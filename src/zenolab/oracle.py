@@ -380,6 +380,13 @@ class SingleExcitationModel:
     eigenvalues: np.ndarray
     weights: np.ndarray             # |<k|up, vac>|^2, summing to 1
 
+    def __post_init__(self):
+        # read-only like the bath's arrays, so a model can be shared
+        for name in ("eigenvalues", "weights"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     @classmethod
     def qubit(cls, bath: DiscretizedBath, omega0: float,
               K: float = 0.0) -> "SingleExcitationModel":

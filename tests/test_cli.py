@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import zenolab
-from zenolab import cli, oracle
+from zenolab import cli, oracle, rates
+from zenolab.errors import NoConvergence
 from zenolab.cli import main
 
 
@@ -190,11 +191,13 @@ def _data_lines(path):
 def test_oracle_kick_rows_independent_of_shared_rule(tmp_path):
     # every period builds its bath from the one cached M = 300 rule
     oracle._gauss_legendre_rule.cache_clear()
+    cli._qubit_model.cache_clear()
     args = ["oracle", "--protocol", "kick", "--modes", "300"]
     code, both = run(tmp_path, "both.csv", args + ["--values", "0.558,1.0"])
     assert code == 0
     rows = _data_lines(both)
     for i, v in enumerate(["0.558", "1.0"]):
+        cli._qubit_model.cache_clear()
         code, one = run(tmp_path, f"{v}.csv", args + ["--values", v])
         assert code == 0
         assert _data_lines(one) == [rows[0], rows[i + 1]]
@@ -204,10 +207,62 @@ def test_oracle_command_cold_and_warm_cache_byte_identical(tmp_path):
     args = ["oracle", "--protocol", "zeno", "--values", "0.1,0.5",
             "--modes", "250", "--g", "0.1", "--omega", "0.2"]
     oracle._gauss_legendre_rule.cache_clear()
+    cli._qubit_model.cache_clear()
     code, cold = run(tmp_path, "cold.csv", args)
     code2, warm = run(tmp_path, "warm.csv", args)
     assert code == code2 == 0
     assert cold.read_bytes() == warm.read_bytes()
+
+
+def test_oracle_kick_periods_with_equal_spans_share_a_model(tmp_path, monkeypatch):
+    # spans 7.14, 6.0 and 6.0: the last two periods share one model
+    builds = []
+    measure = oracle._spectral_measure
+
+    def counted(*args):
+        builds.append(args)
+        return measure(*args)
+    monkeypatch.setattr(oracle, "_spectral_measure", counted)
+    cli._qubit_model.cache_clear()
+    args = ["oracle", "--protocol", "kick", "--modes", "300"]
+    values = ["0.558", "0.7", "1.0"]
+    code, out = run(tmp_path, "all.csv", args + ["--values", ",".join(values)])
+    assert code == 0
+    assert len(builds) == 2
+    rows = _data_lines(out)
+    for i, v in enumerate(values):
+        cli._qubit_model.cache_clear()
+        code, one = run(tmp_path, f"{v}.csv", args + ["--values", v])
+        assert code == 0
+        assert _data_lines(one) == [rows[0], rows[i + 1]]
+    model = cli._qubit_model(cli.RunConfig().form_factor(), 6.0, 300, 0.01, 0.0)
+    for arr in (model.eigenvalues, model.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_oracle_continuous_rows_independent_of_value_order(tmp_path):
+    # K = 6 widens its bath past Omega + K; the K = 2 row keeps its own span
+    args = ["oracle", "--protocol", "continuous", "--modes", "300",
+            "--g", "0.1", "--omega", "0.2"]
+    cli._qubit_model.cache_clear()
+    code, both = run(tmp_path, "both.csv", args + ["--values", "6,2"])
+    assert code == 0
+    rows = _data_lines(both)
+    for i, v in enumerate(["6", "2"]):
+        cli._qubit_model.cache_clear()
+        code, one = run(tmp_path, f"{v}.csv", args + ["--values", v])
+        assert code == 0
+        assert _data_lines(one) == [rows[0], rows[i + 1]]
+
+
+def test_oracle_zeno_window_spans_min_to_max(tmp_path):
+    args = ["oracle", "--protocol", "zeno", "--modes", "300",
+            "--g", "0.1", "--omega", "0.2"]
+    for values, window in (("2,0.1,0.5", "0.1..2"), ("0.1,0.5,2", "0.1..2")):
+        code, out = run(tmp_path, "z.csv", args + ["--values", values])
+        assert code == 0
+        assert f"# window: {window}" in read_csv(out)[0]
 
 
 def test_numerical_failure_exits_3(tmp_path):
@@ -228,8 +283,10 @@ def test_oracle_command_odd_cycles_rejected(tmp_path):
 
 
 def test_figure_5_matches_sweep(tmp_path):
+    cli._ratio_column.cache_clear()
     code, fig = run(tmp_path, "f5.csv", ["figure", "--id", "5"])
     assert code == 0
+    cli._ratio_column.cache_clear()
     code, sw = run(tmp_path, "s5.csv",
                    ["sweep", "--strategy", "zeno", "--grid", "1e-3:10:161log"])
     assert code == 0
@@ -239,12 +296,14 @@ def test_figure_5_matches_sweep(tmp_path):
 
 
 def test_figure_10_concatenates_sweeps(tmp_path):
+    cli._ratio_column.cache_clear()
     code, out = run(tmp_path, "f10.csv", ["figure", "--id", "10"])
     assert code == 0
     _, columns, data = read_csv(out)
     assert data.shape[1] == 7
     for strategy, short in (("zeno", "zeno"), ("kick", "kick"),
                             ("continuous", "cont")):
+        cli._ratio_column.cache_clear()
         code, sw = run(tmp_path, f"s_{strategy}.csv",
                        ["sweep", "--strategy", strategy,
                         "--grid", "5e-2:1e3:181log"])
@@ -254,6 +313,57 @@ def test_figure_10_concatenates_sweeps(tmp_path):
         for fam in ("exp", "poly"):
             assert np.array_equal(col(columns, data, f"ratio_{short}_{fam}"),
                                   col(c2, d2, f"ratio_{fam}"))
+
+
+_RATIO_COMMANDS = ([["figure", "--id", str(i)] for i in (3, 4, 5, 6, 7, 10, 11)]
+                   + [["sweep", "--strategy", s] for s in cli._CONTROLLED])
+
+
+def test_ratio_columns_shared_within_a_process(tmp_path):
+    # 28 two-family columns, 12 of them distinct (3 strategies x 2 grids
+    # x 2 families); every file equals its cold single-command bytes
+    cold = []
+    for i, args in enumerate(_RATIO_COMMANDS):
+        cli._ratio_column.cache_clear()
+        code, out = run(tmp_path, f"cold{i}.csv", args)
+        assert code == 0
+        cold.append(out.read_bytes())
+    for order in (1, -1):
+        cli._ratio_column.cache_clear()
+        for i, args in list(enumerate(_RATIO_COMMANDS))[::order]:
+            code, out = run(tmp_path, f"warm{i}.csv", args)
+            assert code == 0
+            assert out.read_bytes() == cold[i]
+        info = cli._ratio_column.cache_info()
+        assert (info.misses, info.hits) == (12, 16)
+
+
+def test_ratio_column_is_read_only():
+    cfg = cli.RunConfig()
+    column = cli._ratio_column(cfg.thermal(), cfg.omega0, "kick",
+                               cli.GridSpec(0.1, 10.0, 5, "log"), cfg.W,
+                               cfg.conversion_c)
+    with pytest.raises(ValueError):
+        column[0] = 0.0
+
+
+def test_ratio_column_failure_is_not_cached(tmp_path, monkeypatch):
+    args = ["sweep", "--strategy", "zeno", "--grid", "1e-2:1:5log"]
+    cli._ratio_column.cache_clear()
+    code, cold = run(tmp_path, "cold.csv", args)
+    assert code == 0
+    cli._ratio_column.cache_clear()
+
+    def fail(*a, **k):
+        raise NoConvergence("injected")
+    with monkeypatch.context() as m:
+        m.setattr(rates, "zeno_rate", fail)
+        code, out = run(tmp_path, "failed.csv", args)
+        assert code == 3
+        assert not out.exists()
+    code, out = run(tmp_path, "retry.csv", args)
+    assert code == 0
+    assert out.read_bytes() == cold.read_bytes()
 
 
 def test_figure_thermal_and_response_overlays(tmp_path):
