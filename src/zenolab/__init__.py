@@ -28,7 +28,7 @@ from .lindblad import (QubitDensityMatrix, QubitGenerator,
                        build_qubit_generator, evolve, stationary_state)
 from .oracle import (GAUSS_LEGENDRE, LINEAR, DecayFit, DiscretizedBath,
                      SingleExcitationModel, build_bath, continuous_survival,
-                     fit_decay_rate, free_survival, kick_survival_trace,
-                     zeno_effective_rate, zeno_survival)
+                     effective_rate, fit_decay_rate, free_survival,
+                     kick_survival_trace, zeno_effective_rate)
 
 __version__ = "0.1.0"

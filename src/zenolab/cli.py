@@ -5,19 +5,19 @@ Commands
 --------
 density    bare and thermal spectral densities on a frequency grid
 sweep      controlled/free rate ratio versus W tau (or c W / K)
-crossover  tau*_Z, tau*_k, K* roots, closed-form estimates, quick estimates
+crossover  tau*_Z, tau*_k, K* roots and estimates, with a summary on stderr
 evolve     Bloch-trajectory trace of a qubit state
-oracle     discretized-bath fitted rates against the analytic formulas
+oracle     oracle.effective_rate per tau or K against rates.strategy_rate
 figure     the exact parameterization behind a numbered standard figure
 
 Every command emits a single CSV file: '#'-prefixed header lines carrying
 the full configuration, one column-name row, then data rows in scientific
 notation with 17 significant digits (floats round-trip bit-exactly).
 Identical configurations produce byte-identical files; nothing is written
-on failure.  Within one process each rate-ratio column and each oracle
-model is computed once and shared read-only, so figure 10 reuses the
-columns of figures 3, 4 and 7; a reused one is bit-identical to a fresh
-one, and a failed computation is never kept.
+on failure.  Within one process each rate-ratio column (here) and each
+oracle model (in ``oracle``) is computed once and shared read-only, so
+figure 10 reuses the columns of figures 3, 4 and 7; a reused one is
+bit-identical to a fresh one, and a failed computation is never kept.
 
 Defaults follow the high-temperature reference regime Omega = 0.01 W,
 beta = 50/W with bandwidth-matched cutoffs (W = 1 unless --unit lambda,
@@ -201,7 +201,7 @@ def _ratio_column(tsd: spectral.ThermalSpectralDensity, omega0: float,
                   conversion_c: float) -> np.ndarray:
     """Read-only controlled/golden-rule rate ratios of ``strategy_name`` at
     the periods tau = x / W of ``grid`` (couplings K = c / tau)."""
-    gamma = rates.golden_rule_rate(tsd, omega0)
+    gamma = rates.strategy_rate(tsd, omega0, rates.Free()).gamma
     taus = grid.values() / W                # tau (or c/K) in raw units
     strategy = _STRATEGIES[strategy_name](taus, conversion_c / taus)
     ratio = rates.strategy_rate(tsd, omega0, strategy).gamma / gamma
@@ -268,7 +268,7 @@ def cmd_crossover(cfg: RunConfig) -> int:
                ["strategy_index", "star_value", "closed_form_estimate",
                 "relative_gap", "n_crossings", "no_crossing"], rows)
     for line in text:
-        print(line)
+        print(line, file=sys.stderr)
     return EXIT_OK
 
 
@@ -309,82 +309,28 @@ def cmd_evolve(cfg: RunConfig, state: str, g0: float, strategy_name: str,
     return EXIT_OK
 
 
-# One model per (bath, Omega, K) per process: kick periods whose spans
-# agree, and the K = 0 models of the free, zeno and kick protocols, share
-# a secular solve.  Models are read-only, as are their baths.
-@functools.lru_cache(maxsize=8)
-def _qubit_model(ff: spectral.FormFactor, span: float, M: int, omega0: float,
-                 K: float) -> oracle.SingleExcitationModel:
-    """The qubit model on ``ff``'s M-mode bath over [0, span]."""
-    return oracle.SingleExcitationModel.qubit(oracle.build_bath(ff, span, M),
-                                              omega0, K)
-
-
 def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
                M: int, n_cycles: int) -> int:
-    """Fitted oracle rates against the zero-temperature analytic formulas.
-
-    The oracle runs at beta = +inf by construction; the analytic column
-    uses the same zero-temperature density.
-    """
+    """Oracle rates (``oracle.effective_rate``) against the analytic rates
+    (``rates.strategy_rate``) at beta = +inf, one row per tau or K (free:
+    one row at Omega); the header window spans every row's fit window."""
     if n_cycles % 2 != 0:
         raise OddN("kick protocol requires an even cycle count")
+    if protocol == "free":
+        if values:
+            raise DomainError("--values does not apply to the free protocol")
+        values = [cfg.omega0]
     ff = cfg.form_factor()
     tsd0 = ff.thermal(math.inf)
-    lam = ff.cutoff
-    gamma_free = rates.golden_rule_rate(tsd0, cfg.omega0)
-    rows = []
-    window = (0.0, 0.0)
-
-    def fit_from_model(model, t_lo, t_hi, n_pts=60):
-        ts = np.linspace(t_lo, t_hi, n_pts)
-        P = oracle.free_survival(model, ts)
-        return oracle.fit_decay_rate(list(zip(ts, P)))
-
-    if protocol == "free":
-        model = _qubit_model(ff, 12.0 * lam, M, cfg.omega0, 0.0)
-        t_hi = min(0.75 * model.recurrence_time, 1.5 / gamma_free)
-        fit = fit_from_model(model, 6.0 / lam, t_hi)
-        rows.append([cfg.omega0, fit.rate, gamma_free,
-                     abs(fit.rate - gamma_free) / gamma_free,
+    rows, fits = [], []
+    for v in values:
+        strategy = _STRATEGIES[protocol](v, v)
+        fit = oracle.effective_rate(ff, cfg.omega0, strategy, M, n_cycles)
+        an = rates.strategy_rate(tsd0, cfg.omega0, strategy).gamma
+        rows.append([v, fit.rate, an, abs(fit.rate - an) / an,
                      fit.residual, M, fit.fit_window[1]])
-        window = fit.fit_window
-    elif protocol == "zeno":
-        model = _qubit_model(ff, 12.0 * lam, M, cfg.omega0, 0.0)
-        for tau in values:
-            eff = oracle.zeno_effective_rate(model, tau)
-            an = rates.zeno_rate(tsd0, cfg.omega0, tau)
-            rows.append([tau, eff, an, abs(eff - an) / an, 0.0, M, tau])
-        window = (min(values), max(values))
-    elif protocol == "kick":
-        for tau in values:
-            require_finite(tau, "period tau")
-            span = max(12.0 * lam, cfg.omega0 + math.pi / tau + 3.0 * lam)
-            model = _qubit_model(ff, span, M, cfg.omega0, 0.0)
-            t, P = oracle.kick_survival_trace(model, tau, n_cycles)
-            sel = (np.arange(n_cycles) % 2 == 1) & (t >= 0.25 * n_cycles * tau)
-            fit = oracle.fit_decay_rate(list(zip(t[sel], P[sel])))
-            an = rates.kick_rate(tsd0, cfg.omega0, tau).gamma
-            rows.append([tau, fit.rate, an, abs(fit.rate - an) / an,
-                         fit.residual, M, fit.fit_window[1]])
-            window = fit.fit_window
-    elif protocol == "continuous":
-        for K in values:
-            # each K's span from that K alone, widened past Omega + K
-            span = 12.0 * lam
-            if cfg.omega0 + K > 0.9 * span:
-                span = (cfg.omega0 + K) / 0.8
-            model = _qubit_model(ff, span, M, cfg.omega0, K)
-            an = rates.continuous_rate(tsd0, cfg.omega0, K)
-            t_hi = min(0.8 * model.recurrence_time,
-                       2.0 / max(an, gamma_free * 1e-3))
-            fit = fit_from_model(model, 6.0 / lam, t_hi)
-            rows.append([K, fit.rate, an, abs(fit.rate - an) / an,
-                         fit.residual, M, fit.fit_window[1]])
-            window = fit.fit_window
-    else:
-        raise DomainError(f"unknown protocol {protocol!r}")
-
+        fits.append(fit.fit_window)
+    window = (min(lo for lo, _ in fits), max(hi for _, hi in fits))
     extra = {"protocol": protocol, "M": str(M), "cycles": str(n_cycles),
              "window": f"{window[0]:.6g}..{window[1]:.6g}",
              "temperature": "zero (single-excitation sector)"}

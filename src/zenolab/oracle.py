@@ -29,11 +29,13 @@ amplitude and the model is the qubit's.
   eigenbasis, so a cycle costs O(d) (N even).
 * continuous coupling: plain evolution of the K != 0 ancilla model.
 
-Effective rates come from a least-squares fit of -log P versus t inside a
-window between the bath correlation time and the recurrence time
-(~ 2 pi / max mode spacing).  Analytic rates are second order in g, the
-oracle is exact, so comparisons carry O(g^2) relative slack; the
-reference configuration uses g = 0.1, Omega = 0.2 W.
+``effective_rate`` is the one entry point from a ``rates`` strategy to an
+oracle rate: it picks the bath span and, from a process-wide cache, the
+model, then fits -log P versus t inside a window between the bath
+correlation time and the recurrence time (~ 2 pi / max mode spacing).
+Analytic rates are second order in g, the oracle is exact, so
+comparisons carry O(g^2) relative slack; the reference configuration
+uses g = 0.1, Omega = 0.2 W.
 
 Limitation (by design): zero temperature only.  A thermal oracle needs
 multi-excitation sectors of exponential dimension; thermal dressing is
@@ -53,6 +55,8 @@ import numpy as np
 from .errors import (DomainError, NoConvergence, NonPositiveProbability, OddN,
                      RecurrenceWindowExceeded, WindowTooShort)
 from .numerics import require_finite
+from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy, Free,
+                    ZenoMeasurement, strategy_rate)
 from .spectral import FormFactor, bare_density
 
 __all__ = [
@@ -63,11 +67,11 @@ __all__ = [
     "DecayFit",
     "build_bath",
     "free_survival",
-    "zeno_survival",
     "zeno_effective_rate",
     "kick_survival_trace",
     "continuous_survival",
     "fit_decay_rate",
+    "effective_rate",
 ]
 
 LINEAR = "linear"
@@ -426,18 +430,6 @@ def free_survival(model: SingleExcitationModel, t):
     return float(P[0]) if np.ndim(t) == 0 else P
 
 
-def zeno_survival(model: SingleExcitationModel, tau: float, N: int) -> float:
-    """Survival after N projective-measurement cycles: P_1(tau)^N.
-
-    Exact in the single-excitation sector: the nonselective projection
-    onto |up> collapses the surviving branch back to |up, vac>.
-    """
-    require_finite(tau, "period tau")
-    if N < 1:
-        raise DomainError("N must be at least 1")
-    return float(free_survival(model, tau)) ** N
-
-
 def zeno_effective_rate(model: SingleExcitationModel, tau: float) -> float:
     """-log P_1(tau) / tau, the per-cycle effective decay rate."""
     require_finite(tau, "period tau")
@@ -502,3 +494,61 @@ def fit_decay_rate(samples: Sequence[tuple[float, float]]) -> DecayFit:
     slope, intercept = np.polyfit(t, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * t + intercept)) ** 2)))
     return DecayFit(float(slope), (float(t.min()), float(t.max())), resid)
+
+
+# One model per (bath, Omega, K) per process: kick periods whose spans
+# agree, and the K = 0 models of the free, zeno and kick protocols, share
+# a secular solve.  Models are read-only, as are their baths.
+@lru_cache(maxsize=8)
+def _qubit_model(ff: FormFactor, span: float, M: int, omega0: float,
+                 K: float) -> SingleExcitationModel:
+    """The qubit model on ``ff``'s M-mode bath over [0, span]."""
+    return SingleExcitationModel.qubit(build_bath(ff, span, M), omega0, K)
+
+
+def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
+                   M: int, n_cycles: int) -> DecayFit:
+    """The oracle's decay rate under ``strategy`` (one period or coupling)
+    on ff's M-mode Gauss-Legendre bath over [0, span], at zero temperature.
+
+    The span is 12 Lambda, widened for kicks to Omega + pi/tau + 3 Lambda
+    (past the first comb line) and for continuous coupling to
+    (Omega + K)/0.8 when Omega + K > 0.9 * 12 Lambda.  Free and continuous
+    rates are fits to 60 samples from 6/Lambda up to min(0.75 t_rec,
+    1.5/gamma) and min(0.8 t_rec, 2/max(gamma_K, 1e-3 gamma)); kicks fit
+    the odd cycles of n_cycles (even) from n_cycles/4 on; Zeno is
+    -log P_1(tau)/tau with window (tau, tau) and residual 0.
+    """
+    if np.ndim(getattr(strategy, "tau", getattr(strategy, "K", 0.0))):
+        raise DomainError("effective_rate takes one period or coupling")
+    lam = ff.cutoff
+    tsd0 = ff.thermal(math.inf)
+    if isinstance(strategy, ZenoMeasurement):
+        tau = strategy.tau
+        model = _qubit_model(ff, 12.0 * lam, M, omega0, 0.0)
+        return DecayFit(zeno_effective_rate(model, tau), (tau, tau), 0.0)
+    if isinstance(strategy, BangBangKick):
+        tau = strategy.tau
+        span = max(12.0 * lam, omega0 + math.pi / tau + 3.0 * lam)
+        model = _qubit_model(ff, span, M, omega0, 0.0)
+        t, P = kick_survival_trace(model, tau, n_cycles)
+        sel = (np.arange(n_cycles) % 2 == 1) & (t >= 0.25 * n_cycles * tau)
+        return fit_decay_rate(list(zip(t[sel], P[sel])))
+    if isinstance(strategy, Free):
+        model = _qubit_model(ff, 12.0 * lam, M, omega0, 0.0)
+        gamma = strategy_rate(tsd0, omega0, strategy).gamma
+        t_hi = min(0.75 * model.recurrence_time, 1.5 / gamma)
+    elif isinstance(strategy, ContinuousCoupling):
+        K = strategy.K
+        span = 12.0 * lam
+        if omega0 + K > 0.9 * span:
+            span = (omega0 + K) / 0.8
+        model = _qubit_model(ff, span, M, omega0, K)
+        gamma_K = strategy_rate(tsd0, omega0, strategy).gamma
+        gamma = strategy_rate(tsd0, omega0, Free()).gamma
+        t_hi = min(0.8 * model.recurrence_time,
+                   2.0 / max(gamma_K, gamma * 1e-3))
+    else:
+        raise DomainError(f"unknown strategy {strategy!r}")
+    ts = np.linspace(6.0 / lam, t_hi, 60)
+    return fit_decay_rate(list(zip(ts, free_survival(model, ts))))

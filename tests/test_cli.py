@@ -99,12 +99,25 @@ def test_sweep_continuous_free_end(tmp_path):
 def test_crossover_report(tmp_path, capsys):
     code, out = run(tmp_path, "x.csv", ["crossover"])
     assert code == 0
-    printed = capsys.readouterr().out
+    printed = capsys.readouterr().err
     assert "tau*_Z" in printed and "K*" in printed and "quick estimates" in printed
     _, columns, data = read_csv(out)
     star = col(columns, data, "star_value")
     assert star[1] > star[0]           # tau*_k > tau*_Z
     assert np.all(col(columns, data, "no_crossing") == 0.0)
+
+
+def test_crossover_stdout_is_a_csv(capsys):
+    # the tau* summary goes to stderr, so '--out -' leaves a clean CSV
+    assert main(["crossover", "--beta", "inf", "--family", "poly"]) == 0
+    captured = capsys.readouterr()
+    assert "quick estimates" in captured.err
+    body = [line for line in captured.out.splitlines()
+            if not line.startswith("#")]
+    assert body[0].split(",")[0] == "strategy_index"
+    assert len(body) == 4
+    for line in body[1:]:
+        assert len([float(v) for v in line.split(",")]) == 6
 
 
 def test_crossover_no_crossing_reported(tmp_path):
@@ -191,13 +204,13 @@ def _data_lines(path):
 def test_oracle_kick_rows_independent_of_shared_rule(tmp_path):
     # every period builds its bath from the one cached M = 300 rule
     oracle._gauss_legendre_rule.cache_clear()
-    cli._qubit_model.cache_clear()
+    oracle._qubit_model.cache_clear()
     args = ["oracle", "--protocol", "kick", "--modes", "300"]
     code, both = run(tmp_path, "both.csv", args + ["--values", "0.558,1.0"])
     assert code == 0
     rows = _data_lines(both)
     for i, v in enumerate(["0.558", "1.0"]):
-        cli._qubit_model.cache_clear()
+        oracle._qubit_model.cache_clear()
         code, one = run(tmp_path, f"{v}.csv", args + ["--values", v])
         assert code == 0
         assert _data_lines(one) == [rows[0], rows[i + 1]]
@@ -207,7 +220,7 @@ def test_oracle_command_cold_and_warm_cache_byte_identical(tmp_path):
     args = ["oracle", "--protocol", "zeno", "--values", "0.1,0.5",
             "--modes", "250", "--g", "0.1", "--omega", "0.2"]
     oracle._gauss_legendre_rule.cache_clear()
-    cli._qubit_model.cache_clear()
+    oracle._qubit_model.cache_clear()
     code, cold = run(tmp_path, "cold.csv", args)
     code2, warm = run(tmp_path, "warm.csv", args)
     assert code == code2 == 0
@@ -223,7 +236,7 @@ def test_oracle_kick_periods_with_equal_spans_share_a_model(tmp_path, monkeypatc
         builds.append(args)
         return measure(*args)
     monkeypatch.setattr(oracle, "_spectral_measure", counted)
-    cli._qubit_model.cache_clear()
+    oracle._qubit_model.cache_clear()
     args = ["oracle", "--protocol", "kick", "--modes", "300"]
     values = ["0.558", "0.7", "1.0"]
     code, out = run(tmp_path, "all.csv", args + ["--values", ",".join(values)])
@@ -231,11 +244,11 @@ def test_oracle_kick_periods_with_equal_spans_share_a_model(tmp_path, monkeypatc
     assert len(builds) == 2
     rows = _data_lines(out)
     for i, v in enumerate(values):
-        cli._qubit_model.cache_clear()
+        oracle._qubit_model.cache_clear()
         code, one = run(tmp_path, f"{v}.csv", args + ["--values", v])
         assert code == 0
         assert _data_lines(one) == [rows[0], rows[i + 1]]
-    model = cli._qubit_model(cli.RunConfig().form_factor(), 6.0, 300, 0.01, 0.0)
+    model = oracle._qubit_model(cli.RunConfig().form_factor(), 6.0, 300, 0.01, 0.0)
     for arr in (model.eigenvalues, model.weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -245,12 +258,12 @@ def test_oracle_continuous_rows_independent_of_value_order(tmp_path):
     # K = 6 widens its bath past Omega + K; the K = 2 row keeps its own span
     args = ["oracle", "--protocol", "continuous", "--modes", "300",
             "--g", "0.1", "--omega", "0.2"]
-    cli._qubit_model.cache_clear()
+    oracle._qubit_model.cache_clear()
     code, both = run(tmp_path, "both.csv", args + ["--values", "6,2"])
     assert code == 0
     rows = _data_lines(both)
     for i, v in enumerate(["6", "2"]):
-        cli._qubit_model.cache_clear()
+        oracle._qubit_model.cache_clear()
         code, one = run(tmp_path, f"{v}.csv", args + ["--values", v])
         assert code == 0
         assert _data_lines(one) == [rows[0], rows[i + 1]]
@@ -263,6 +276,46 @@ def test_oracle_zeno_window_spans_min_to_max(tmp_path):
         code, out = run(tmp_path, "z.csv", args + ["--values", values])
         assert code == 0
         assert f"# window: {window}" in read_csv(out)[0]
+
+
+def test_oracle_window_header_spans_every_row(tmp_path):
+    # kick fits start at N/4 cycles, so the shortest period starts first
+    for args, window in (
+            (["--protocol", "kick", "--values", "0.558,1.0"], "27.9..200"),
+            (["--protocol", "continuous", "--g", "0.1", "--omega", "0.2",
+              "--values", "2,6"], "12..160.268")):
+        code, out = run(tmp_path, "w.csv", ["oracle", "--modes", "300"] + args)
+        assert code == 0
+        assert f"# window: {window}" in read_csv(out)[0]
+
+
+def test_oracle_free_rejects_values(tmp_path):
+    code, out = run(tmp_path, "f.csv",
+                    ["oracle", "--protocol", "free", "--values", "1,2"])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("protocol,values", [
+    ("free", []), ("zeno", [0.1, 0.5]), ("kick", [0.558, 1.0]),
+    ("continuous", [2.0, 6.0])])
+def test_oracle_columns_are_effective_and_strategy_rates(tmp_path, protocol,
+                                                         values):
+    common = ["--g", "0.1", "--omega", "0.2", "--beta", "inf"]
+    argv = ["oracle", "--protocol", protocol, "--modes", "300"] + common
+    if values:
+        argv += ["--values", ",".join(map(repr, values))]
+    code, out = run(tmp_path, "o.csv", argv)
+    assert code == 0
+    _, columns, data = read_csv(out)
+    cfg = cli._config_from(cli._build_parser().parse_args(argv))
+    ff = cfg.form_factor()
+    for row, v in zip(data, values or [cfg.omega0]):
+        strategy = cli._STRATEGIES[protocol](v, v)
+        assert row[columns.index("rate_oracle")] == oracle.effective_rate(
+            ff, cfg.omega0, strategy, 300, 200).rate
+        assert row[columns.index("rate_analytic")] == rates.strategy_rate(
+            ff.thermal(math.inf), cfg.omega0, strategy).gamma
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -280,11 +280,6 @@ def test_recurrence_guard(free_model):
 
 
 def test_zeno_survival_examples(free_model, oracle_tsd0):
-    tau = 0.5
-    assert z.zeno_survival(free_model, tau, 1) == pytest.approx(
-        z.free_survival(free_model, tau), rel=1e-14)
-    assert z.zeno_survival(free_model, tau, 8) == pytest.approx(
-        z.free_survival(free_model, tau) ** 8, rel=1e-12)
     # effective rate against the analytic sinc^2 integral (zero-T density)
     for tau in (0.1, 0.5, 2.0):
         eff = z.zeno_effective_rate(free_model, tau)
@@ -294,6 +289,29 @@ def test_zeno_survival_examples(free_model, oracle_tsd0):
     tau = 0.02
     assert z.zeno_effective_rate(free_model, tau) / tau == pytest.approx(
         z.zeno_time(oracle_tsd0) ** -2, rel=0.05)
+
+
+# one strategy per protocol at the reference configuration, with the mode
+# count, period or coupling and rel-gap bound of that protocol's own test
+@pytest.mark.parametrize("strategy,M,bound", [
+    (z.Free(), 400, 0.05),
+    (z.ZenoMeasurement(0.5), 400, 0.10),
+    (z.BangBangKick(0.5), 600, 0.15),
+    (z.ContinuousCoupling(5.0), 600, 0.15)])
+def test_effective_rate_matches_strategy_rate(oracle_ff, oracle_tsd0,
+                                              strategy, M, bound):
+    fit = z.effective_rate(oracle_ff, OMEGA, strategy, M, 200)
+    target = z.strategy_rate(oracle_tsd0, OMEGA, strategy).gamma
+    assert abs(fit.rate - target) / target <= bound
+
+
+# a non-strategy, or a strategy holding an array of periods or couplings
+@pytest.mark.parametrize("strategy", [
+    "zeno", None, 0.5, z.ZenoMeasurement(np.array([0.1, 0.5])),
+    z.BangBangKick(np.array([0.5, 0.7])), z.ContinuousCoupling(np.array([2.0]))])
+def test_effective_rate_domain_errors(oracle_ff, strategy):
+    with pytest.raises(z.DomainError):
+        z.effective_rate(oracle_ff, OMEGA, strategy, 300, 200)
 
 
 def test_zeno_monotone_in_linear_region(free_model):
