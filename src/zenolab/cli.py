@@ -313,8 +313,9 @@ def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
                M: int, n_cycles: int) -> int:
     """Oracle rates (``oracle.effective_rate``) against the analytic rates
     (``rates.strategy_rate``) at beta = +inf, one row per tau or K (free:
-    one row at Omega); the header window spans every row's fit window."""
-    if n_cycles % 2 != 0:
+    one row at Omega); the header window spans every row's fit window.
+    Only kick runs read ``n_cycles``, so only they check it and record it."""
+    if protocol == "kick" and n_cycles % 2 != 0:
         raise OddN("kick protocol requires an even cycle count")
     if protocol == "free":
         if values:
@@ -331,9 +332,11 @@ def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
                      fit.residual, M, fit.fit_window[1]])
         fits.append(fit.fit_window)
     window = (min(lo for lo, _ in fits), max(hi for _, hi in fits))
-    extra = {"protocol": protocol, "M": str(M), "cycles": str(n_cycles),
+    extra = {"protocol": protocol, "M": str(M),
              "window": f"{window[0]:.6g}..{window[1]:.6g}",
              "temperature": "zero (single-excitation sector)"}
+    if protocol == "kick":
+        extra["cycles"] = str(n_cycles)
     _write_csv(cfg.out, _with(cfg, extra=extra).header_lines("oracle"),
                ["param", "rate_oracle", "rate_analytic", "rel_gap",
                 "fit_residual", "M", "window"], rows)

@@ -506,6 +506,29 @@ def _qubit_model(ff: FormFactor, span: float, M: int, omega0: float,
     return SingleExcitationModel.qubit(build_bath(ff, span, M), omega0, K)
 
 
+def _require_recurrence(ff: FormFactor, span: float, M: int, t_max: float):
+    """RecurrenceWindowExceeded, naming the smallest mode count that
+    reaches ``t_max``, unless ff's M-mode bath over [0, span] does.
+
+    Checked before any model is built.  The recurrence time grows as
+    M + 1/2 (the Gauss-Legendre node spacing at the centre of the span),
+    which gives the count to within a mode or two; the bath's own
+    recurrence time settles it.
+    """
+    t_rec = build_bath(ff, span, M).recurrence_time
+    if t_max <= t_rec:
+        return
+    short = lambda m: build_bath(ff, span, m).recurrence_time < t_max
+    need = math.ceil((M + 0.5) * t_max / t_rec - 0.5)
+    while short(need):
+        need += 1
+    while need - 1 > M and not short(need - 1):
+        need -= 1
+    raise RecurrenceWindowExceeded(
+        f"t = {t_max:.1f} exceeds the recurrence time {t_rec:.1f} of the "
+        f"{M}-mode bath; it needs at least {need} modes")
+
+
 def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
                    M: int, n_cycles: int) -> DecayFit:
     """The oracle's decay rate under ``strategy`` (one period or coupling)
@@ -530,6 +553,7 @@ def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
     if isinstance(strategy, BangBangKick):
         tau = strategy.tau
         span = max(12.0 * lam, omega0 + math.pi / tau + 3.0 * lam)
+        _require_recurrence(ff, span, M, n_cycles * tau)
         model = _qubit_model(ff, span, M, omega0, 0.0)
         t, P = kick_survival_trace(model, tau, n_cycles)
         sel = (np.arange(n_cycles) % 2 == 1) & (t >= 0.25 * n_cycles * tau)

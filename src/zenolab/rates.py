@@ -212,12 +212,21 @@ def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau):
     size.
     """
     taus = require_finite(tau, "measurement period tau")
+    return _shaped(_zeno_rates(tsd, omega0, taus, 3e-11)[0], tau)
+
+
+def _zeno_rates(tsd: ThermalSpectralDensity, omega0: float, taus: np.ndarray,
+                rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_Z at the flat array of periods ``taus`` to ``rel_tol``, with
+    each period's error estimate: the engine's sum of |K15 - G7| over its
+    accepted segments.  :func:`zeno_rate` is the values at 3e-11."""
     if math.isnan(omega0):
         raise DomainError("frequency omega is NaN")
     if math.isinf(omega0):
-        return _shaped(np.zeros(taus.size), tau)
+        return np.zeros(taus.size), np.zeros(taus.size)
     lam = tsd.base.cutoff
     out = np.empty(taus.size)
+    err = np.empty(taus.size)
     for s in range(0, taus.size, _ZENO_BLOCK):
         t = taus[s:s + _ZENO_BLOCK]
 
@@ -247,12 +256,12 @@ def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau):
                     * _emission_density(tsd, w)[inv] * h).real
 
         n = t.size
-        out[s:s + n], _ = _segmented_integrals(
+        out[s:s + n], err[s:s + n] = _segmented_integrals(
             f, np.tile(_RAY_EDGES[:-1], n), np.tile(_RAY_EDGES[1:], n),
             np.repeat(np.arange(n), _RAY_EDGES.size - 1), n,
-            rel_tol=3e-11, abs_tol=1e-300, max_passes=14,
+            rel_tol=rel_tol, abs_tol=1e-300, max_passes=14,
             label=lambda q: f"zeno_rate at tau={float(t[q])!r}")
-    return _shaped(out, tau)
+    return out, err
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +269,10 @@ def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau):
 
 # comb terms j = 0.._J_MAX summed explicitly
 _J_MAX = 50
+# the tail beyond them: its weight sum_{j>_J_MAX} (j+1/2)^{-2}, and the
+# next comb argument times tau
+_TAIL_WEIGHT = half_integer_series_tail(_J_MAX + 1)
+_NEXT_COMB = (2 * (_J_MAX + 1) + 1) * math.pi
 # periods per comb block: a block holds _J_MAX + 1 terms and 64 tail
 # probes per period
 _KICK_BLOCK = 32
@@ -274,12 +287,29 @@ def _tail_supremum(tsd: ThermalSpectralDensity, start: np.ndarray,
 
 
 def _kick_tail_estimate(tsd: ThermalSpectralDensity, omega0: float, taus):
-    """(tail weight, next comb argument, tail estimate) beyond term _J_MAX."""
-    h_next = (2 * (_J_MAX + 1) + 1) * math.pi / taus
-    tail_w = half_integer_series_tail(_J_MAX + 1)
-    tail_est = tail_w * (thermal_density(tsd, omega0 + h_next)
-                         + thermal_density(tsd, omega0 - h_next))
-    return tail_w, h_next, tail_est
+    """The tail estimate beyond term _J_MAX: the tail weight times the
+    density at the next comb argument."""
+    h_next = _NEXT_COMB / taus
+    return _TAIL_WEIGHT * (thermal_density(tsd, omega0 + h_next)
+                           + thermal_density(tsd, omega0 - h_next))
+
+
+def _kick_comb(tsd: ThermalSpectralDensity, omega0: float, tau):
+    """The ``gamma`` of :func:`kick_rate` without its bound: terms
+    j = 0.._J_MAX summed as (periods x terms) blocks of _KICK_BLOCK
+    periods, plus the one-point tail estimate."""
+    taus = require_finite(tau, "kick period tau")
+    j = np.arange(_J_MAX + 1)
+    weights = (j + 0.5) ** -2.0
+    gamma = np.empty(taus.size)
+    for s in range(0, taus.size, _KICK_BLOCK):
+        t = taus[s:s + _KICK_BLOCK]
+        h = (2 * j + 1) * math.pi / t[:, None]
+        partial = np.sum(weights * (thermal_density(tsd, omega0 + h)
+                                    + thermal_density(tsd, omega0 - h)), axis=1)
+        gamma[s:s + _KICK_BLOCK] = (2.0 / math.pi) * (
+            partial + _kick_tail_estimate(tsd, omega0, t))
+    return _shaped(gamma, tau)
 
 
 def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau) -> SeriesRate:
@@ -299,22 +329,13 @@ def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau) -> SeriesRate:
     _KICK_BLOCK periods.
     """
     taus = require_finite(tau, "kick period tau")
-    j = np.arange(_J_MAX + 1)
-    weights = (j + 0.5) ** -2.0
-    pref = 2.0 / math.pi
-    gamma = np.empty(taus.size)
     bound = np.empty(taus.size)
     for s in range(0, taus.size, _KICK_BLOCK):
-        t = taus[s:s + _KICK_BLOCK]
-        h = (2 * j + 1) * math.pi / t[:, None]
-        partial = np.sum(weights * (thermal_density(tsd, omega0 + h)
-                                    + thermal_density(tsd, omega0 - h)), axis=1)
-        tail_w, h_next, tail_est = _kick_tail_estimate(tsd, omega0, t)
-        gamma[s:s + _KICK_BLOCK] = pref * (partial + tail_est)
-        bound[s:s + _KICK_BLOCK] = pref * (tail_w * (
+        h_next = _NEXT_COMB / taus[s:s + _KICK_BLOCK]
+        bound[s:s + _KICK_BLOCK] = (2.0 / math.pi) * (_TAIL_WEIGHT * (
             _tail_supremum(tsd, omega0 + h_next, +1.0)
             + _tail_supremum(tsd, omega0 - h_next, -1.0)))
-    return SeriesRate(_shaped(gamma, tau), _shaped(bound, tau))
+    return SeriesRate(_kick_comb(tsd, omega0, tau), _shaped(bound, tau))
 
 
 def _kick_weight(x: np.ndarray, n_cycles: int) -> np.ndarray:
@@ -360,7 +381,7 @@ def kick_rate_integral(tsd: ThermalSpectralDensity, omega0: float, tau: float,
                                     max_passes=16)
         total += val
     rate = (2.0 / n_cycles) * total
-    tail_est = _kick_tail_estimate(tsd, omega0, tau)[2]
+    tail_est = _kick_tail_estimate(tsd, omega0, tau)
     return rate + (2.0 / math.pi) * tail_est
 
 

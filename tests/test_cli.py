@@ -335,6 +335,31 @@ def test_oracle_command_odd_cycles_rejected(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_oracle_cycles_read_only_by_kick(tmp_path):
+    # an odd count is an error only where cycles run, and only kick
+    # records them in the header
+    code, out = run(tmp_path, "f.csv", ["oracle", "--protocol", "free",
+                                        "--cycles", "51", "--modes", "200"])
+    assert code == 0
+    assert not any(line.startswith("# cycles:") for line in read_csv(out)[0])
+    code, out = run(tmp_path, "k.csv", ["oracle", "--protocol", "kick",
+                                        "--values", "0.558", "--modes", "300"])
+    assert code == 0
+    assert "# cycles: 200" in read_csv(out)[0]
+
+
+def test_oracle_kick_names_the_modes_its_trace_needs(tmp_path, capsys):
+    # N tau = 200 outruns the poly bath's recurrence time below M = 382
+    args = ["oracle", "--family", "poly", "--protocol", "kick", "--values",
+            "1.0", "--g", "0.1", "--omega", "0.2", "--beta", "inf"]
+    for modes in ("300", "381"):
+        code, out = run(tmp_path, "k.csv", args + ["--modes", modes])
+        assert code == 3 and not out.exists()
+        assert "it needs at least 382 modes" in capsys.readouterr().err
+    code, out = run(tmp_path, "k.csv", args + ["--modes", "382"])
+    assert code == 0
+
+
 def test_figure_5_matches_sweep(tmp_path):
     cli._ratio_column.cache_clear()
     code, fig = run(tmp_path, "f5.csv", ["figure", "--id", "5"])

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 import zenolab as z
 from zenolab import crossover as xo
+from zenolab import rates
 from zenolab.crossover import _brent
 
 OMEGA = 0.01
@@ -119,58 +120,130 @@ def test_reports_carry_brackets_and_crossings(reports_exp):
         assert rep.star_value in rep.all_crossings or rep.all_crossings
 
 
+def _full_precision_report(find):
+    """The report of ``find()``, or the NoCrossing class it raises."""
+    try:
+        return find()
+    except z.NoCrossing as exc:
+        return type(exc)
+
+
+def _whole_grid_zeno_report(tsd, omega0):
+    # _crossover on the whole grid through the full-precision kernel
+    return _full_precision_report(lambda: xo._crossover(
+        tsd, omega0, lambda t: z.zeno_rate(tsd, omega0, t), xo._SCAN_GRID,
+        lambda gamma: gamma * z.zeno_time(tsd) ** 2))
+
+
+# exp, beta = 50/3, Omega = 0.03: the ratio hugs 1 over two decades of tau
+HUGGING = (z.EXPONENTIAL, 2, 50.0 / 3.0, 0.03)
+
+
 @pytest.mark.parametrize("fam, n, beta, omega0, crossings", [
     (z.EXPONENTIAL, 2, 50.0 / 3.0, 0.03, 4),   # 3.54, 17.4, 96.4, 159
     (z.POLYNOMIAL, 4, math.inf, 0.005, 1),     # 1.0005 gamma tau_Z^2
     (z.EXPONENTIAL, 2, math.inf, 0.2, 0),      # NoCrossing
+    (z.EXPONENTIAL, 2, 35.0, 0.007, 1),        # crossover_scan's corners
+    (z.EXPONENTIAL, 3, 70.0, 0.014, 1),
 ])
 def test_zeno_scan_from_floor_equals_whole_grid(fam, n, beta, omega0, crossings):
-    # the scan from the floor against _crossover on the whole grid
+    # the coarse scan from the floor against the full-precision whole grid
     tsd = z.form_factor_for_bandwidth(fam, W=1.0, n=n).thermal(beta)
-
-    def report(find):
-        try:
-            return find()
-        except z.NoCrossing as exc:
-            return type(exc)
-
-    pruned = report(lambda: xo.find_tau_star_zeno(tsd, omega0))
-    whole = report(lambda: xo._crossover(
-        tsd, omega0, lambda t: z.zeno_rate(tsd, omega0, t), xo._SCAN_GRID,
-        lambda gamma: gamma * z.zeno_time(tsd) ** 2))
-    assert pruned == whole
+    pruned = _full_precision_report(lambda: xo.find_tau_star_zeno(tsd, omega0))
+    assert pruned == _whole_grid_zeno_report(tsd, omega0)
     if crossings:
         assert len(pruned.all_crossings) == crossings
     else:
         assert pruned is z.NoCrossing
 
 
+def test_zeno_scan_rescans_where_ratio_hugs_one():
+    fam, n, beta, omega0 = HUGGING
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0, n=n).thermal(beta)
+    rep = xo.find_tau_star_zeno(tsd, omega0)
+    assert 0 < rep.n_rescanned < rep.n_scanned
+    assert rep == _whole_grid_zeno_report(tsd, omega0)
+
+
+def test_zeno_scan_survives_wrong_signs_inside_margin(monkeypatch):
+    # a coarse kernel that mirrors every value inside its margin about
+    # gamma, so each of those points has the wrong sign of ratio - 1
+    fam, n, beta, omega0 = HUGGING
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0, n=n).thermal(beta)
+    gamma = z.golden_rule_rate(tsd, omega0)
+    real = xo._zeno_rates
+    flipped = []
+
+    def mirrored(tsd, omega0, taus, rel_tol):
+        values, errors = real(tsd, omega0, taus, rel_tol)
+        inside = np.abs(values - gamma) <= xo._MARGIN * errors
+        flipped.append(int(np.sum(inside & (values != gamma))))
+        return np.where(inside, 2.0 * gamma - values, values), errors
+
+    monkeypatch.setattr(xo, "_zeno_rates", mirrored)
+    rep = xo.find_tau_star_zeno(tsd, omega0)
+    assert flipped[0] > 0
+    assert rep == _whole_grid_zeno_report(tsd, omega0)
+
+
 def test_zeno_scan_starts_below_floor(monkeypatch, tsd_exp):
-    # one array call, from the last grid point below gamma tau_Z^2 to the
-    # end of the grid, and no call below its first point
-    calls = []
-    real = xo.zeno_rate
+    # one coarse array call, from the last grid point below gamma tau_Z^2
+    # to the end of the grid; full-precision calls only at points of it
+    coarse, fine = [], []
+    real_coarse, real_fine = xo._zeno_rates, xo.zeno_rate
 
-    def recording(tsd, omega0, tau):
-        calls.append((np.ndim(tau) == 1, np.atleast_1d(tau).copy()))
-        return real(tsd, omega0, tau)
+    def recording_coarse(tsd, omega0, taus, rel_tol):
+        coarse.append(np.array(taus))
+        return real_coarse(tsd, omega0, taus, rel_tol)
 
-    monkeypatch.setattr(xo, "zeno_rate", recording)
+    def recording_fine(tsd, omega0, tau):
+        fine.append((np.ndim(tau) == 1, np.atleast_1d(tau).copy()))
+        return real_fine(tsd, omega0, tau)
+
+    monkeypatch.setattr(xo, "_zeno_rates", recording_coarse)
+    monkeypatch.setattr(xo, "zeno_rate", recording_fine)
     rep = xo.find_tau_star_zeno(tsd_exp, OMEGA)
     floor = z.golden_rule_rate(tsd_exp, OMEGA) * z.zeno_time(tsd_exp) ** 2
-    scans = [taus for is_array, taus in calls if is_array]
-    assert len(scans) == 1
-    scan = scans[0]
+    assert len(coarse) == 1
+    scan = coarse[0]
     assert scan[0] < floor <= scan[1]
     assert scan[-1] == xo._SCAN_GRID[-1]
-    assert min(taus.min() for _, taus in calls) == scan[0]
-    # the report counts the scanned points and the scalar refinement calls
+    assert min(taus.min() for _, taus in fine) >= scan[0]
+    # at most one full-precision array call, at points of the scan
+    rescans = [taus for is_array, taus in fine if is_array]
+    assert len(rescans) <= 1
+    assert all(np.isin(taus, scan).all() for taus in rescans)
+    # the report counts the scanned, rescanned and refinement points
     assert rep.n_scanned == scan.size < xo._SCAN_GRID.size
-    assert rep.n_refine == sum(not is_array for is_array, _ in calls) > 0
+    assert rep.n_rescanned == sum(taus.size for taus in rescans)
+    assert rep.n_refine == sum(not is_array for is_array, _ in fine) > 0
+
+
+def test_kick_scan_skips_truncation_bound(monkeypatch, tsd_exp):
+    # the finder reads only gamma, so it never probes the tail supremum,
+    # and its grid values are kick_rate's gamma bit for bit
+    reference = z.kick_rate(tsd_exp, OMEGA, xo._SCAN_GRID).gamma
+    scans = []
+    real = xo._kick_comb
+
+    def recording(tsd, omega0, tau):
+        out = real(tsd, omega0, tau)
+        if np.ndim(tau):
+            scans.append(out)
+        return out
+
+    def forbidden(*args):
+        raise AssertionError("the kick scan computed the truncation bound")
+
+    monkeypatch.setattr(rates, "_tail_supremum", forbidden)
+    monkeypatch.setattr(xo, "_kick_comb", recording)
+    rep = xo.find_tau_star_kick(tsd_exp, OMEGA)
+    assert len(scans) == 1 and np.array_equal(scans[0], reference)
+    assert rep.n_rescanned == 0
 
 
 @pytest.mark.parametrize("finder, kernel", [
-    (xo.find_tau_star_kick, "kick_rate"),
+    (xo.find_tau_star_kick, "_kick_comb"),
     (xo.find_K_star, "continuous_rate"),
 ])
 def test_report_counts_whole_grid_scan_and_refinement(monkeypatch, tsd_exp,
@@ -185,6 +258,7 @@ def test_report_counts_whole_grid_scan_and_refinement(monkeypatch, tsd_exp,
     monkeypatch.setattr(xo, kernel, counting)
     rep = finder(tsd_exp, OMEGA)
     assert points == [rep.n_scanned] == [xo._SCAN_GRID.size]
+    assert rep.n_rescanned == 0
     assert rep.n_refine == len(scalars) >= 2 * len(rep.all_crossings)
 
 

@@ -314,6 +314,24 @@ def test_effective_rate_domain_errors(oracle_ff, strategy):
         z.effective_rate(oracle_ff, OMEGA, strategy, 300, 200)
 
 
+@pytest.mark.parametrize("M, tau", [(50, 1.0), (200, 3.0), (300, 0.558)])
+def test_kick_recurrence_checked_before_any_model(oracle_ff, monkeypatch,
+                                                  M, tau):
+    # the named mode count is the smallest whose bath reaches N tau
+    def no_model(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(oracle, "_spectral_measure", no_model)
+    n_cycles = 400
+    with pytest.raises(z.RecurrenceWindowExceeded) as info:
+        z.effective_rate(oracle_ff, OMEGA, z.BangBangKick(tau), M, n_cycles)
+    need = int(str(info.value).split("at least ")[1].split()[0])
+    span = max(12.0 * oracle_ff.cutoff, OMEGA + math.pi / tau
+               + 3.0 * oracle_ff.cutoff)
+    t_rec = lambda m: z.build_bath(oracle_ff, span, m).recurrence_time
+    assert t_rec(need - 1) < n_cycles * tau <= t_rec(need)
+
+
 def test_zeno_monotone_in_linear_region(free_model):
     taus = np.linspace(0.01, 0.1, 8)
     effs = [z.zeno_effective_rate(free_model, t) for t in taus]
