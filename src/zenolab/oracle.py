@@ -506,27 +506,48 @@ def _qubit_model(ff: FormFactor, span: float, M: int, omega0: float,
     return SingleExcitationModel.qubit(build_bath(ff, span, M), omega0, K)
 
 
-def _require_recurrence(ff: FormFactor, span: float, M: int, t_max: float):
-    """RecurrenceWindowExceeded, naming the smallest mode count that
-    reaches ``t_max``, unless ff's M-mode bath over [0, span] does.
+# a named mode count is confirmed on Gauss-Legendre rules up to this many
+# times the requested one, and above it left as the estimate
+_CONFIRM_FACTOR = 4
+
+
+def _recurrence_time(span: float, x: np.ndarray) -> float:
+    """``recurrence_time`` of the bath on nodes ``x`` over [0, span], bit
+    for bit (the same node map as ``build_bath``)."""
+    return 2.0 * math.pi / float(np.max(np.diff(0.5 * span * (x + 1.0))))
+
+
+def _require_recurrence(span: float, M: int, t_max: float):
+    """RecurrenceWindowExceeded, naming the mode count a Gauss-Legendre
+    bath over [0, span] needs to reach ``t_max``, unless M modes do.
 
     Checked before any model is built.  The recurrence time grows as
-    M + 1/2 (the Gauss-Legendre node spacing at the centre of the span),
-    which gives the count to within a mode or two; the bath's own
-    recurrence time settles it.
+    M + 1/2 (the node spacing at the centre of the span), which gives the
+    count to within a mode or two.  Up to _CONFIRM_FACTOR * M the rules
+    settle it, built outside the rule cache so the search evicts no rule
+    a model uses; above, a rule would cost O(count^2), so the message
+    gives the estimate.
     """
-    t_rec = build_bath(ff, span, M).recurrence_time
+    t_rec = _recurrence_time(span, _gauss_legendre(M)[0])
     if t_max <= t_rec:
         return
-    short = lambda m: build_bath(ff, span, m).recurrence_time < t_max
-    need = math.ceil((M + 0.5) * t_max / t_rec - 0.5)
-    while short(need):
-        need += 1
-    while need - 1 > M and not short(need - 1):
-        need -= 1
+    need = (M + 0.5) * t_max / t_rec - 0.5
+    if need <= _CONFIRM_FACTOR * M:
+        need = math.ceil(need)
+        short = lambda m: _recurrence_time(
+            span, _gauss_legendre_rule.__wrapped__(m)[0]) < t_max
+        while short(need):
+            need += 1
+        while need - 1 > M and not short(need - 1):
+            need -= 1
+        hint = f"it needs at least {need} modes"
+    elif math.isfinite(need):
+        hint = f"it needs about {math.ceil(need)} modes"
+    else:
+        hint = "no mode count reaches it"
     raise RecurrenceWindowExceeded(
         f"t = {t_max:.1f} exceeds the recurrence time {t_rec:.1f} of the "
-        f"{M}-mode bath; it needs at least {need} modes")
+        f"{M}-mode bath; {hint}")
 
 
 def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
@@ -553,7 +574,11 @@ def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
     if isinstance(strategy, BangBangKick):
         tau = strategy.tau
         span = max(12.0 * lam, omega0 + math.pi / tau + 3.0 * lam)
-        _require_recurrence(ff, span, M, n_cycles * tau)
+        try:
+            t_max = n_cycles * tau
+        except OverflowError:       # an int cycle count beyond float range
+            t_max = math.inf
+        _require_recurrence(span, M, t_max)
         model = _qubit_model(ff, span, M, omega0, 0.0)
         t, P = kick_survival_trace(model, tau, n_cycles)
         sel = (np.arange(n_cycles) % 2 == 1) & (t >= 0.25 * n_cycles * tau)

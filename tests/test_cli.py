@@ -360,6 +360,21 @@ def test_oracle_kick_names_the_modes_its_trace_needs(tmp_path, capsys):
     assert code == 0
 
 
+def test_oracle_kick_estimates_a_far_mode_count(tmp_path, capsys,
+                                               monkeypatch):
+    # N tau = 2e7 needs ~3e7 modes: the count is estimated, and no rule
+    # above the requested 300 modes is built
+    built = []
+    legendre = oracle._legendre
+    monkeypatch.setattr(oracle, "_legendre",
+                        lambda m, x: built.append(m) or legendre(m, x))
+    code, out = run(tmp_path, "k.csv", ["oracle", "--protocol", "kick",
+                                        "--values", "1e5"])
+    assert code == 3 and not out.exists()
+    assert "it needs about " in capsys.readouterr().err
+    assert set(built) <= {300}
+
+
 def test_figure_5_matches_sweep(tmp_path):
     cli._ratio_column.cache_clear()
     code, fig = run(tmp_path, "f5.csv", ["figure", "--id", "5"])

@@ -314,22 +314,55 @@ def test_effective_rate_domain_errors(oracle_ff, strategy):
         z.effective_rate(oracle_ff, OMEGA, strategy, 300, 200)
 
 
-@pytest.mark.parametrize("M, tau", [(50, 1.0), (200, 3.0), (300, 0.558)])
+def _kick_span(ff, tau):
+    return max(12.0 * ff.cutoff, OMEGA + math.pi / tau + 3.0 * ff.cutoff)
+
+
+@pytest.mark.parametrize("M, tau", [(100, 0.5), (200, 1.0), (300, 0.558)])
 def test_kick_recurrence_checked_before_any_model(oracle_ff, monkeypatch,
                                                   M, tau):
-    # the named mode count is the smallest whose bath reaches N tau
+    # the named mode count is the smallest whose bath reaches N tau, and
+    # the search adds no rule but M's to the rule cache
     def no_model(*args):
         raise AssertionError("a model was built")
 
     monkeypatch.setattr(oracle, "_spectral_measure", no_model)
     n_cycles = 400
+    misses = oracle._gauss_legendre_rule.cache_info().misses
     with pytest.raises(z.RecurrenceWindowExceeded) as info:
         z.effective_rate(oracle_ff, OMEGA, z.BangBangKick(tau), M, n_cycles)
+    assert oracle._gauss_legendre_rule.cache_info().misses - misses <= 1
     need = int(str(info.value).split("at least ")[1].split()[0])
-    span = max(12.0 * oracle_ff.cutoff, OMEGA + math.pi / tau
-               + 3.0 * oracle_ff.cutoff)
+    assert M < need <= 4 * M
+    span = _kick_span(oracle_ff, tau)
     t_rec = lambda m: z.build_bath(oracle_ff, span, m).recurrence_time
     assert t_rec(need - 1) < n_cycles * tau <= t_rec(need)
+
+
+@pytest.mark.parametrize("M, tau", [(50, 1.0), (200, 3.0)])
+def test_kick_recurrence_estimates_counts_beyond_four_m(oracle_ff,
+                                                        monkeypatch, M, tau):
+    # above 4 M no rule but M's is built; the M + 1/2 estimate is named
+    # and lies within two modes of the smallest count that reaches N tau
+    built = []
+    legendre = oracle._legendre
+    monkeypatch.setattr(oracle, "_legendre",
+                        lambda m, x: built.append(m) or legendre(m, x))
+    n_cycles = 400
+    with pytest.raises(z.RecurrenceWindowExceeded) as info:
+        z.effective_rate(oracle_ff, OMEGA, z.BangBangKick(tau), M, n_cycles)
+    assert set(built) <= {M}
+    need = int(str(info.value).split("needs about ")[1].split()[0])
+    assert need > 4 * M
+    span = _kick_span(oracle_ff, tau)
+    t_rec = lambda m: z.build_bath(oracle_ff, span, m).recurrence_time
+    assert t_rec(need - 3) < n_cycles * tau <= t_rec(need + 2)
+
+
+def test_kick_recurrence_overflowing_trace(oracle_ff):
+    # an N tau beyond float range is reported, not an OverflowError
+    with pytest.raises(z.RecurrenceWindowExceeded, match="no mode count"):
+        z.effective_rate(oracle_ff, OMEGA, z.BangBangKick(1.0), 50, 10 ** 400)
 
 
 def test_zeno_monotone_in_linear_region(free_model):
