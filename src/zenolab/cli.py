@@ -314,6 +314,8 @@ def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
     """Oracle rates (``oracle.effective_rate``) against the analytic rates
     (``rates.strategy_rate``) at beta = +inf, one row per tau or K (free:
     one row at Omega); the header window spans every row's fit window.
+    A row that would outrun the bath's recurrence time stops the run
+    before any model is built.
     Only kick runs read ``n_cycles``, so only they check it and record it."""
     if protocol == "kick" and n_cycles % 2 != 0:
         raise OddN("kick protocol requires an even cycle count")
@@ -323,9 +325,12 @@ def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
         values = [cfg.omega0]
     ff = cfg.form_factor()
     tsd0 = ff.thermal(math.inf)
+    strategies = [_STRATEGIES[protocol](v, v) for v in values]
+    # every row's recurrence check runs before the first model is built
+    for strategy in strategies:
+        oracle.require_window(ff, cfg.omega0, strategy, M, n_cycles)
     rows, fits = [], []
-    for v in values:
-        strategy = _STRATEGIES[protocol](v, v)
+    for v, strategy in zip(values, strategies):
         fit = oracle.effective_rate(ff, cfg.omega0, strategy, M, n_cycles)
         an = rates.strategy_rate(tsd0, cfg.omega0, strategy).gamma
         rows.append([v, fit.rate, an, abs(fit.rate - an) / an,

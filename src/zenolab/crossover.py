@@ -19,16 +19,13 @@ of the kick envelope gamma_k ~ w_k kappa(pi/tau): 8/pi (exp) or
 oscillates at intermediate tau, so several crossings can exist; the
 smallest crossing from the controlled side is canonical and every
 crossing on the scan grid is reported.  A scan evaluates its grid in
-one array call that returns rates and error estimates: the whole grid
-for the kick and K* finders (the comb sum without its truncation bound,
-and the exact continuous rate, both with error 0), and for tau*_Z the
-grid from its last point below gamma tau_Z^2 upward, a floor under every
-Zeno crossing (see :func:`find_tau_star_zeno`), at the coarse tolerance
-_ZENO_SCAN_TOL.  Only the sign of ratio - 1 is read there; every point
-whose |ratio - 1| is within _MARGIN error estimates of 0 is evaluated
-again by the full-precision kernel in one more array call (counted in
-``n_rescanned``), and Brent's refinement runs on the full-precision
-kernel, so every report equals that of a full-precision scan.
+one array call of the kernel that Brent's refinement also runs, at full
+precision; there is no coarse pass.  The kick and K* finders scan the
+whole grid (the comb sum without its truncation bound, and the exact
+continuous rate); the tau*_Z finder scans the grid from its last point
+below gamma tau_Z^2 upward, a floor under every Zeno crossing (see
+:func:`find_tau_star_zeno`), in one cumulative pass of the correlation-
+function kernel :func:`rates.zeno_rate`.
 """
 
 from __future__ import annotations
@@ -41,8 +38,8 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NoCrossing
 from .numerics import alpha_n, lambert_w_m1
-from .rates import (_kick_comb, _kick_envelope_weight, _zeno_rates,
-                    continuous_rate, golden_rule_rate, zeno_rate)
+from .rates import (_kick_comb, _kick_envelope_weight, continuous_rate,
+                    golden_rule_rate, zeno_rate)
 from .spectral import (EXPONENTIAL, FormFactor, ThermalSpectralDensity,
                        zeno_time)
 
@@ -61,21 +58,13 @@ _SCAN_GRID.setflags(write=False)
 # root refinement stops once the bracket is below _XTOL + _RTOL |x|
 _XTOL = 2e-12
 _RTOL = 1e-13
-# the Zeno scan's coarse tolerance, and the margin, in units of a point's
-# error estimate, inside which a coarse ratio - 1 is re-evaluated at full
-# precision.  Over ten regimes (exp and poly, beta = 2..inf, Omega < 0,
-# 0 and > 0) the coarse value's true error was at most 0.045 of the
-# engine's estimate at 1e-5, so a margin of 100 leaves a factor ~2000
-_ZENO_SCAN_TOL = 1e-5
-_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
 class CrossoverReport:
     """The root, its closed-form estimate and every crossing, with what the
-    search cost: ``n_scanned`` grid points sent through the scan kernel,
-    ``n_rescanned`` of them sent again through the full-precision kernel
-    and ``n_refine`` scalar kernel calls made by ``_brent``.  The costs
+    search cost: ``n_scanned`` grid points sent through the kernel in one
+    array call and ``n_refine`` scalar kernel calls made by ``_brent``.  The costs
     take no part in equality: two searches that find the same crossings
     are equal."""
 
@@ -86,7 +75,6 @@ class CrossoverReport:
     all_crossings: tuple[float, ...]
     n_scanned: int = field(compare=False)
     n_refine: int = field(compare=False)
-    n_rescanned: int = field(compare=False)
 
 
 def _brent(f: Callable[[float], float], xa: float, xb: float,
@@ -159,30 +147,19 @@ def _free_rate(tsd: ThermalSpectralDensity, omega0: float) -> float:
 
 def _crossover(tsd: ThermalSpectralDensity, omega0: float,
                rate: Callable, grid: np.ndarray,
-               estimate: Callable[[float], float],
-               scan: Callable | None = None) -> CrossoverReport:
+               estimate: Callable[[float], float]) -> CrossoverReport:
     """Every crossing of rate / gamma = 1 along ``grid``, gamma being the
     free rate; the first in scan order is the root, reported against the
     closed form ``estimate(gamma)``.
 
-    ``rate`` takes a point or an array of points.  ``scan`` takes the
-    grid and returns the rates and their error estimates in one call; it
-    defaults to ``rate`` with no error.  Every grid point whose
-    |ratio - 1| lies within _MARGIN error estimates of 0 goes through
-    ``rate`` again, in one array call, so the signs are those of ``rate``
-    on the whole grid.  A cell is a crossing when ratio - 1 is 0 at its
+    ``rate`` takes a point or an array of points; the grid goes through
+    it in one call.  A cell is a crossing when ratio - 1 is 0 at its
     start or changes sign across it, and ``_brent`` runs inside each cell
     that changes sign.
     """
     gamma = _free_rate(tsd, omega0)
-    if scan is None:
-        scan = lambda x: (rate(x), np.zeros(x.size))
     f = lambda x: rate(x) / gamma - 1.0
-    values, errors = scan(grid)
-    v = values / gamma - 1.0
-    near = np.flatnonzero(np.abs(v) <= _MARGIN * errors / gamma)
-    if near.size:
-        v[near] = f(grid[near])
+    v = f(grid)
     lo, hi = v[:-1], v[1:]
     events = np.flatnonzero((lo == 0.0) | ((lo < 0.0) & (hi >= 0.0))
                             | ((lo > 0.0) & (hi <= 0.0)))
@@ -202,8 +179,7 @@ def _crossover(tsd: ThermalSpectralDensity, omega0: float,
     gap = abs(root - est) / root if math.isfinite(est) else math.nan
     bracket = sorted((grid[events[0]], grid[events[0] + 1]))
     return CrossoverReport(root, est, gap, tuple(bracket),
-                           tuple(sorted(crossings)), grid.size, n_refine,
-                           near.size)
+                           tuple(sorted(crossings)), grid.size, n_refine)
 
 
 def find_tau_star_zeno(tsd: ThermalSpectralDensity,
@@ -220,8 +196,7 @@ def find_tau_star_zeno(tsd: ThermalSpectralDensity,
     tau_z2 = zeno_time(tsd) ** 2
     start = int(np.searchsorted(_SCAN_GRID, gamma * tau_z2 * (1.0 - 1e-6)))
     return _crossover(tsd, omega0, lambda t: zeno_rate(tsd, omega0, t),
-                      _SCAN_GRID[max(start - 1, 0):], lambda g: g * tau_z2,
-                      lambda t: _zeno_rates(tsd, omega0, t, _ZENO_SCAN_TOL))
+                      _SCAN_GRID[max(start - 1, 0):], lambda g: g * tau_z2)
 
 
 def find_tau_star_kick(tsd: ThermalSpectralDensity,

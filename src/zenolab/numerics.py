@@ -1,11 +1,13 @@
 """Shared numerical kernels.
 
 One adaptive quadrature engine: a vectorized segmented integrator (the
-nested Gauss-Kronrod 7/15 pair, bisection) that can run several integrals
-through shared passes.  Besides it: the guard for control parameters, the -1
-branch of Lambert's W, the Riemann zeta function at odd integers, the
-trigamma tail of the half-integer series and the Gamma-ratio coefficient
-alpha_n used by the crossover estimates.  numpy is the only dependency.
+nested Gauss-Kronrod 7/15 pair, bisection) that can run several real or
+complex integrals through shared passes.  Besides it: the guard for control
+parameters, the -1 branch of Lambert's W, the Riemann zeta function at odd
+integers, the trigamma function (the tail of the half-integer series, and at
+complex arguments for the bath correlation function) and the Gamma-ratio
+coefficient alpha_n used by the crossover estimates.  numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ _QK15 = np.array([
 # the 15 nodes in ascending order and their (15 x 2) K15 and G7 weights
 _K15_NODES = np.concatenate([-_QK15[:, 0], _QK15[-2::-1, 0]])
 _K15_WEIGHTS = np.concatenate([_QK15[:, 1:], _QK15[-2::-1, 1:]])
+# the most segments one pass may evaluate (0.5 M nodes): a query that
+# bisects everywhere, as at a rounding floor, raises before it fills memory
+_MAX_PENDING = 1 << 15
 
 
 def require_finite(values, what: str, allow_zero: bool = False) -> np.ndarray:
@@ -83,6 +88,7 @@ def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     evaluates the pending segments of all queries in one call of
     ``f(nodes, owner)`` on the (segments x 15) array of their Gauss-Kronrod
     nodes; the K15 sum is a segment's estimate and |K15 - G7| its error.
+    A complex integrand gives complex values; its tolerances use moduli.
     A query accepts its segments and bisects the rest exactly as a lone
     integral would: tolerances come from its own running total,
     ``np.bincount`` sums its segments in array order, and bisection (all
@@ -91,9 +97,16 @@ def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     all segments) may round a segment's estimate differently in the last
     bit than a lone integral's would.  Raises :class:`NoConvergence`,
     naming the lowest offending query by ``label(q)``, at once if a
-    segment's estimate or error is not finite, or if segments are still
-    pending after ``max_passes`` passes.
+    segment's estimate or error is not finite or more than _MAX_PENDING
+    segments are pending, or if segments are still pending after
+    ``max_passes`` passes.
     """
+    def sums(w):
+        if np.iscomplexobj(w):
+            return (np.bincount(owner, w.real, n_queries)
+                    + 1j * np.bincount(owner, w.imag, n_queries))
+        return np.bincount(owner, w, n_queries)
+
     pending = a != b
     a, b, owner = a[pending], b[pending], owner[pending]
     values = np.zeros(n_queries)
@@ -117,15 +130,19 @@ def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
                 f"segmented quadrature of {label(int(owner[nonfinite].min()))} "
                 f"met a non-finite integrand value")
         counts = np.bincount(owner, minlength=n_queries)
-        scale = np.maximum(np.abs(values + np.bincount(owner, kronrod, n_queries)),
-                           floor)
+        scale = np.maximum(np.abs(values + sums(kronrod)), floor)
         # a query without pending segments looks up no tolerance
         tol = np.maximum(abs_tol, rel_tol * scale) / np.maximum(counts, 1)
         bad = disc > tol[owner]
-        good = ~bad
-        values += np.bincount(owner[good], kronrod[good], n_queries)
-        errors += np.bincount(owner[good], disc[good], n_queries)
+        kronrod[bad] = 0.0
+        disc[bad] = 0.0
+        values = values + sums(kronrod)
+        errors += np.bincount(owner, disc, n_queries)
         a, b, owner = a[bad], b[bad], owner[bad]
+        if 2 * a.size > _MAX_PENDING:
+            raise NoConvergence(
+                f"segmented quadrature of {label(int(owner.min()))} needs "
+                f"more than {_MAX_PENDING} pending segments")
         mid = mid[bad]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         owner = np.concatenate([owner, owner])
@@ -219,6 +236,70 @@ def alpha_n(n: int) -> float:
 
 # Bernoulli numbers B_2 .. B_14 of the trigamma asymptotic series
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _trigamma_series(w: np.ndarray) -> np.ndarray:
+    """sum_k B_2k w^{-(2k+1)}, the Bernoulli part of the asymptotic series
+    of psi'(w) (seven terms, Horner's rule)."""
+    r = 1.0 / w
+    q = r * r
+    series = _BERNOULLI[-1] + 0.0 * q
+    for b in _BERNOULLI[-2::-1]:
+        series = b + series * q
+    return series * q * r
+
+
+def _trigamma_pair(z: np.ndarray) -> np.ndarray:
+    """psi'(z) + psi'(conj(z) + 1), the trigamma function summed over a
+    conjugate pair, at a complex array z = x + iy with x > 0.
+
+    For large |y|/x the two terms nearly cancel (the pair is about
+    2x/|z|^2), so each branch sums it without that cancellation:
+
+    * |z| >= 16: the asymptotic series 1/w + 1/(2w^2) + sum_k B_2k
+      w^{-(2k+1)} of :func:`half_integer_series_tail`, within a few ulp,
+      its first two terms summed as 2x/P + (2x + 1)^2/(2P^2) with
+      P = z (conj(z) + 1);
+    * |z| < 16, x >= 1/2: 16 steps of the recurrence
+      psi'(z) = 1/z^2 + psi'(z + 1) for both terms, then the series;
+    * |z| < 16, x < 1/2: the reflection psi'(z) = pi^2/sin^2(pi z)
+      - psi'(1 - z) turns the pair into pi^2/sin^2(pi z) + psi'(u + x)
+      - psi'(u - x), u = 1 - iy, whose terms -4x(u + k)/((u + k + x)^2
+      (u + k - x)^2), 16 of them, and series at u + 16 -+ x are each
+      proportional to x.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    far = np.abs(z) >= 16.0
+    low = ~far & (z.real < 0.5)
+    high = ~(far | low)
+    # the series, after 16 recurrence steps where |z| < 16 and x >= 1/2
+    w1 = z[far | high]
+    acc = np.zeros_like(w1)
+    shift = high[far | high]
+    if shift.any():
+        zn = w1[shift]
+        for j in range(16):
+            acc[shift] += 1.0 / (zn + j) ** 2 + 1.0 / (zn.conj() + (1 + j)) ** 2
+        w1 = w1 + 16.0 * shift
+    w2 = w1.conj() + 1.0
+    p = w1 * w2
+    out[far | high] = (acc + 2.0 * w1.real / p + (2.0 * w1.real + 1.0) ** 2 / (2.0 * p * p)
+                       + _trigamma_series(w1) + _trigamma_series(w2))
+    if low.any():
+        zl = z[low]
+        x, u = zl.real, 1.0 - 1j * zl.imag
+        terms = np.zeros_like(u)
+        for k in range(16):
+            v = u + k
+            d = v * v - x * x
+            terms += v / (d * d)
+        acc = np.pi ** 2 / np.sin(np.pi * zl) ** 2 - 4.0 * x * terms
+        w = u + 16.0
+        d = w * w - x * x
+        acc -= 2.0 * x / d + 2.0 * x * w / (d * d)
+        out[low] = acc + _trigamma_series(w + x) - _trigamma_series(w - x)
+    return out
 
 
 def half_integer_series_tail(j_from: int) -> float:

@@ -72,6 +72,7 @@ __all__ = [
     "continuous_survival",
     "fit_decay_rate",
     "effective_rate",
+    "require_window",
 ]
 
 LINEAR = "linear"
@@ -550,6 +551,30 @@ def _require_recurrence(span: float, M: int, t_max: float):
         f"{M}-mode bath; {hint}")
 
 
+def _kick_span(lam: float, omega0: float, tau: float) -> float:
+    """The kick rule's bath span: 12 Lambda, or past the first comb line."""
+    return max(12.0 * lam, omega0 + math.pi / tau + 3.0 * lam)
+
+
+def require_window(ff: FormFactor, omega0: float, strategy: ControlStrategy,
+                   M: int, n_cycles: int) -> None:
+    """RecurrenceWindowExceeded, before any model is built, when the Zeno
+    rule (which evolves to tau) or the kick rule (to n_cycles tau) of
+    :func:`effective_rate` outruns the recurrence time of its M-mode
+    bath; the message names the mode count the run needs.  The free and
+    continuous rules fit their windows inside the recurrence time."""
+    lam = ff.cutoff
+    if isinstance(strategy, ZenoMeasurement):
+        _require_recurrence(12.0 * lam, M, strategy.tau)
+    elif isinstance(strategy, BangBangKick):
+        tau = strategy.tau
+        try:
+            t_max = n_cycles * tau
+        except OverflowError:       # an int cycle count beyond float range
+            t_max = math.inf
+        _require_recurrence(_kick_span(lam, omega0, tau), M, t_max)
+
+
 def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
                    M: int, n_cycles: int) -> DecayFit:
     """The oracle's decay rate under ``strategy`` (one period or coupling)
@@ -565,6 +590,7 @@ def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
     """
     if np.ndim(getattr(strategy, "tau", getattr(strategy, "K", 0.0))):
         raise DomainError("effective_rate takes one period or coupling")
+    require_window(ff, omega0, strategy, M, n_cycles)
     lam = ff.cutoff
     tsd0 = ff.thermal(math.inf)
     if isinstance(strategy, ZenoMeasurement):
@@ -573,13 +599,7 @@ def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
         return DecayFit(zeno_effective_rate(model, tau), (tau, tau), 0.0)
     if isinstance(strategy, BangBangKick):
         tau = strategy.tau
-        span = max(12.0 * lam, omega0 + math.pi / tau + 3.0 * lam)
-        try:
-            t_max = n_cycles * tau
-        except OverflowError:       # an int cycle count beyond float range
-            t_max = math.inf
-        _require_recurrence(span, M, t_max)
-        model = _qubit_model(ff, span, M, omega0, 0.0)
+        model = _qubit_model(ff, _kick_span(lam, omega0, tau), M, omega0, 0.0)
         t, P = kick_survival_trace(model, tau, n_cycles)
         sel = (np.arange(n_cycles) % 2 == 1) & (t >= 0.25 * n_cycles * tau)
         return fit_decay_rate(list(zip(t[sel], P[sel])))

@@ -24,13 +24,14 @@ unit system sets W = 1, so Lambda = W/2 (exponential) or W/alpha_n
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegral, DivergentMoment, DomainError, NoConvergence
-from .numerics import alpha_n, require_finite, segmented_integral
+from .errors import DivergentIntegral, DivergentMoment, DomainError
+from .numerics import _BERNOULLI, _trigamma_pair, alpha_n, require_finite
 
 __all__ = [
     "EXPONENTIAL",
@@ -124,26 +125,6 @@ def bare_density(ff: FormFactor, omega):
     return out
 
 
-def _emission_density(tsd: ThermalSpectralDensity, z: np.ndarray) -> np.ndarray:
-    """kappa_beta continued off the positive axis, kappa(z)/(1 - e^{-beta z})
-    with the family's closed form kappa(z), for a complex array ``z``.
-
-    Its poles (+-i Lambda, poly; 2 pi i k/beta, k != 0) lie on the
-    imaginary axis.  z = 0 gives the limit g^2/beta.
-    """
-    ff = tsd.base
-    g2 = ff.g * ff.g
-    if ff.family == EXPONENTIAL:
-        out = g2 * z * np.exp(-z / ff.cutoff)
-    else:
-        out = g2 * z / (1.0 + (z / ff.cutoff) ** 2) ** ff.n
-    if math.isinf(tsd.beta):
-        return out
-    zero = z == 0
-    return np.where(zero, g2 / tsd.beta,
-                    out / -np.expm1(-tsd.beta * np.where(zero, 1.0, z)))
-
-
 def thermal_density(tsd: ThermalSpectralDensity, omega):
     """kappa_beta(omega) on the whole real axis.
 
@@ -201,24 +182,15 @@ def bandwidth(ff: FormFactor) -> float:
 def zeno_time(tsd: ThermalSpectralDensity) -> float:
     """Zeno time tau_Z = [int_{-inf}^{inf} kappa_beta(omega) d omega]^{-1/2}.
 
-    The integral folds the negative axis onto the positive one,
-    kappa_beta(w) + kappa_beta(-w) for w >= 0, and maps w = Lambda v/(1 - v)
-    onto v in [0, 1), eight equal segments of the segmented integrator.
+    The integral is the correlation function at zero lag, tau_Z^{-2} = C(0)
+    (see :func:`correlation`), in closed form: g^2 Lambda^2 (exponential,
+    beta = inf), (g^2/beta^2) [psi'(1/(Lambda beta)) + psi'(1/(Lambda beta)
+    + 1)] (exponential), g^2 Lambda^2 / (2(n - 1)) (polynomial, beta = inf)
+    and the Matsubara sum of :func:`_poly_correlation` at s = 0 (polynomial).
     """
     if tsd.base.family == POLYNOMIAL and tsd.base.n < 2:
         raise DivergentIntegral("integral of kappa_beta diverges for n = 1")
-    lam = tsd.base.cutoff
-
-    def folded(v):
-        w = lam * v / (1.0 - v)
-        return (thermal_density(tsd, w) + thermal_density(tsd, -w)) \
-            * lam / (1.0 - v) ** 2
-
-    try:
-        total, _ = segmented_integral(folded, np.linspace(0.0, 1.0, 9),
-                                      rel_tol=1e-12, abs_tol=1e-300)
-    except NoConvergence as exc:
-        raise DivergentIntegral(str(exc)) from exc
+    total = float(correlation(tsd, np.zeros(1))[0].real)
     if not total > 0 or not math.isfinite(total):
         raise DivergentIntegral(f"integral of kappa_beta = {total}")
     return 1.0 / math.sqrt(total)
@@ -236,3 +208,337 @@ def form_factor_for_bandwidth(family: str, W: float = 1.0, g: float = 1.0,
                               n: int = 2) -> FormFactor:
     """FormFactor of the given family with cutoff chosen so bandwidth = W."""
     return FormFactor(family, g=g, cutoff=W / _bandwidth_ratio(family, n), n=n)
+
+
+# ---------------------------------------------------------------------------
+# bath correlation function C(s) = int kappa_beta(omega) e^{-i omega s} d omega
+
+# Matsubara terms past the last near-resonant one, and Euler-Maclaurin
+# corrections of the Matsubara tail
+_TAIL_GAP = 20
+_EM_TERMS = 6
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre01(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def correlation(tsd: ThermalSpectralDensity, s) -> np.ndarray:
+    """Bath correlation function C(s) = int kappa_beta(omega) e^{-i omega s}
+    d omega at lags s >= 0 (a complex array).
+
+    C(-s) is its conjugate, |C(s)| <= C(0) = tau_Z^{-2}, and in closed form
+
+        exponential, beta = inf:  g^2 Lambda^2 / (1 + i Lambda s)^2
+        exponential:  (g^2/beta^2) [psi'((1/Lambda + i s)/beta)
+                                    + psi'((1/Lambda - i s)/beta + 1)]
+
+    with the complex trigamma psi' (the Bose factor's geometric series),
+    summed as a pair by :func:`numerics._trigamma_pair`, which keeps the
+    relative accuracy where the two terms nearly cancel (large s, large
+    Lambda beta).  The polynomial family is :func:`_poly_correlation`.
+    """
+    s = np.asarray(s, dtype=float)
+    ff = tsd.base
+    g2, lam = ff.g * ff.g, ff.cutoff
+    if ff.family == EXPONENTIAL:
+        if math.isinf(tsd.beta):
+            return g2 * lam * lam / (1.0 + 1j * lam * s) ** 2
+        z = (1.0 / lam + 1j * s) / tsd.beta
+        return g2 / tsd.beta ** 2 * _trigamma_pair(z)
+    return _poly_correlation(tsd, s)
+
+
+@functools.lru_cache(maxsize=None)
+def _psi_polynomial(m: int) -> np.ndarray:
+    """Coefficients of Q_m, where psi_s^(m)(t) = (pi/2) e^{-y} r^{1-2m} Q_m(y)
+    for psi_s(t) = (pi/2) r e^{-s r}, r = sqrt(t), y = s r: Q_0 = 1 and
+    Q_{m+1} = [y (Q_m' - Q_m) + (1 - 2m) Q_m]/2."""
+    q = np.array([1.0])
+    for j in range(m):
+        qy = np.polynomial.polynomial.polyder(q) if q.size > 1 else np.zeros(1)
+        q = 0.5 * (np.polynomial.polynomial.polysub(
+            np.polynomial.polynomial.polymulx(qy), np.polynomial.polynomial.polymulx(q))
+            + (1 - 2 * j) * np.append(q, 0.0))
+    return q
+
+
+def _psi_derivative(t, s, m: int):
+    """psi_s^(m)(t), the m-th t-derivative of (pi/2) sqrt(t) e^{-s sqrt(t)}."""
+    r = np.sqrt(t)
+    y = s * r
+    return (0.5 * math.pi * np.exp(-y) * r ** (1 - 2 * m)
+            * np.polynomial.polynomial.polyval(y, _psi_polynomial(m)))
+
+
+def _psi_taylor(t, s, order: int) -> list:
+    """Taylor coefficients psi_s^(j)(t)/j!, j = 0..order."""
+    return [_psi_derivative(t, s, j) / math.factorial(j) for j in range(order + 1)]
+
+
+def _series_inverse_power(c0: float, c1: float, c2: float, m: int,
+                          order: int) -> np.ndarray:
+    """Taylor coefficients of (c0 + c1 h + c2 h^2)^{-m} up to ``order``."""
+    y = np.array([0.0, c1 / c0, c2 / c0])
+    out = np.zeros(order + 1)
+    power = np.array([1.0])
+    coef = 1.0
+    for j in range(order + 1):
+        out[:power.size] += coef * power[:order + 1]
+        power = np.polynomial.polynomial.polymul(power, y)[:order + 1]
+        coef *= -(m + j) / (j + 1)
+    return out * c0 ** -m
+
+
+@functools.lru_cache(maxsize=16)
+def _matsubara_tail(lam: float, beta: float, n: int):
+    """What the Matsubara sum beyond its explicit terms k <= K needs.
+
+    K covers every near-resonant term (nu_k^2 <= 2.2 Lambda^2) and
+    _TAIL_GAP more, and the tail k > K is summed by the midpoint
+    Euler-Maclaurin formula from a0 = K + 1/2.  Returns K, the sums
+    S_m = sum_{k>K} (nu_k^2 - Lambda^2)^{-m} (m = 1..n), and for
+    Phi(mu) = sum_{k>K} phi(k) e^{-mu k}, phi(k) = nu_k (nu_k^2 - Lambda^2)^{-n}:
+    its integral term at mu = 0 (24-point Gauss-Legendre in t = a0/k; at
+    mu > 0 it is :func:`_phi_integral`) and the polynomial in mu of its
+    corrections, then 2 pi/beta and Lambda beta/(2 pi).
+    """
+    c = 2.0 * math.pi / beta
+    x = lam / c
+    K = math.ceil(1.5 * x) + _TAIL_GAP
+    a0 = K + 0.5
+    order = 2 * _EM_TERMS - 1
+    t, w = _gauss_legendre01(24)
+    k = a0 / t
+    weights = [(1.0 - 2.0 ** (1 - 2 * j)) * _BERNOULLI[j - 1] / math.factorial(2 * j)
+               for j in range(1, _EM_TERMS + 1)]
+    A0 = (c * a0) ** 2 - lam * lam
+
+    def corrections(taylor):
+        # sum_j weight_j d^{2j-1}/dk^{2j-1} [phi(k) e^{-mu k}] at a0, a
+        # polynomial in mu from phi's Taylor coefficients
+        poly = np.zeros(order + 1)
+        for j, wj in enumerate(weights, start=1):
+            m = 2 * j - 1
+            for i in range(m + 1):
+                poly[m - i] += (wj * math.comb(m, i) * math.factorial(i)
+                                * taylor[i] * (-1.0) ** (m - i))
+        return poly
+
+    S = []
+    for m in range(1, n + 1):
+        taylor = _series_inverse_power(A0, 2 * c * c * a0, c * c, m, order)
+        integral = a0 * np.sum(w * ((c * k) ** 2 - lam * lam) ** -m / t ** 2)
+        S.append(integral + corrections(taylor)[0])
+    inv = _series_inverse_power(A0, 2 * c * c * a0, c * c, n, order)
+    taylor = c * a0 * inv
+    taylor[1:] += c * inv[:-1]
+    phi = c * k * ((c * k) ** 2 - lam * lam) ** -n
+    return K, np.array(S), a0 * np.sum(w * phi / t ** 2), corrections(taylor), c, x
+
+
+def _phi_integral(mu: np.ndarray, a0: float, x: float, n: int) -> np.ndarray:
+    """int_{a0}^inf k (k^2 - x^2)^{-n} e^{-mu k} dk at mu > 0, a0 > x.
+
+    Partial fractions at k = +-x turn it into e^{-mu a0} sum_p
+    alpha_p (a0 -+ x)^{1-p} e^{y} E_p(y), y = mu (a0 -+ x), with e^{y} E_1(y)
+    from :func:`_expint_scaled` and the recurrence
+    e^{y} E_p(y) = (1 - y e^{y} E_{p-1}(y))/(p - 1).
+    """
+    out = np.zeros_like(mu)
+    for pole in (x, -x):
+        # alpha_p: the h^{n-p} coefficient of (pole + h)(2 pole + h)^{-n}
+        grow = [(2.0 * pole) ** -n * math.comb(n + m - 1, m) * (-0.5 / pole) ** m
+                for m in range(n)]
+        alpha = [pole * grow[n - p] + (grow[n - p - 1] if p < n else 0.0)
+                 for p in range(1, n + 1)]
+        y = mu * (a0 - pole)
+        eps = _expint_scaled(y)
+        for p in range(1, n + 1):
+            if p > 1:
+                eps = (1.0 - y * eps) / (p - 1)
+            out += alpha[p - 1] * (a0 - pole) ** (1 - p) * eps
+    return np.exp(-mu * a0) * out
+
+
+_EULER = 0.5772156649015329
+
+
+def _expint_scaled(x: np.ndarray, p: int = 1) -> np.ndarray:
+    """e^x E_p(x) at x > 0: up to x = 1 the power series of E_1 and the
+    recurrence e^x E_{q+1} = (1 - x e^x E_q)/q, beyond it the continued
+    fraction of E_p, 120 levels up to x = 4, 40 up to x = 40 and 12
+    beyond (each within a few ulp)."""
+    out = np.empty_like(x)
+    lo = x <= 1.0
+    if lo.any():
+        xs = x[lo]
+        term, acc = np.ones_like(xs), np.zeros_like(xs)
+        for k in range(1, 40):
+            term = term * -xs / k
+            acc -= term / k
+        eps = np.exp(xs) * (acc - _EULER - np.log(xs))
+        for q in range(1, p):
+            eps = (1.0 - xs * eps) / q
+        out[lo] = eps
+    for part, depth in ((~lo & (x <= 4.0), 120), ((x > 4.0) & (x <= 40.0), 40),
+                        (x > 40.0, 12)):
+        if part.any():
+            xs = x[part]
+            t = xs + (p + 2.0 * depth)
+            for k in range(depth, 0, -1):
+                t = xs + (p + 2 * k - 2) - k * (p + k - 1) / t
+            out[part] = 1.0 / t
+    return out
+
+
+def _w_derivatives(x: np.ndarray, count: int) -> list:
+    """W^(m)(x), m < count, of W(x) = e^{-x} Ei(x) - e^x E1(x) at x > 0.
+
+    With u = e^{-x} Ei(x) and v = e^x E1(x): up to x = 60,
+    u^(m) = -m! (-x)^{-m} e^{-x} Re E_{m+1}(-x) from the power series of
+    E_{m+1} (its large terms share one sign; summed until x^k/k! is below
+    1e-17 of its peak) and
+    v^(m) = m! (-x)^{-m} e^x E_{m+1}(x) (:func:`_expint_scaled`); beyond,
+    the asymptotic series W^(m) = 2 (-1)^m sum_{k odd} (k+m)!/x^{k+m+1},
+    whose last term (k + m < 61) is below 1e-19 of the sum.
+    """
+    out = [np.empty_like(x) for _ in range(count)]
+    lo = x <= 60.0
+    xs = x[lo]
+    log = np.log(xs)
+    top = xs.max(initial=0.0)
+    terms = min(171, math.ceil(top + 9.0 * math.sqrt(top) + 30.0))
+    for m in range(count):
+        # Re E_{m+1}(-x) = x^m/m! (H_m - gamma - ln x) - sum_{k != m} x^k/((k-m) k!)
+        term, acc = np.ones_like(xs), np.zeros_like(xs)
+        for k in range(terms):
+            if k:
+                term = term * xs / k
+            if k != m:
+                acc -= term / (k - m)
+            else:
+                acc += term * (sum(1.0 / j for j in range(1, m + 1)) - _EULER - log)
+        scale = math.factorial(m) * (-xs) ** -m
+        out[m][lo] = -scale * np.exp(-xs) * acc - scale * _expint_scaled(xs, m + 1)
+    xs = x[~lo]
+    for m in range(count):
+        out[m][~lo] = 2.0 * (-1.0) ** m * sum(
+            math.factorial(k + m) / xs ** (k + m + 1) for k in range(1, 61 - m, 2))
+    return out
+
+
+def _dd_direct(s: np.ndarray, a: float, nu: np.ndarray, d: list) -> np.ndarray:
+    """psi_s[a (n times), nu^2] for each lag (rows) and nu (columns) as
+    [psi_s(nu^2) - sum_{j<n} d_j (nu^2 - a)^j] / (nu^2 - a)^n, with
+    ``d`` = _psi_taylor(a, s, n - 1)."""
+    n = len(d)
+    gap = nu * nu - a
+    taylor = sum(d[j][:, None] * gap ** j for j in range(n))
+    return (0.5 * math.pi * nu * np.exp(-s[:, None] * nu) - taylor) / gap ** n
+
+
+def _dd_genocchi(s: np.ndarray, a: float, b: np.ndarray, n: int) -> np.ndarray:
+    """psi_s[a (n times), b] by the Hermite-Genocchi formula,
+    int_0^1 psi_s^{(n)}(a + u (b - a)) (1 - u)^{n-1}/(n-1)! du, for
+    0.3 a <= b <= 2.2 a.  In r = sqrt(a + u (b - a)) the integrand is
+    (pi/2) e^{-s r} r^{1-2n} Q_n(s r) times a polynomial, analytic but for
+    the pole at r = 0, and a 16-point Gauss-Legendre rule resolves it to
+    rounding.  There the direct formula loses up to 6e-14 to
+    cancellation; this branch stays within about 5e-15 (checked against
+    40-digit references for n = 2..4), and neither branch loses more than
+    that at the switch points."""
+    x, w = _gauss_legendre01(16)
+    ra, rb = math.sqrt(a), np.sqrt(b)
+    r = ra + x[:, None] * (rb - ra)
+    # with r = ra + x (rb - ra): du = 2 r dx/(rb + ra) and
+    # 1 - u = (1 - x)(rb + r)/(rb + ra), free of the cancelling b - a
+    weight = ((math.pi / math.factorial(n - 1)) * w[:, None] * r ** (2 - 2 * n)
+              * ((1.0 - x)[:, None] * (rb + r)) ** (n - 1) / (rb + ra) ** n)
+    y = s[:, None, None] * r
+    q = _psi_polynomial(n)
+    top = q[-1] + 0.0 * y
+    for c in q[-2::-1]:
+        top = top * y + c
+    return np.einsum("gk,sgk->sk", weight, top * np.exp(-y))
+
+
+def _poly_correlation(tsd: ThermalSpectralDensity, s: np.ndarray) -> np.ndarray:
+    """C(s) for kappa = g^2 omega / (1 + omega^2/Lambda^2)^n.
+
+    With J(omega) = kappa(omega) - kappa(-omega), odd and rational,
+    kappa_beta = J/2 + (J/2) coth(beta omega / 2), so C = A + B:
+
+    * A, the odd part, is the residue at -i Lambda: e^{-Lambda s} times a
+      polynomial of degree n - 1 (imaginary, 0 at s = 0 for n >= 2);
+    * B(s) = int_0^inf J coth(beta omega/2) cos(omega s) d omega.  The
+      Mittag-Leffler series of coth gives B = (2 g^2/beta) sum_{k in Z}
+      (-1)^{n+1} Lambda^{2n} psi_s[Lambda^2 (n times), nu_k^2], nu_k =
+      2 pi k/beta, the divided differences of psi_s(t) = (pi/2) sqrt(t)
+      e^{-s sqrt(t)}.  Each term stays finite when a Matsubara pole meets
+      -i Lambda: where 0.3 Lambda^2 <= nu_k^2 <= 2.2 Lambda^2 it is the
+      Hermite-Genocchi integral (:func:`_dd_genocchi`), elsewhere the
+      direct formula [psi_s(b) - Taylor_{n-1}(b)]/(b - Lambda^2)^n.  The
+      terms k > K are summed by Euler-Maclaurin (:func:`_matsubara_tail`).
+    * At beta = inf, B = g^2 Lambda^{2n} (-1)^{n-1}/(n-1)! d^{n-1}/dt^{n-1}
+      chi_s(t) at t = Lambda^2, with chi_s(t) = int_0^inf omega cos(omega s)
+      /(omega^2 + t) d omega = -[e^{-x} Ei(x) - e^{x} E1(x)]/2, x = s sqrt(t).
+
+    s = 0 gives C(0) in closed form at beta = inf; for n = 1, where C(0)
+    diverges, s must be positive.
+    """
+    ff = tsd.base
+    g2, lam, n = ff.g * ff.g, ff.cutoff, ff.n
+    a = lam * lam
+    sign = (-1.0) ** (n + 1)
+    # A: the coefficient of u^{n-1} in e^{-i u s} (u - i Lambda) (u - 2 i Lambda)^{-n}
+    grow = [(-2j * lam) ** -n * math.comb(n + m - 1, m) * (2j * lam) ** -m
+            for m in range(n)]
+    lag = [(-1j * s) ** l / math.factorial(l) for l in range(n)]
+    coef = sum(-1j * lam * lag[l] * grow[n - 1 - l] for l in range(n))
+    coef = coef + sum(lag[l] * grow[n - 2 - l] for l in range(n - 1))
+    out = -1j * math.pi * g2 * lam ** (2 * n) * np.exp(-lam * s) * coef
+    if math.isinf(tsd.beta):
+        pos = s > 0
+        sp = s[pos]
+        # the Taylor series of chi_s(a + h) = -W(x(h))/2 in h, with
+        # x(h) = s sqrt(a + h)
+        dw = _w_derivatives(sp * lam, n)
+        root = [0.0 * sp]
+        c = 1.0
+        for m in range(1, n):
+            c *= (1.5 - m) / m
+            root.append(sp * lam * c / a ** m)
+        chi = [0.0 * sp for _ in range(n)]
+        power = [np.ones_like(sp)] + [0.0 * sp for _ in range(n - 1)]
+        for m in range(n):
+            for i in range(n):
+                chi[i] += dw[m] / math.factorial(m) * power[i]
+            power = [sum(power[j] * root[i - j] for j in range(i + 1))
+                     for i in range(n)]
+        out[pos] += g2 * lam ** (2 * n) * (-1.0) ** (n - 1) * -0.5 * chi[n - 1]
+        if n >= 2:
+            out[~pos] = g2 * a / (2.0 * (n - 1))
+        else:
+            out[~pos] = math.inf
+        return out
+    K, S, phi_zero, em, c, x = _matsubara_tail(lam, tsd.beta, n)
+    d = _psi_taylor(a, s, n - 1)
+    nu = c * np.arange(K + 1)
+    b = nu * nu
+    near = (b >= 0.3 * a) & (b <= 2.2 * a)
+    dd = np.empty((s.size, K + 1))
+    dd[:, ~near] = _dd_direct(s, a, nu[~near], d)
+    dd[:, near] = _dd_genocchi(s, a, b[near], n)
+    terms = dd[:, 0] + 2.0 * dd[:, 1:].sum(axis=1)
+    mu = s * c
+    phi_sum = np.exp(-mu * (K + 0.5)) * np.polynomial.polynomial.polyval(mu, em)
+    pos = mu > 0
+    phi_sum[~pos] += phi_zero
+    live = pos & (mu * (K + 0.5) < 745.0)
+    phi_sum[live] += _phi_integral(mu[live], K + 0.5, x, n) * c ** (1 - 2 * n)
+    tail = 0.5 * math.pi * phi_sum - sum(d[j] * S[n - 1 - j] for j in range(n))
+    return out + 2.0 * g2 / tsd.beta * sign * a ** n * (terms + 2.0 * tail)

@@ -360,6 +360,25 @@ def test_oracle_kick_names_the_modes_its_trace_needs(tmp_path, capsys):
     assert code == 0
 
 
+def test_oracle_zeno_checks_recurrence_before_any_model(tmp_path, capsys,
+                                                       monkeypatch):
+    # tau = 1e4 outruns the 50-mode bath: the run stops, names the modes it
+    # needs, and solves no secular equation, not even for the tau = 0.5 row
+    solves = []
+    measure = oracle._spectral_measure
+    monkeypatch.setattr(oracle, "_spectral_measure",
+                        lambda *args: solves.append(args) or measure(*args))
+    oracle._qubit_model.cache_clear()
+    code, out = run(tmp_path, "z.csv", [
+        "oracle", "--protocol", "zeno", "--values", "0.5,1e4", "--modes", "50",
+        "--g", "0.1", "--omega", "0.2", "--beta", "inf"])
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert "exceeds the recurrence time" in err and " modes" in err
+    assert "it needs" in err
+    assert solves == []
+
+
 def test_oracle_kick_estimates_a_far_mode_count(tmp_path, capsys,
                                                monkeypatch):
     # N tau = 2e7 needs ~3e7 modes: the count is estimated, and no rule

@@ -147,7 +147,7 @@ HUGGING = (z.EXPONENTIAL, 2, 50.0 / 3.0, 0.03)
     (z.EXPONENTIAL, 3, 70.0, 0.014, 1),
 ])
 def test_zeno_scan_from_floor_equals_whole_grid(fam, n, beta, omega0, crossings):
-    # the coarse scan from the floor against the full-precision whole grid
+    # the scan from the floor against the whole grid
     tsd = z.form_factor_for_bandwidth(fam, W=1.0, n=n).thermal(beta)
     pruned = _full_precision_report(lambda: xo.find_tau_star_zeno(tsd, omega0))
     assert pruned == _whole_grid_zeno_report(tsd, omega0)
@@ -157,66 +157,57 @@ def test_zeno_scan_from_floor_equals_whole_grid(fam, n, beta, omega0, crossings)
         assert pruned is z.NoCrossing
 
 
-def test_zeno_scan_rescans_where_ratio_hugs_one():
-    fam, n, beta, omega0 = HUGGING
-    tsd = z.form_factor_for_bandwidth(fam, W=1.0, n=n).thermal(beta)
-    rep = xo.find_tau_star_zeno(tsd, omega0)
-    assert 0 < rep.n_rescanned < rep.n_scanned
-    assert rep == _whole_grid_zeno_report(tsd, omega0)
-
-
-def test_zeno_scan_survives_wrong_signs_inside_margin(monkeypatch):
-    # a coarse kernel that mirrors every value inside its margin about
-    # gamma, so each of those points has the wrong sign of ratio - 1
-    fam, n, beta, omega0 = HUGGING
-    tsd = z.form_factor_for_bandwidth(fam, W=1.0, n=n).thermal(beta)
-    gamma = z.golden_rule_rate(tsd, omega0)
-    real = xo._zeno_rates
-    flipped = []
-
-    def mirrored(tsd, omega0, taus, rel_tol):
-        values, errors = real(tsd, omega0, taus, rel_tol)
-        inside = np.abs(values - gamma) <= xo._MARGIN * errors
-        flipped.append(int(np.sum(inside & (values != gamma))))
-        return np.where(inside, 2.0 * gamma - values, values), errors
-
-    monkeypatch.setattr(xo, "_zeno_rates", mirrored)
-    rep = xo.find_tau_star_zeno(tsd, omega0)
-    assert flipped[0] > 0
-    assert rep == _whole_grid_zeno_report(tsd, omega0)
-
-
 def test_zeno_scan_starts_below_floor(monkeypatch, tsd_exp):
-    # one coarse array call, from the last grid point below gamma tau_Z^2
-    # to the end of the grid; full-precision calls only at points of it
-    coarse, fine = [], []
-    real_coarse, real_fine = xo._zeno_rates, xo.zeno_rate
+    # one array call, from the last grid point below gamma tau_Z^2 to the
+    # end of the grid; scalar refinement calls only inside it
+    scans, refines = [], []
+    real = xo.zeno_rate
 
-    def recording_coarse(tsd, omega0, taus, rel_tol):
-        coarse.append(np.array(taus))
-        return real_coarse(tsd, omega0, taus, rel_tol)
+    def recording(tsd, omega0, tau):
+        if np.ndim(tau):
+            scans.append(np.array(tau))
+        else:
+            refines.append(tau)
+        return real(tsd, omega0, tau)
 
-    def recording_fine(tsd, omega0, tau):
-        fine.append((np.ndim(tau) == 1, np.atleast_1d(tau).copy()))
-        return real_fine(tsd, omega0, tau)
-
-    monkeypatch.setattr(xo, "_zeno_rates", recording_coarse)
-    monkeypatch.setattr(xo, "zeno_rate", recording_fine)
+    monkeypatch.setattr(xo, "zeno_rate", recording)
     rep = xo.find_tau_star_zeno(tsd_exp, OMEGA)
     floor = z.golden_rule_rate(tsd_exp, OMEGA) * z.zeno_time(tsd_exp) ** 2
-    assert len(coarse) == 1
-    scan = coarse[0]
+    assert len(scans) == 1
+    scan = scans[0]
     assert scan[0] < floor <= scan[1]
     assert scan[-1] == xo._SCAN_GRID[-1]
-    assert min(taus.min() for _, taus in fine) >= scan[0]
-    # at most one full-precision array call, at points of the scan
-    rescans = [taus for is_array, taus in fine if is_array]
-    assert len(rescans) <= 1
-    assert all(np.isin(taus, scan).all() for taus in rescans)
-    # the report counts the scanned, rescanned and refinement points
+    assert min(refines) >= scan[0]
+    # the report counts the scanned and refinement points
     assert rep.n_scanned == scan.size < xo._SCAN_GRID.size
-    assert rep.n_rescanned == sum(taus.size for taus in rescans)
-    assert rep.n_refine == sum(not is_array for is_array, _ in fine) > 0
+    assert rep.n_refine == len(refines) > 0
+
+
+# the grid scans of crossover_scan's corners took 28,000-30,000 integrand
+# nodes when this guard was written
+@pytest.mark.parametrize("beta, omega0", [(35.0, 0.007), (70.0, 0.014)])
+def test_zeno_scan_node_count(monkeypatch, beta, omega0):
+    # a deterministic cost guard: the integrand nodes of the grid scan
+    tsd = z.form_factor_for_bandwidth(z.EXPONENTIAL, W=1.0).thermal(beta)
+    nodes = {"scan": 0, "refine": 0}
+    phase = ["refine"]
+    real_engine, real_rate = rates._segmented_integrals, xo.zeno_rate
+
+    def counting_engine(f, *args, **kwargs):
+        def counted(x, owner):
+            nodes[phase[0]] += x.size
+            return f(x, owner)
+        return real_engine(counted, *args, **kwargs)
+
+    def rate(tsd, omega0, tau):
+        phase[0] = "scan" if np.ndim(tau) else "refine"
+        return real_rate(tsd, omega0, tau)
+
+    monkeypatch.setattr(rates, "_segmented_integrals", counting_engine)
+    monkeypatch.setattr(xo, "zeno_rate", rate)
+    xo.find_tau_star_zeno(tsd, omega0)
+    assert 0 < nodes["scan"] <= 120_000
+    assert nodes["refine"] > 0
 
 
 def test_kick_scan_skips_truncation_bound(monkeypatch, tsd_exp):
@@ -237,9 +228,8 @@ def test_kick_scan_skips_truncation_bound(monkeypatch, tsd_exp):
 
     monkeypatch.setattr(rates, "_tail_supremum", forbidden)
     monkeypatch.setattr(xo, "_kick_comb", recording)
-    rep = xo.find_tau_star_kick(tsd_exp, OMEGA)
+    xo.find_tau_star_kick(tsd_exp, OMEGA)
     assert len(scans) == 1 and np.array_equal(scans[0], reference)
-    assert rep.n_rescanned == 0
 
 
 @pytest.mark.parametrize("finder, kernel", [
@@ -258,7 +248,6 @@ def test_report_counts_whole_grid_scan_and_refinement(monkeypatch, tsd_exp,
     monkeypatch.setattr(xo, kernel, counting)
     rep = finder(tsd_exp, OMEGA)
     assert points == [rep.n_scanned] == [xo._SCAN_GRID.size]
-    assert rep.n_rescanned == 0
     assert rep.n_refine == len(scalars) >= 2 * len(rep.all_crossings)
 
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import zenolab as z
-from zenolab import rates
-from zenolab.numerics import _segmented_integrals
-from zenolab.spectral import _emission_density
+from zenolab import numerics, rates, spectral
 
 OMEGA = 0.01
 BETA = 50.0
@@ -141,97 +139,113 @@ def test_zeno_rate_limits(tsd_exp, tsd_poly):
     assert z.zeno_rate(tsd_poly, OMEGA, 3.0) > z.golden_rule_rate(tsd_poly, OMEGA)
 
 
-def _window_before(x, e):
-    """_window as it was before it dropped masked copies and polyval."""
-    small = np.abs(x) < 0.25
-    big = ~small
-    out = np.empty_like(x)
-    xb = x[big]
-    out[big] = 2.0 * (1.0 - 1j * xb - e[big]) / (xb * xb)
-    out[small] = np.polynomial.polynomial.polyval(-1j * x[small],
-                                                  rates._WINDOW_TAYLOR)
-    return out
+def test_correlation_once_per_node_for_both_integrals(tsd_poly, monkeypatch):
+    # F1 and F2 share one complex integrand, so every integrand node costs
+    # one correlation value, whatever the cells and passes; besides, each
+    # cell's size takes C at its middle and end
+    nodes, cells, lags = [], [], []
+    real_engine, real_corr = rates._segmented_integrals, rates.correlation
 
+    def counting_engine(f, a, *args, **kwargs):
+        cells.append(a.size)
 
-def _zeno_rate_per_period(tsd, omega0, taus):
-    """zeno_rate with its integrand as it was before the tau-free factors
-    were shared between periods: every factor on every row."""
-    _RAY, lam = rates._RAY, tsd.base.cutoff
-    edges, block = rates._RAY_EDGES, rates._ZENO_BLOCK
-    out = np.empty(taus.size)
-    for s in range(0, taus.size, block):
-        t = taus[s:s + block]
+        def counted(x, owner):
+            nodes.append(x.size)
+            return f(x, owner)
+        return real_engine(counted, a, *args, **kwargs)
 
-        def f(v, owner):
-            tq = t[owner][:, None]
-            w = _RAY * lam * v / (1.0 - v)
-            # e^{-i (w -+ omega0) tau} from one exponential per node
-            ew = np.exp(-1j * w * tq)
-            ec = np.exp(1j * omega0 * tq)
-            h = _window_before((w - omega0) * tq, ew * ec)
-            if not math.isinf(tsd.beta):
-                h += np.exp(-tsd.beta * w) * _window_before((w + omega0) * tq, ew / ec)
-            # dy/dv = Lambda/(1 - v)^2
-            return (_RAY * lam / (1.0 - v) ** 2 * tq
-                    * _emission_density(tsd, w) * h).real
+    def counting_corr(tsd, s):
+        lags.append(s.size)
+        return real_corr(tsd, s)
 
-        n = t.size
-        out[s:s + n], _ = _segmented_integrals(
-            f, np.tile(edges[:-1], n), np.tile(edges[1:], n),
-            np.repeat(np.arange(n), edges.size - 1), n,
-            rel_tol=3e-11, abs_tol=1e-300, max_passes=14)
-    return out
-
-
-# 40 periods cross two block boundaries; the small ones run mostly in the
-# window's series branch, the large ones refine unevenly across periods
-_EXACT_GRID = np.logspace(-4.0, 4.0, 40)
-
-
-@pytest.mark.parametrize("beta", [BETA, math.inf])
-@pytest.mark.parametrize("fam", [z.EXPONENTIAL, z.POLYNOMIAL])
-def test_zeno_rate_equals_per_period_integrand(fam, beta):
-    tsd = z.form_factor_for_bandwidth(fam, W=1.0).thermal(beta)
+    monkeypatch.setattr(rates, "_segmented_integrals", counting_engine)
+    monkeypatch.setattr(rates, "correlation", counting_corr)
     for center in (OMEGA, -OMEGA, 0.0):
-        assert np.array_equal(z.zeno_rate(tsd, center, _EXACT_GRID),
-                              _zeno_rate_per_period(tsd, center, _EXACT_GRID))
+        z.zeno_rate(tsd_poly, center, np.logspace(-4.0, 4.0, 300))
+        z.zeno_rate(tsd_poly, center, 13.0)
+    assert nodes and sum(lags) == sum(nodes) + 2 * sum(cells)
 
 
-def test_zeno_rate_density_once_per_segment(tsd_exp, monkeypatch):
-    seen = []
+def test_trigamma_switch_is_continuous():
+    # at |z| = 16 the kernel switches from the recurrence (Re z >= 1/2) or
+    # the reflection (Re z < 1/2) to the bare series; its values on either
+    # side agree within 1e-14, for Re z = 1/(Lambda beta) from 1e-3
+    # (beta Lambda = 1000) up, and where it recurs, the recurrence onto
+    # the series at z + 16 is the series at z
+    x = np.logspace(-3.0, math.log10(15.9), 60)
+    y = np.sqrt(256.0 - x * x)
+    z16 = np.concatenate([x + 1j * y, x - 1j * y])
+    series = numerics._trigamma_pair(z16)
+    below = numerics._trigamma_pair(z16 * (1.0 - 1e-15))
+    assert np.all(np.abs(below - series) <= 1e-14 * np.abs(series))
+    high = z16.real >= 0.5
+    recurred = sum(1.0 / (z16 + j) ** 2 + 1.0 / (z16.conj() + 1 + j) ** 2
+                   for j in range(16)) + numerics._trigamma_pair(z16 + 16.0)
+    assert np.all(np.abs(series - recurred)[high] <= 1e-14 * np.abs(series)[high])
 
-    def recording(tsd, w):
-        seen.append(np.sort(w.ravel().real))
-        return _emission_density(tsd, w)
 
-    monkeypatch.setattr(rates, "_emission_density", recording)
-    z.zeno_rate(tsd_exp, OMEGA, _EXACT_GRID[:rates._ZENO_BLOCK])
-    assert seen
-    for nodes in seen:
-        assert np.all(nodes[1:] != nodes[:-1])
-    # the first pass meets each of the 17 segments once per period
-    assert seen[0].size == (rates._RAY_EDGES.size - 1) * 15
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_divided_difference_branches_meet(n):
+    # where the branches switch, at nu^2 = 0.3 Lambda^2 and 2.2 Lambda^2,
+    # the direct formula and the Hermite-Genocchi quadrature agree
+    lam = 2.0 / math.pi
+    a = lam * lam
+    s = np.array([0.0, 1e-3, 0.3, 2.0, 5.0, 17.0, 40.0])
+    d = spectral._psi_taylor(a, s, n - 1)
+    for b in (0.3 * a, 2.2 * a):
+        direct = spectral._dd_direct(s, a, np.array([math.sqrt(b)]), d)
+        genocchi = spectral._dd_genocchi(s, a, np.array([b]), n)
+        assert np.all(np.abs(direct - genocchi) <= 1e-14 * np.abs(genocchi))
 
 
-def test_window_branches():
-    rng = np.random.default_rng(11)
-    # the series branch is polyval's recurrence, bit for bit
-    x = 0.249 * rng.uniform(0.0, 1.0, 500) * np.exp(
-        1j * rng.uniform(-math.pi, math.pi, 500))
-    assert np.array_equal(rates._window(x, np.exp(-1j * x)),
-                          np.polynomial.polynomial.polyval(-1j * x, rates._WINDOW_TAYLOR))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        h0 = rates._window(np.zeros(3, dtype=complex), np.ones(3, dtype=complex))
-    assert np.array_equal(h0, np.ones(3, dtype=complex))
-    # closed form and series agree across |x| = 1/4, at every argument
-    for r in (0.25 * (1.0 - 1e-12), 0.25, 0.25 * (1.0 + 1e-12)):
-        x = r * np.exp(1j * np.linspace(-math.pi, math.pi, 73))
-        closed = 2.0 * (1.0 - 1j * x - np.exp(-1j * x)) / (x * x)
-        series = np.polynomial.polynomial.polyval(-1j * x, rates._WINDOW_TAYLOR)
-        assert np.all(np.abs(closed - series) <= 1e-14 * np.abs(series))
-        assert np.array_equal(rates._window(x, np.exp(-1j * x)),
-                              np.where(np.abs(x) < 0.25, series, closed))
+def _zeno_reference_long(tsd, omega0, tau):
+    """gamma_Z = (2/tau) int kappa_beta(omega0 + u) (1 - cos(u tau))/u^2 du
+    by QUADPACK: lobe by lobe over |u| < 2, then the tails as a smooth
+    integral minus a Fourier (QAWF) one."""
+    kb = lambda w: z.thermal_density(tsd, w)
+    core = lambda u: kb(omega0 + u) * 2.0 * np.sin(0.5 * u * tau) ** 2 / u ** 2
+    edges = np.arange(-2.0, 2.0 + 1e-9, TWO_PI / tau)
+    total = sum(quad(core, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
+    for sign, start in ((1.0, edges[-1]), (-1.0, -edges[0])):
+        f = lambda u: kb(omega0 + sign * u) / u ** 2
+        flat = quad(f, start, np.inf, epsabs=0.0, epsrel=1e-13, limit=2000)[0]
+        osc = quad(f, start, np.inf, weight="cos", wvar=tau, epsabs=1e-15,
+                   limlst=400, limit=2000)[0]
+        total += flat - osc
+    return total / tau
+
+
+def _hazard(case):
+    n, beta = case
+    if n == 2 and abs(beta - 5.0 * math.pi ** 2) < 1.0:
+        # beta Lambda / 2 pi = 5 (1 +- 1e-9): a Matsubara pole 1e-9 from -i Lambda
+        return z.FormFactor(z.POLYNOMIAL, cutoff=2.0 / math.pi, n=2).thermal(beta)
+    return z.form_factor_for_bandwidth(z.POLYNOMIAL, W=1.0, n=n).thermal(beta)
+
+
+_HAZARDS = [(2, 5.0 * math.pi ** 2 * (1.0 - 1e-9)), (2, 5.0 * math.pi ** 2 * (1.0 + 1e-9)),
+            (4, 1e3), (2, 1e-3)]
+
+
+@pytest.mark.parametrize("case", _HAZARDS)
+def test_zeno_time_poly_hazards(case):
+    tsd = _hazard(case)
+    lam = tsd.base.cutoff
+    kb = lambda w: z.thermal_density(tsd, w)
+    pieces = [-np.inf, -10.0 * lam, -lam, 0.0, lam, 10.0 * lam, np.inf]
+    total = sum(quad(kb, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                for a, b in zip(pieces[:-1], pieces[1:]))
+    assert z.zeno_time(tsd) == pytest.approx(total ** -0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("case", _HAZARDS)
+def test_zeno_rate_poly_hazards(case, tau):
+    tsd = _hazard(case)
+    want = (_zeno_reference(tsd, OMEGA, tau) if tau < 10.0
+            else 2.0 * _zeno_reference_long(tsd, OMEGA, tau))
+    assert z.zeno_rate(tsd, OMEGA, tau) == pytest.approx(want, rel=1e-10)
 
 
 def test_kick_rate_large_tau(tsd_exp):
