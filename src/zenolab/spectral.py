@@ -221,9 +221,26 @@ _EM_TERMS = 6
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre01(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """The m-point Gauss-Legendre rule on [0, 1]: Newton's method on P_m
+    (three-term recurrence) from cos(pi (4k - 1)/(4m + 2)), weights
+    2/((1 - x^2) P_m'(x)^2) on [-1, 1]."""
+    x = np.cos(math.pi * (4.0 * np.arange(1, m + 1) - 1.0) / (4.0 * m + 2.0))
+    for step in range(9):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = m * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+        if step < 8:
+            x = x - p1 / dp
+    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
+def _horner(coefs, y):
+    """sum_j coefs[j] y^j by Horner's rule."""
+    out = coefs[-1] + 0.0 * y
+    for c in coefs[-2::-1]:
+        out = out * y + c
+    return out
 
 
 def correlation(tsd: ThermalSpectralDensity, s) -> np.ndarray:
@@ -259,10 +276,9 @@ def _psi_polynomial(m: int) -> np.ndarray:
     Q_{m+1} = [y (Q_m' - Q_m) + (1 - 2m) Q_m]/2."""
     q = np.array([1.0])
     for j in range(m):
-        qy = np.polynomial.polynomial.polyder(q) if q.size > 1 else np.zeros(1)
-        q = 0.5 * (np.polynomial.polynomial.polysub(
-            np.polynomial.polynomial.polymulx(qy), np.polynomial.polynomial.polymulx(q))
-            + (1 - 2 * j) * np.append(q, 0.0))
+        # y (Q' - Q) + (1 - 2j) Q, coefficients from y^0 up
+        dq = np.append(q[1:] * np.arange(1.0, q.size), 0.0)
+        q = 0.5 * (np.append(0.0, dq - q) + (1 - 2 * j) * np.append(q, 0.0))
     return q
 
 
@@ -270,8 +286,7 @@ def _psi_derivative(t, s, m: int):
     """psi_s^(m)(t), the m-th t-derivative of (pi/2) sqrt(t) e^{-s sqrt(t)}."""
     r = np.sqrt(t)
     y = s * r
-    return (0.5 * math.pi * np.exp(-y) * r ** (1 - 2 * m)
-            * np.polynomial.polynomial.polyval(y, _psi_polynomial(m)))
+    return 0.5 * math.pi * np.exp(-y) * r ** (1 - 2 * m) * _horner(_psi_polynomial(m), y)
 
 
 def _psi_taylor(t, s, order: int) -> list:
@@ -288,7 +303,7 @@ def _series_inverse_power(c0: float, c1: float, c2: float, m: int,
     coef = 1.0
     for j in range(order + 1):
         out[:power.size] += coef * power[:order + 1]
-        power = np.polynomial.polynomial.polymul(power, y)[:order + 1]
+        power = np.convolve(power, y)[:order + 1]
         coef *= -(m + j) / (j + 1)
     return out * c0 ** -m
 
@@ -452,18 +467,19 @@ def _dd_genocchi(s: np.ndarray, a: float, b: np.ndarray, n: int) -> np.ndarray:
     40-digit references for n = 2..4), and neither branch loses more than
     that at the switch points."""
     x, w = _gauss_legendre01(16)
-    ra, rb = math.sqrt(a), np.sqrt(b)
-    r = ra + x[:, None] * (rb - ra)
-    # with r = ra + x (rb - ra): du = 2 r dx/(rb + ra) and
-    # 1 - u = (1 - x)(rb + r)/(rb + ra), free of the cancelling b - a
-    weight = ((math.pi / math.factorial(n - 1)) * w[:, None] * r ** (2 - 2 * n)
-              * ((1.0 - x)[:, None] * (rb + r)) ** (n - 1) / (rb + ra) ** n)
-    y = s[:, None, None] * r
+    ra = math.sqrt(a)
     q = _psi_polynomial(n)
-    top = q[-1] + 0.0 * y
-    for c in q[-2::-1]:
-        top = top * y + c
-    return np.einsum("gk,sgk->sk", weight, top * np.exp(-y))
+    out = np.empty((s.size, b.size))
+    # one column per b keeps the work array at (lags x nodes)
+    for i, rb in enumerate(np.sqrt(b)):
+        r = ra + x * (rb - ra)
+        # with r = ra + x (rb - ra): du = 2 r dx/(rb + ra) and
+        # 1 - u = (1 - x)(rb + r)/(rb + ra), free of the cancelling b - a
+        weight = ((math.pi / math.factorial(n - 1)) * w * r ** (2 - 2 * n)
+                  * ((1.0 - x) * (rb + r)) ** (n - 1) / (rb + ra) ** n)
+        y = s[:, None] * r
+        out[:, i] = (_horner(q, y) * np.exp(-y)) @ weight
+    return out
 
 
 def _poly_correlation(tsd: ThermalSpectralDensity, s: np.ndarray) -> np.ndarray:
@@ -535,7 +551,7 @@ def _poly_correlation(tsd: ThermalSpectralDensity, s: np.ndarray) -> np.ndarray:
     dd[:, near] = _dd_genocchi(s, a, b[near], n)
     terms = dd[:, 0] + 2.0 * dd[:, 1:].sum(axis=1)
     mu = s * c
-    phi_sum = np.exp(-mu * (K + 0.5)) * np.polynomial.polynomial.polyval(mu, em)
+    phi_sum = np.exp(-mu * (K + 0.5)) * _horner(em, mu)
     pos = mu > 0
     phi_sum[~pos] += phi_zero
     live = pos & (mu * (K + 0.5) < 745.0)
