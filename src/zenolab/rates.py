@@ -154,12 +154,15 @@ _ZENO_MAX_CELLS = 1 << 20
 def _zeno_cells(periods: np.ndarray, omega0: float, lam: float) -> np.ndarray:
     """Cell edges from 0 through every (sorted, distinct) period.
 
-    Between the periods lie the lags 2^j / Lambda, so no cell above
-    1/Lambda spans more than a factor 2, and every cell is cut into equal
-    parts no wider than pi/(2 |omega0|), a quarter turn of e^{i omega0 s}.
+    Between the periods lie the lags 2^j / Lambda, j >= -24, so no cell
+    above 2^-24/Lambda spans more than a factor 2 (near s = 0, where the
+    polynomial family's C has an s^{2n-2} log s term, each cell then
+    converges in a pass or two, all in one engine call), and every cell
+    is cut into equal parts no wider than pi/(2 |omega0|), a quarter turn
+    of e^{i omega0 s}.
     """
     top = periods[-1]
-    chain = 2.0 ** np.arange(max(math.floor(math.log2(top * lam)) + 1, 0)) / lam
+    chain = 2.0 ** np.arange(-24, max(math.floor(math.log2(top * lam)) + 1, -24)) / lam
     points = np.sort(np.concatenate([periods, chain[chain < top]]))
     keep = np.empty(points.size, dtype=bool)
     keep[:1] = True

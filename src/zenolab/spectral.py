@@ -363,20 +363,20 @@ def _phi_integral(mu: np.ndarray, a0: float, x: float, n: int) -> np.ndarray:
     from :func:`_expint_scaled` and the recurrence
     e^{y} E_p(y) = (1 - y e^{y} E_{p-1}(y))/(p - 1).
     """
-    out = np.zeros_like(mu)
-    for pole in (x, -x):
-        # alpha_p: the h^{n-p} coefficient of (pole + h)(2 pole + h)^{-n}
-        grow = [(2.0 * pole) ** -n * math.comb(n + m - 1, m) * (-0.5 / pole) ** m
-                for m in range(n)]
-        alpha = [pole * grow[n - p] + (grow[n - p - 1] if p < n else 0.0)
-                 for p in range(1, n + 1)]
-        y = mu * (a0 - pole)
-        eps = _expint_scaled(y)
-        for p in range(1, n + 1):
-            if p > 1:
-                eps = (1.0 - y * eps) / (p - 1)
-            out += alpha[p - 1] * (a0 - pole) ** (1 - p) * eps
-    return np.exp(-mu * a0) * out
+    poles = np.array([x, -x])
+    # alpha_p: the h^{n-p} coefficient of (pole + h)(2 pole + h)^{-n}
+    grow = [(2.0 * poles) ** -n * math.comb(n + m - 1, m) * (-0.5 / poles) ** m
+            for m in range(n)]
+    alpha = [poles * grow[n - p] + (grow[n - p - 1] if p < n else 0.0)
+             for p in range(1, n + 1)]
+    y = np.outer(a0 - poles, mu)
+    eps = _expint_scaled(y.ravel()).reshape(y.shape)
+    out = np.zeros_like(y)
+    for p in range(1, n + 1):
+        if p > 1:
+            eps = (1.0 - y * eps) / (p - 1)
+        out += (alpha[p - 1] * (a0 - poles) ** (1 - p))[:, None] * eps
+    return np.exp(-mu * a0) * out.sum(axis=0)
 
 
 _EULER = 0.5772156649015329
@@ -385,8 +385,8 @@ _EULER = 0.5772156649015329
 def _expint_scaled(x: np.ndarray, p: int = 1) -> np.ndarray:
     """e^x E_p(x) at x > 0: up to x = 1 the power series of E_1 and the
     recurrence e^x E_{q+1} = (1 - x e^x E_q)/q, beyond it the continued
-    fraction of E_p, 120 levels up to x = 4, 40 up to x = 40 and 12
-    beyond (each within a few ulp)."""
+    fraction of E_p, 80 levels up to x = 40 and 12 beyond (within a few
+    ulp for p <= 4)."""
     out = np.empty_like(x)
     lo = x <= 1.0
     if lo.any():
@@ -399,8 +399,7 @@ def _expint_scaled(x: np.ndarray, p: int = 1) -> np.ndarray:
         for q in range(1, p):
             eps = (1.0 - xs * eps) / q
         out[lo] = eps
-    for part, depth in ((~lo & (x <= 4.0), 120), ((x > 4.0) & (x <= 40.0), 40),
-                        (x > 40.0, 12)):
+    for part, depth in ((~lo & (x <= 40.0), 80), (x > 40.0, 12)):
         if part.any():
             xs = x[part]
             t = xs + (p + 2.0 * depth)
