@@ -217,6 +217,8 @@ def form_factor_for_bandwidth(family: str, W: float = 1.0, g: float = 1.0,
 # corrections of the Matsubara tail
 _TAIL_GAP = 20
 _EM_TERMS = 6
+# lags per evaluation of the polynomial family's C
+_POLY_CHUNK = 512
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,7 +268,9 @@ def correlation(tsd: ThermalSpectralDensity, s) -> np.ndarray:
             return g2 * lam * lam / (1.0 + 1j * lam * s) ** 2
         z = (1.0 / lam + 1j * s) / tsd.beta
         return g2 / tsd.beta ** 2 * _trigamma_pair(z)
-    return _poly_correlation(tsd, s)
+    # (lags x Matsubara terms) work arrays, _POLY_CHUNK lags at a time
+    return np.concatenate([_poly_correlation(tsd, s[i:i + _POLY_CHUNK])
+                           for i in range(0, max(s.size, 1), _POLY_CHUNK)])
 
 
 @functools.lru_cache(maxsize=None)
