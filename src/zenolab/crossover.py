@@ -24,8 +24,8 @@ precision; there is no coarse pass.  The kick and K* finders scan the
 whole grid (the comb sum without its truncation bound, and the exact
 continuous rate); the tau*_Z finder scans the grid from its last point
 below gamma tau_Z^2 upward, a floor under every Zeno crossing (see
-:func:`find_tau_star_zeno`), in one cumulative pass of the correlation-
-function kernel :func:`rates.zeno_rate`.
+:func:`find_tau_star_zeno`), in one cumulative pass of
+:func:`rates.zeno_rate` over the bath correlation function.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ _RTOL = 1e-13
 class CrossoverReport:
     """The root, its closed-form estimate and every crossing, with what the
     search cost: ``n_scanned`` grid points sent through the kernel in one
-    array call and ``n_refine`` scalar kernel calls made by ``_brent``.  The costs
-    take no part in equality: two searches that find the same crossings
-    are equal."""
+    array call and ``n_refine`` scalar kernel calls made by ``_brent``.
+    The costs take no part in equality: two searches that find the same
+    crossings are equal."""
 
     star_value: float
     closed_form_estimate: float
@@ -188,9 +188,12 @@ def find_tau_star_zeno(tsd: ThermalSpectralDensity,
 
     gamma tau_Z^2 is also a floor: gamma_Z(tau) <= tau / tau_Z^2, so the
     ratio is below 1 at every tau below it.  The scan starts at the last
-    grid point below the floor less 1e-6 of it (far above the quadrature
-    tolerances of zeno_time and zeno_rate), which leaves every crossing
-    and the report as on the whole grid.
+    grid point below the floor less 1e-6 of it (far above the accuracy
+    of zeno_time and zeno_rate), which leaves every crossing and the
+    report as on the whole grid.  The cumulative pass still has to cross
+    the cells below the first scanned period, but only as one chain of
+    cells, so the floor still halves the scan: 0.016-0.025 s against
+    0.030-0.047 s for the whole grid at crossover_scan's corners.
     """
     gamma = _free_rate(tsd, omega0)
     tau_z2 = zeno_time(tsd) ** 2

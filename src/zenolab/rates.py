@@ -8,9 +8,10 @@ Three control strategies modulate it:
       gamma_Z(tau) = tau * int kappa_beta(omega)
                      sinc^2((omega - Omega) tau / 2) d omega,
 
-  with the small-tau law gamma_Z ~ tau / tau_Z^2, integrated along a
-  ray in the lower half of the complex frequency plane where the sinc^2
-  oscillations are damped;
+  with the small-tau law gamma_Z ~ tau / tau_Z^2, computed in the time
+  domain as the triangle-weighted integral of the bath correlation
+  function C(s) = int kappa_beta(omega) e^{-i omega s} d omega over
+  [0, tau], one cumulative pass over the cells between sorted periods;
 
 * bang-bang kicks every tau, whose delta-comb limit is the series
 
@@ -199,20 +200,25 @@ def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau):
     ``tau`` is a period or a 1-D array of periods.  The sorted periods cut
     [0, max tau] into cells (:func:`_zeno_cells` adds the lags 2^j/Lambda
     and quarter turns of e^{i omega0 s}); F1 and F2 at each period are
-    running sums over the cells below it.  Every cell is its own adaptive
-    integral (3e-11 relative) of one complex integrand, Re[C e^{i omega0 s}]
+    compensated running sums over the cells below it.  Every cell is its
+    own adaptive integral of one complex integrand, Re[C e^{i omega0 s}]
     (1 + i s/b) on the cell [a, b], so C is evaluated once per node for
-    both; the cells run through the quadrature engine in blocks of
-    _ZENO_BLOCK.  A lone period is the same pass over its own chain of
-    cells.  A period's value depends on the other periods of the call only
-    through the rounding of differently cut cells.
+    both, to _ZENO_TOL of the larger of the cell's integral and its size;
+    the cells run through the quadrature engine in blocks of _ZENO_BLOCK.
+    A lone period is the same pass over its own chain of cells.  A
+    period's value depends on the other periods of the call only through
+    the rounding of differently cut cells.
 
-    Cost grows with |omega0| tau: a quarter turn costs one 15-node cell.
-    At omega0 = 0.01 and tau = 1e4 a lone call cuts 42 cells; at
-    omega0 = 1, tau = 1e4 (the costliest regime tested) it cuts 6,367
-    cells, about 0.1 M nodes.  Beyond |omega0| tau of about 1.6e6 the
-    kernel raises NoConvergence.  A NaN centre raises DomainError; an
-    infinite one gives 0, the density there.
+    Served range and cost: every real omega0 with |omega0| tau up to
+    about 1.6e6; beyond, the cell count passes _ZENO_MAX_CELLS and the
+    kernel raises NoConvergence.  Cost grows with |omega0| tau, a quarter
+    turn costing one 15-node cell: a lone call at omega0 = 0.01,
+    tau = 1e4 cuts 74 cells (about 1,500 nodes); at omega0 = 1, tau = 1e4
+    (the costliest regime the suite reaches) it cuts 6,373 cells, about
+    96,000 nodes, which took 0.008 s (exp, beta = inf), 0.023 s (exp,
+    beta = 50) and 0.29 s (poly n = 2, beta = 50) on one core of a
+    2-core x86-64 machine.  A NaN centre raises DomainError; an infinite one
+    gives 0, the density there.
     """
     taus = require_finite(tau, "measurement period tau")
     if math.isnan(omega0):

@@ -15,11 +15,13 @@ with the KMS (detailed-balance) symmetry
 kappa_beta(-omega) = e^{-beta omega} kappa_beta(omega) and the finite limit
 kappa_beta(0) = g^2/beta for both families.
 
-Scalar characterizations: the bandwidth W (first absolute moment of the
-bare density), the Zeno time tau_Z = [integral of kappa_beta]^{-1/2}, and
-cutoff matching so that different families share the same W.  The default
-unit system sets W = 1, so Lambda = W/2 (exponential) or W/alpha_n
-(polynomial).
+The bath correlation function C(s) = int kappa_beta(omega) e^{-i omega s}
+d omega comes in closed form per family (:func:`correlation`); the Zeno
+rate integrates it.  Scalar characterizations: the bandwidth W (first
+absolute moment of the bare density), the Zeno time
+tau_Z = [integral of kappa_beta]^{-1/2} = C(0)^{-1/2}, and cutoff matching
+so that different families share the same W.  The default unit system
+sets W = 1, so Lambda = W/2 (exponential) or W/alpha_n (polynomial).
 """
 
 from __future__ import annotations

@@ -183,8 +183,9 @@ def test_zeno_scan_starts_below_floor(monkeypatch, tsd_exp):
     assert rep.n_refine == len(refines) > 0
 
 
-# the grid scans of crossover_scan's corners took 28,000-30,000 integrand
-# nodes when this guard was written
+# the grid scans of crossover_scan's corners took 25,170 and 26,145
+# integrand nodes when this guard was written (the ray kernel's coarse
+# scan took about 630,000)
 @pytest.mark.parametrize("beta, omega0", [(35.0, 0.007), (70.0, 0.014)])
 def test_zeno_scan_node_count(monkeypatch, beta, omega0):
     # a deterministic cost guard: the integrand nodes of the grid scan

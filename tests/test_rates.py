@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
