@@ -376,7 +376,7 @@ def _phi_integral(mu: np.ndarray, a0: float, x: float, n: int) -> np.ndarray:
     alpha = [poles * grow[n - p] + (grow[n - p - 1] if p < n else 0.0)
              for p in range(1, n + 1)]
     y = np.outer(a0 - poles, mu)
-    eps = _expint_scaled(y.ravel()).reshape(y.shape)
+    eps = _expint_scaled(y.ravel())[0].reshape(y.shape)
     out = np.zeros_like(y)
     for p in range(1, n + 1):
         if p > 1:
@@ -388,12 +388,12 @@ def _phi_integral(mu: np.ndarray, a0: float, x: float, n: int) -> np.ndarray:
 _EULER = 0.5772156649015329
 
 
-def _expint_scaled(x: np.ndarray, p: int = 1) -> np.ndarray:
-    """e^x E_p(x) at x > 0: up to x = 1 the power series of E_1 and the
-    recurrence e^x E_{q+1} = (1 - x e^x E_q)/q, beyond it the continued
-    fraction of E_p, 80 levels up to x = 40 and 12 beyond (within a few
-    ulp for p <= 4)."""
-    out = np.empty_like(x)
+def _expint_scaled(x: np.ndarray, orders: int = 1) -> np.ndarray:
+    """e^x E_p(x) for p = 1..orders (rows) at x > 0: up to x = 1 the power
+    series of E_1 and the recurrence e^x E_{q+1} = (1 - x e^x E_q)/q,
+    beyond it the continued fraction of E_p, 80 levels up to x = 40 and
+    12 beyond (within a few ulp for p <= 4)."""
+    out = np.empty((orders, x.size))
     lo = x <= 1.0
     if lo.any():
         xs = x[lo]
@@ -402,52 +402,68 @@ def _expint_scaled(x: np.ndarray, p: int = 1) -> np.ndarray:
             term = term * -xs / k
             acc -= term / k
         eps = np.exp(xs) * (acc - _EULER - np.log(xs))
-        for q in range(1, p):
+        out[0, lo] = eps
+        for q in range(1, orders):
             eps = (1.0 - xs * eps) / q
-        out[lo] = eps
+            out[q, lo] = eps
+    p = np.arange(1.0, orders + 1.0)[:, None]
     for part, depth in ((~lo & (x <= 40.0), 80), (x > 40.0, 12)):
         if part.any():
             xs = x[part]
             t = xs + (p + 2.0 * depth)
             for k in range(depth, 0, -1):
                 t = xs + (p + 2 * k - 2) - k * (p + k - 1) / t
-            out[part] = 1.0 / t
+            out[:, part] = 1.0 / t
     return out
 
 
-def _w_derivatives(x: np.ndarray, count: int) -> list:
-    """W^(m)(x), m < count, of W(x) = e^{-x} Ei(x) - e^x E1(x) at x > 0.
+def _w_derivatives(x: np.ndarray, count: int) -> np.ndarray:
+    """W^(m)(x), m < count (rows), of W(x) = e^{-x} Ei(x) - e^x E1(x) at
+    x > 0.
 
     With u = e^{-x} Ei(x) and v = e^x E1(x): up to x = 60,
     u^(m) = -m! (-x)^{-m} e^{-x} Re E_{m+1}(-x) from the power series of
-    E_{m+1} (its large terms share one sign; summed until x^k/k! is below
-    1e-17 of its peak) and
+    E_{m+1} (its large terms share one sign; summed, every order at once,
+    until x^k/k! is below 1e-17 of its peak) and
     v^(m) = m! (-x)^{-m} e^x E_{m+1}(x) (:func:`_expint_scaled`); beyond,
     the asymptotic series W^(m) = 2 (-1)^m sum_{k odd} (k+m)!/x^{k+m+1},
     whose last term (k + m < 61) is below 1e-19 of the sum.
     """
-    out = [np.empty_like(x) for _ in range(count)]
+    out = np.empty((count, x.size))
+    orders = np.arange(count)
     lo = x <= 60.0
     xs = x[lo]
-    log = np.log(xs)
-    top = xs.max(initial=0.0)
-    terms = min(171, math.ceil(top + 9.0 * math.sqrt(top) + 30.0))
-    for m in range(count):
+    if xs.size:
+        top = xs.max()
+        terms = min(171, math.ceil(top + 9.0 * math.sqrt(top) + 30.0))
+        k = np.arange(terms)
+        gap = k - orders[:, None]
+        # 1/(k - m), and 0 where k = m, whose term carries the logarithm
+        inv = np.where(gap == 0, 0.0, 1.0 / np.where(gap == 0, 1, gap))
+        log = np.log(xs)
         # Re E_{m+1}(-x) = x^m/m! (H_m - gamma - ln x) - sum_{k != m} x^k/((k-m) k!)
-        term, acc = np.ones_like(xs), np.zeros_like(xs)
-        for k in range(terms):
-            if k:
-                term = term * xs / k
-            if k != m:
-                acc -= term / (k - m)
-            else:
-                acc += term * (sum(1.0 / j for j in range(1, m + 1)) - _EULER - log)
-        scale = math.factorial(m) * (-xs) ** -m
-        out[m][lo] = -scale * np.exp(-xs) * acc - scale * _expint_scaled(xs, m + 1)
+        term, acc = np.ones_like(xs), np.zeros((count, xs.size))
+        for j in range(terms):
+            if j:
+                term = term * xs / j
+            acc -= inv[:, j, None] * term
+            if j < count:
+                acc[j] += term * (sum(1.0 / i for i in range(1, j + 1)) - _EULER - log)
+        scale = (np.array([math.factorial(m) for m in orders], dtype=float)[:, None]
+                 * (-xs) ** -orders[:, None].astype(float))
+        out[:, lo] = -scale * (np.exp(-xs) * acc + _expint_scaled(xs, count))
     xs = x[~lo]
-    for m in range(count):
-        out[m][~lo] = 2.0 * (-1.0) ** m * sum(
-            math.factorial(k + m) / xs ** (k + m + 1) for k in range(1, 61 - m, 2))
+    if xs.size:
+        # 2 (-1)^m x^{-(m+2)} sum_j (2j + 1 + m)! x^{-2j}, Horner's rule in
+        # x^{-2}, every order at once (terms with 2j + 1 + m > 60 are 0)
+        coef = np.array([[float(math.factorial(2 * j + 1 + m)) if 2 * j + 1 + m <= 60
+                          else 0.0 for j in range(30)] for m in orders])
+        q = 1.0 / (xs * xs)
+        acc = coef[:, -1, None] + 0.0 * q
+        for c in coef.T[-2::-1]:
+            acc = acc * q + c[:, None]
+        out[:, ~lo] = (2.0 * (-1.0) ** orders[:, None] * acc
+                       * xs ** -(orders[:, None] + 2.0))
     return out
 
 
