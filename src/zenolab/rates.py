@@ -172,7 +172,9 @@ def _zeno_cells(periods: np.ndarray, omega0: float, lam: float) -> np.ndarray:
     if omega0 == 0.0:
         return edges
     widths = np.diff(edges)
-    parts = np.ceil(widths * (2.0 * abs(omega0) / math.pi))
+    # at least one part per cell, also where |omega0| is so small (say
+    # subnormal) that the product underflows to 0
+    parts = np.maximum(np.ceil(widths * (2.0 * abs(omega0) / math.pi)), 1.0)
     if parts.sum() > _ZENO_MAX_CELLS:
         raise NoConvergence(f"zeno_rate at |omega0| tau = {abs(omega0) * top:.3g} "
                             f"needs more than {_ZENO_MAX_CELLS} cells")
