@@ -3,11 +3,11 @@
 One adaptive quadrature engine: a vectorized segmented integrator (the
 nested Gauss-Kronrod 7/15 pair, bisection) that can run several real or
 complex integrals through shared passes.  Besides it: the guard for control
-parameters, the -1 branch of Lambert's W, the Riemann zeta function at odd
-integers, the trigamma function (the tail of the half-integer series, and at
-complex arguments for the bath correlation function) and the Gamma-ratio
-coefficient alpha_n used by the crossover estimates.  numpy is the only
-dependency.
+parameters, the Gauss-Legendre rule, the -1 branch of Lambert's W, the
+Riemann zeta function at odd integers, the trigamma function (the tail of
+the half-integer series, and at complex arguments for the bath correlation
+function) and the Gamma-ratio coefficient alpha_n used by the crossover
+estimates.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import DomainError, NoConvergence
 __all__ = [
     "IntegralResult",
     "segmented_integral",
+    "gauss_legendre",
     "lambert_w_m1",
     "zeta_odd",
     "alpha_n",
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 _INV_E = math.exp(-1.0)
+_EPS = float(np.finfo(float).eps)
+_HALLEY_MAX = 64        # cap on the Gauss-Legendre rule's Halley steps
 
 
 class IntegralResult(NamedTuple):
@@ -54,9 +57,6 @@ _QK15 = np.array([
 # the 15 nodes in ascending order and their (15 x 2) K15 and G7 weights
 _K15_NODES = np.concatenate([-_QK15[:, 0], _QK15[-2::-1, 0]])
 _K15_WEIGHTS = np.concatenate([_QK15[:, 1:], _QK15[-2::-1, 1:]])
-# the most segments one pass may evaluate (0.5 M nodes): a query that
-# bisects everywhere, as at a rounding floor, raises before it fills memory
-_MAX_PENDING = 1 << 15
 
 
 def require_finite(values, what: str, allow_zero: bool = False) -> np.ndarray:
@@ -80,6 +80,7 @@ def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
                          n_queries: int, rel_tol: float, abs_tol: float,
                          max_passes: int,
                          label: Callable[[int], str] = "query {}".format,
+                         max_pending: int | None = None,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Several adaptive bisection integrals sharing every pass.
 
@@ -97,9 +98,9 @@ def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
     all segments) may round a segment's estimate differently in the last
     bit than a lone integral's would.  Raises :class:`NoConvergence`,
     naming the lowest offending query by ``label(q)``, at once if a
-    segment's estimate or error is not finite or more than _MAX_PENDING
-    segments are pending, or if segments are still pending after
-    ``max_passes`` passes.
+    segment's estimate or error is not finite or (when ``max_pending`` is
+    given) more than ``max_pending`` segments are pending, or if segments
+    are still pending after ``max_passes`` passes.
     """
     def sums(w):
         if np.iscomplexobj(w):
@@ -139,10 +140,10 @@ def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
         values = values + sums(kronrod)
         errors += np.bincount(owner, disc, n_queries)
         a, b, owner = a[bad], b[bad], owner[bad]
-        if 2 * a.size > _MAX_PENDING:
+        if max_pending is not None and 2 * a.size > max_pending:
             raise NoConvergence(
                 f"segmented quadrature of {label(int(owner.min()))} needs "
-                f"more than {_MAX_PENDING} pending segments")
+                f"more than {max_pending} pending segments")
         mid = mid[bad]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         owner = np.concatenate([owner, owner])
@@ -172,6 +173,64 @@ def segmented_integral(f_vec, edges: Sequence[float],
         edges[:-1], edges[1:], np.zeros(edges[1:].size, dtype=int),
         1, rel_tol, abs_tol, max_passes, label=lambda q: "the integral")
     return IntegralResult(values[0], errors[0])
+
+
+def _legendre(M: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_M(x) and P_M'(x) from the three-term recurrence (|x| < 1)."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, M + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, M * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+
+
+def gauss_legendre(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the M-point Gauss-Legendre rule on
+    [-1, 1] (M >= 2), as read-only arrays.
+
+    Halley's method on P_M from Tricomi's estimate of its zeros, vectorized
+    over the nonnegative nodes and mirrored, with P_M'' from Legendre's
+    equation (1 - x^2) P'' = 2x P' - M(M+1) P.  At a zero, with
+    s = 1 - x^2, the same equation gives P''/P' = 2x/s and
+    P'''/P' = 8x^2/s^2 - (M(M+1) - 2)/s, so a step of size dx leaves the
+    node an error K dx^3, with Halley's constant
+
+        K = (P''/2P')^2 - P'''/6P' = ((M(M+1) - 2) s - 2x^2) / 6 s^2.
+
+    The weights 2 / (s P_M'(x)^2) take P_M' from the last pass, carried to
+    the updated node as P' - P'' dx, which leaves P'^2 a relative error
+    |P'''/P'| dx^2 = 6 |x^2/s^2 - K| dx^2.  The iteration stops once both
+    are below eps: two O(M^2) passes from Tricomi's start (every M from 2
+    to 3000 and at 6000, 9000 and 12000).  The node bound alone would stop
+    after one pass from M of about 8000 up, with weights off by ~6e-6.
+    """
+    k = np.arange(1, M // 2 + 1)
+    x = ((1.0 - (1.0 - 1.0 / M) / (8.0 * M * M))
+         * np.cos(math.pi * (4 * k - 1) / (4 * M + 2)))
+    if M % 2:
+        x = np.append(x, 0.0)       # P_M(0) = 0 exactly: Halley keeps it
+    mm = M * (M + 1.0)
+    for _ in range(_HALLEY_MAX):
+        p, dp = _legendre(M, x)
+        s = (1.0 - x) * (1.0 + x)
+        ddp = (2.0 * x * dp - mm * p) / s
+        u = p / dp
+        dx = u / (1.0 - 0.5 * u * ddp / dp)
+        K = ((mm - 2.0) * s - 2.0 * x * x) / (6.0 * s * s)
+        err = np.maximum(np.abs(K * dx), 6.0 * np.abs(x * x / (s * s) - K))
+        x = x - dx
+        dp = dp - ddp * dx
+        if np.max(err * dx * dx) <= _EPS:
+            break
+    else:
+        raise NoConvergence(f"Gauss-Legendre nodes for M = {M} did not "
+                            f"converge in {_HALLEY_MAX} Halley steps")
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    h = M // 2                      # x and w run from the largest node down
+    x = np.concatenate([-x[:h], x[::-1]])
+    w = np.concatenate([w[:h], w[::-1]])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def lambert_w_m1(x: float) -> float:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import (DomainError, NoConvergence, NonPositiveProbability, OddN,
                      RecurrenceWindowExceeded, WindowTooShort)
-from .numerics import require_finite
+from .numerics import gauss_legendre, require_finite
 from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy, Free,
                     ZenoMeasurement, strategy_rate)
 from .spectral import FormFactor, bare_density
@@ -153,69 +153,15 @@ def _mode_count(M) -> int:
     return M
 
 
-def _legendre(M: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_M(x) and P_M'(x) from the three-term recurrence (|x| < 1)."""
-    p0, p1 = np.ones_like(x), x
-    for j in range(2, M + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    return p1, M * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
-
-
 def _gauss_legendre(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the M-point Gauss-Legendre rule on
-    [-1, 1], as read-only arrays shared by every call with the same M.
-
-    Halley's method on P_M from Tricomi's estimate of its zeros, vectorized
-    over the nonnegative nodes and mirrored, with P_M'' from Legendre's
-    equation (1 - x^2) P'' = 2x P' - M(M+1) P.  At a zero, with
-    s = 1 - x^2, the same equation gives P''/P' = 2x/s and
-    P'''/P' = 8x^2/s^2 - (M(M+1) - 2)/s, so a step of size dx leaves the
-    node an error K dx^3, with Halley's constant
-
-        K = (P''/2P')^2 - P'''/6P' = ((M(M+1) - 2) s - 2x^2) / 6 s^2.
-
-    The weights 2 / (s P_M'(x)^2) take P_M' from the last pass, carried to
-    the updated node as P' - P'' dx, which leaves P'^2 a relative error
-    |P'''/P'| dx^2 = 6 |x^2/s^2 - K| dx^2.  The iteration stops once both
-    are below eps: two O(M^2) passes from Tricomi's start (every M from 2
-    to 3000 and at 6000, 9000 and 12000).  The node bound alone would stop
-    after one pass from M of about 8000 up, with weights off by ~6e-6.
-    """
+    """:func:`numerics.gauss_legendre` for a validated mode count M, as
+    read-only arrays shared by every call with the same M."""
     return _gauss_legendre_rule(_mode_count(M))
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre_rule(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_gauss_legendre`` for a validated plain-int M, cached on M (the
-    check comes first because 300.0 would hit the entry of 300)."""
-    k = np.arange(1, M // 2 + 1)
-    x = ((1.0 - (1.0 - 1.0 / M) / (8.0 * M * M))
-         * np.cos(math.pi * (4 * k - 1) / (4 * M + 2)))
-    if M % 2:
-        x = np.append(x, 0.0)       # P_M(0) = 0 exactly: Halley keeps it
-    mm = M * (M + 1.0)
-    for _ in range(_NEWTON_MAX):
-        p, dp = _legendre(M, x)
-        s = (1.0 - x) * (1.0 + x)
-        ddp = (2.0 * x * dp - mm * p) / s
-        u = p / dp
-        dx = u / (1.0 - 0.5 * u * ddp / dp)
-        K = ((mm - 2.0) * s - 2.0 * x * x) / (6.0 * s * s)
-        err = np.maximum(np.abs(K * dx), 6.0 * np.abs(x * x / (s * s) - K))
-        x = x - dx
-        dp = dp - ddp * dx
-        if np.max(err * dx * dx) <= _EPS:
-            break
-    else:
-        raise NoConvergence(f"Gauss-Legendre nodes for M = {M} did not "
-                            f"converge in {_NEWTON_MAX} Halley steps")
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    h = M // 2                      # x and w run from the largest node down
-    x = np.concatenate([-x[:h], x[::-1]])
-    w = np.concatenate([w[:h], w[::-1]])
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+# ``_gauss_legendre`` for a validated plain-int M, cached on M (the check
+# comes first because 300.0 would hit the entry of 300)
+_gauss_legendre_rule = lru_cache(maxsize=8)(gauss_legendre)
 
 
 def _spectral_measure(a: float, poles: np.ndarray,

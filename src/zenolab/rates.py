@@ -150,6 +150,12 @@ _ZENO_BLOCK = 128
 _ZENO_TOL = 1e-12
 # the most cells one call may cut: |omega0| tau up to about 1.6e6
 _ZENO_MAX_CELLS = 1 << 20
+# bisection depth and the most segments one block may have pending (0.5 M
+# nodes): the depth serves the log-singular first cell of the polynomial
+# family at n = 1 (about 31 passes); the segment bound stops a block that
+# bisects everywhere, as at a rounding floor, before it fills memory
+_ZENO_MAX_PASSES = 60
+_ZENO_MAX_PENDING = 1 << 15
 
 
 def _zeno_cells(periods: np.ndarray, omega0: float, lam: float) -> np.ndarray:
@@ -244,7 +250,8 @@ def zeno_rate(tsd: ThermalSpectralDensity, omega0: float, tau):
         size = (b - a) * np.maximum(size[:a.size], size[a.size:])
         cells, _ = _segmented_integrals(
             f, a, b, np.arange(a.size), a.size, rel_tol=_ZENO_TOL,
-            abs_tol=np.maximum(_ZENO_TOL * size, 1e-300), max_passes=60,
+            abs_tol=np.maximum(_ZENO_TOL * size, 1e-300),
+            max_passes=_ZENO_MAX_PASSES, max_pending=_ZENO_MAX_PENDING,
             label=lambda q, a=a, b=b: (f"zeno_rate on the cell "
                                        f"[{float(a[q])!r}, {float(b[q])!r}]"))
         f1[start:start + a.size] = cells.real

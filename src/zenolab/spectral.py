@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentIntegral, DivergentMoment, DomainError
-from .numerics import _BERNOULLI, _trigamma_pair, alpha_n, require_finite
+from .numerics import (_BERNOULLI, _trigamma_pair, alpha_n, gauss_legendre,
+                       require_finite)
 
 __all__ = [
     "EXPONENTIAL",
@@ -188,7 +189,8 @@ def zeno_time(tsd: ThermalSpectralDensity) -> float:
     (see :func:`correlation`), in closed form: g^2 Lambda^2 (exponential,
     beta = inf), (g^2/beta^2) [psi'(1/(Lambda beta)) + psi'(1/(Lambda beta)
     + 1)] (exponential), g^2 Lambda^2 / (2(n - 1)) (polynomial, beta = inf)
-    and the Matsubara sum of :func:`_poly_correlation` at s = 0 (polynomial).
+    and :func:`_poly_correlation` at s = 0 (polynomial: its Matsubara sum,
+    or at low temperature the beta = inf value plus the Bose correction).
     """
     if tsd.base.family == POLYNOMIAL and tsd.base.n < 2:
         raise DivergentIntegral("integral of kappa_beta diverges for n = 1")
@@ -221,22 +223,22 @@ _TAIL_GAP = 20
 _EM_TERMS = 6
 # lags per evaluation of the polynomial family's C
 _POLY_CHUNK = 512
+# the polynomial family at low temperature (Lambda beta at least
+# _low_temperature_threshold): the relative size of what its series and
+# its far-lag sum leave out, the Matsubara frequencies (below
+# _FAR_FRACTION Lambda) that the far-lag sum keeps, and the explicit
+# terms of each Bose sum before its Hurwitz-zeta tail
+_LOW_T_TOL = 1e-18
+_FAR_FRACTION = 0.8
+_BOSE_TERMS = 16
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre01(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre rule on [0, 1]: Newton's method on P_m
-    (three-term recurrence) from cos(pi (4k - 1)/(4m + 2)), weights
-    2/((1 - x^2) P_m'(x)^2) on [-1, 1]."""
-    x = np.cos(math.pi * (4.0 * np.arange(1, m + 1) - 1.0) / (4.0 * m + 2.0))
-    for step in range(9):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, m + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = m * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
-        if step < 8:
-            x = x - p1 / dp
-    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+def _unit_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule (:func:`numerics.gauss_legendre`)
+    moved to [0, 1]."""
+    x, w = gauss_legendre(m)
+    return 0.5 * (1.0 + x), 0.5 * w
 
 
 def _horner(coefs, y):
@@ -332,7 +334,7 @@ def _matsubara_tail(lam: float, beta: float, n: int):
     K = math.ceil(1.5 * x) + _TAIL_GAP
     a0 = K + 0.5
     order = 2 * _EM_TERMS - 1
-    t, w = _gauss_legendre01(24)
+    t, w = _unit_rule(24)
     k = a0 / t
     weights = [(1.0 - 2.0 ** (1 - 2 * j)) * _BERNOULLI[j - 1] / math.factorial(2 * j)
                for j in range(1, _EM_TERMS + 1)]
@@ -487,7 +489,7 @@ def _dd_genocchi(s: np.ndarray, a: float, b: np.ndarray, n: int) -> np.ndarray:
     cancellation; this branch stays within about 5e-15 (checked against
     40-digit references for n = 2..4), and neither branch loses more than
     that at the switch points."""
-    x, w = _gauss_legendre01(16)
+    x, w = _unit_rule(16)
     ra = math.sqrt(a)
     q = _psi_polynomial(n)
     out = np.empty((s.size, b.size))
@@ -500,6 +502,153 @@ def _dd_genocchi(s: np.ndarray, a: float, b: np.ndarray, n: int) -> np.ndarray:
                   * ((1.0 - x) * (rb + r)) ** (n - 1) / (rb + ra) ** n)
         y = s[:, None] * r
         out[:, i] = (_horner(q, y) * np.exp(-y)) @ weight
+    return out
+
+
+def _series_length(n: int, bl: float):
+    """Terms k < K of the low-temperature series of :func:`_bose_correction`
+    at Lambda beta = ``bl``: the first K whose bound (2k+1)!
+    C(n+k-1, k)/bl^{2k} (relative to the k = 0 term) is below _LOW_T_TOL
+    while the bounds still fall, or None if they turn before it."""
+    log_tol = math.log(_LOW_T_TOL)
+    log_bound = 0.0
+    for k in range(1, 400):
+        step = math.log((2 * k) * (2 * k + 1) * (n + k - 1) / k) - 2.0 * math.log(bl)
+        if step >= 0.0:
+            return None
+        log_bound += step
+        if log_bound <= log_tol:
+            return k
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _far_terms(n: int) -> int:
+    """Matsubara terms of the far-lag sum (s >= beta): the first k_c with
+    e^{-2 pi k_c} (k_c + 1) (1 - _FAR_FRACTION^2)^{-n} below _LOW_T_TOL,
+    the bound on its first dropped term relative to its first term."""
+    k = 1
+    while (-2.0 * math.pi * k + math.log(k + 1.0)
+           - n * math.log(1.0 - _FAR_FRACTION ** 2)) > math.log(_LOW_T_TOL):
+        k += 1
+    return k
+
+
+@functools.lru_cache(maxsize=None)
+def _low_temperature_threshold(n: int) -> float:
+    """The smallest Lambda beta = 32 pi (9/8)^j at which the polynomial
+    family's C leaves its Matsubara sum for the low-temperature forms of
+    :func:`_poly_correlation`: their series converges
+    (:func:`_series_length`), the far-lag sum's Matsubara terms stay below
+    _FAR_FRACTION Lambda, and at s >= beta the terms it drops, each at
+    most (pi/2) e^{-s sqrt(xi)} xi^{1/2-n} |Q_n|(s sqrt(xi))/n! with
+    sqrt(xi) >= _FAR_FRACTION Lambda and about 2 Lambda beta/(2 pi) of them
+    weighing in, stay below _LOW_T_TOL of its first term, (pi/2) nu_1
+    e^{-s nu_1}/(Lambda^2 - nu_1^2)^n.  Below the threshold the Matsubara
+    sum takes at most ceil(1.5 threshold/(2 pi)) + _TAIL_GAP explicit
+    terms, so C costs no more than that at any beta.
+    """
+    theta = _FAR_FRACTION
+    q = float(np.abs(_psi_polynomial(n)).sum())
+    bl = 32.0 * math.pi
+    while True:
+        dropped = (n * math.log(bl) + 2.0 * math.log(bl / (2.0 * math.pi))
+                   + math.log(2.0 * q / math.factorial(n))
+                   - n * math.log(theta * theta * (1.0 - theta * theta)))
+        if (_series_length(n, bl) is not None
+                and _far_terms(n) <= theta * bl / (2.0 * math.pi)
+                and theta * bl - 2.0 * math.pi - dropped >= -math.log(_LOW_T_TOL)):
+            return bl
+        bl *= 1.125
+
+
+def _bose_sums(sigma: np.ndarray, count: int) -> np.ndarray:
+    """Re sum_{m >= 1} (m + i sigma)^{-p}, p = 2k + 2, k < count (rows):
+    terms m < _BOSE_TERMS summed, the rest the Hurwitz zeta function
+    zeta(p, w) at w = _BOSE_TERMS + i sigma by its asymptotic series
+    w^{1-p}/(p-1) + w^{-p}/2 + sum_j B_2j/(2j)! (p)_{2j-1} w^{1-p-2j}."""
+    r = 1.0 / (np.arange(1.0, _BOSE_TERMS) + 1j * sigma[:, None])
+    r2 = r * r
+    v = 1.0 / (_BOSE_TERMS + 1j * sigma)
+    v2 = v * v
+    odd = [v]
+    for _ in _BERNOULLI[1:]:
+        odd.append(odd[-1] * v2)
+    out = np.empty((count, sigma.size))
+    head, vp = r2, v2
+    for k in range(count):
+        p = 2 * k + 2
+        series = 1.0 / (v * (p - 1)) + 0.5
+        rising = float(p)
+        for j, (b, w) in enumerate(zip(_BERNOULLI, odd), start=1):
+            series = series + (b / math.factorial(2 * j) * rising) * w
+            rising *= (p + 2 * j - 1) * (p + 2 * j)
+        out[k] = head.real.sum(axis=1) + (vp * series).real
+        head, vp = head * r2, vp * v2
+    return out
+
+
+def _bose_correction(sigma: np.ndarray, g2: float, bl: float, beta: float,
+                     n: int) -> np.ndarray:
+    """B(s) - B_inf(s) = 2 int_0^inf J(omega) cos(omega s)/(e^{beta omega} - 1)
+    d omega at sigma = s/beta < 1 and Lambda beta = bl, from the Taylor
+    series of J(omega) = g^2 omega (1 + omega^2/Lambda^2)^{-n} at 0, which
+    the Bose factor confines to omega of order 1/beta:
+
+        (2 g^2/beta^2) sum_k (-1)^k C(n+k-1, k) (2k+1)!/bl^{2k}
+                       Re sum_{m >= 1} (m + i sigma)^{-(2k+2)},
+
+    an asymptotic series whose terms fall geometrically at bl >=
+    :func:`_low_temperature_threshold`, kept while they are above
+    _LOW_T_TOL of the first (:func:`_series_length`)."""
+    count = _series_length(n, bl)
+    coef = np.array([(-1.0) ** k * math.comb(n + k - 1, k) * math.exp(
+        math.lgamma(2 * k + 2) - 2 * k * math.log(bl)) for k in range(count)])
+    return (2.0 * g2 / (beta * beta)) * (coef @ _bose_sums(sigma, count))
+
+
+def _odd_part(s: np.ndarray, g2: float, lam: float, n: int) -> np.ndarray:
+    """A(s), the residue of the odd part of kappa_beta at -i Lambda: the
+    coefficient of u^{n-1} in e^{-i u s} (u - i Lambda)(u - 2 i Lambda)^{-n},
+    times -i pi g^2 Lambda^{2n} e^{-Lambda s}."""
+    grow = [(-2j * lam) ** -n * math.comb(n + m - 1, m) * (2j * lam) ** -m
+            for m in range(n)]
+    lag = [(-1j * s) ** l / math.factorial(l) for l in range(n)]
+    coef = sum(-1j * lam * lag[l] * grow[n - 1 - l] for l in range(n))
+    coef = coef + sum(lag[l] * grow[n - 2 - l] for l in range(n - 1))
+    return -1j * math.pi * g2 * lam ** (2 * n) * np.exp(-lam * s) * coef
+
+
+def _zero_temperature(s: np.ndarray, g2: float, lam: float, n: int) -> np.ndarray:
+    """C(s) at beta = inf: A(s) plus B = g^2 Lambda^{2n} (-1)^{n-1}/(n-1)!
+    d^{n-1}/dt^{n-1} chi_s(t) at t = Lambda^2, with chi_s(t) =
+    int_0^inf omega cos(omega s)/(omega^2 + t) d omega =
+    -[e^{-x} Ei(x) - e^{x} E1(x)]/2, x = s sqrt(t); C(0) = g^2 Lambda^2
+    /(2(n - 1)), infinite for n = 1."""
+    a = lam * lam
+    out = _odd_part(s, g2, lam, n)
+    pos = s > 0
+    sp = s[pos]
+    # the Taylor series of chi_s(a + h) = -W(x(h))/2 in h, with
+    # x(h) = s sqrt(a + h)
+    dw = _w_derivatives(sp * lam, n)
+    root = [0.0 * sp]
+    c = 1.0
+    for m in range(1, n):
+        c *= (1.5 - m) / m
+        root.append(sp * lam * c / a ** m)
+    chi = [0.0 * sp for _ in range(n)]
+    power = [np.ones_like(sp)] + [0.0 * sp for _ in range(n - 1)]
+    for m in range(n):
+        for i in range(n):
+            chi[i] += dw[m] / math.factorial(m) * power[i]
+        power = [sum(power[j] * root[i - j] for j in range(i + 1))
+                 for i in range(n)]
+    out[pos] += g2 * lam ** (2 * n) * (-1.0) ** (n - 1) * -0.5 * chi[n - 1]
+    if n >= 2:
+        out[~pos] = g2 * a / (2.0 * (n - 1))
+    else:
+        out[~pos] = math.inf
     return out
 
 
@@ -520,9 +669,17 @@ def _poly_correlation(tsd: ThermalSpectralDensity, s: np.ndarray) -> np.ndarray:
       Hermite-Genocchi integral (:func:`_dd_genocchi`), elsewhere the
       direct formula [psi_s(b) - Taylor_{n-1}(b)]/(b - Lambda^2)^n.  The
       terms k > K are summed by Euler-Maclaurin (:func:`_matsubara_tail`).
-    * At beta = inf, B = g^2 Lambda^{2n} (-1)^{n-1}/(n-1)! d^{n-1}/dt^{n-1}
-      chi_s(t) at t = Lambda^2, with chi_s(t) = int_0^inf omega cos(omega s)
-      /(omega^2 + t) d omega = -[e^{-x} Ei(x) - e^{x} E1(x)]/2, x = s sqrt(t).
+      It takes about Lambda beta/(2 pi) terms per lag, so it serves only
+      Lambda beta below :func:`_low_temperature_threshold` (32 pi for
+      n <= 4), at most 44 terms (n <= 4).
+    * At beta = inf, B is in closed form (:func:`_zero_temperature`).
+    * At Lambda beta above the threshold (low temperature), with
+      coth = 1 + 2/(e^{beta omega} - 1): C = C_inf + the Bose correction
+      (:func:`_bose_correction`, a series in 1/(Lambda beta)^2) at s < beta.
+      At s >= beta, where C_inf and that correction cancel, every part of
+      C but the first _far_terms(n) Matsubara terms' (pi/2) nu_k
+      e^{-s nu_k}/(nu_k^2 - Lambda^2)^n is below _LOW_T_TOL of them, so C
+      is their sum.  Both take a fixed number of terms per lag at any beta.
 
     s = 0 gives C(0) in closed form at beta = inf; for n = 1, where C(0)
     diverges, s must be positive.
@@ -531,37 +688,21 @@ def _poly_correlation(tsd: ThermalSpectralDensity, s: np.ndarray) -> np.ndarray:
     g2, lam, n = ff.g * ff.g, ff.cutoff, ff.n
     a = lam * lam
     sign = (-1.0) ** (n + 1)
-    # A: the coefficient of u^{n-1} in e^{-i u s} (u - i Lambda) (u - 2 i Lambda)^{-n}
-    grow = [(-2j * lam) ** -n * math.comb(n + m - 1, m) * (2j * lam) ** -m
-            for m in range(n)]
-    lag = [(-1j * s) ** l / math.factorial(l) for l in range(n)]
-    coef = sum(-1j * lam * lag[l] * grow[n - 1 - l] for l in range(n))
-    coef = coef + sum(lag[l] * grow[n - 2 - l] for l in range(n - 1))
-    out = -1j * math.pi * g2 * lam ** (2 * n) * np.exp(-lam * s) * coef
-    if math.isinf(tsd.beta):
-        pos = s > 0
-        sp = s[pos]
-        # the Taylor series of chi_s(a + h) = -W(x(h))/2 in h, with
-        # x(h) = s sqrt(a + h)
-        dw = _w_derivatives(sp * lam, n)
-        root = [0.0 * sp]
-        c = 1.0
-        for m in range(1, n):
-            c *= (1.5 - m) / m
-            root.append(sp * lam * c / a ** m)
-        chi = [0.0 * sp for _ in range(n)]
-        power = [np.ones_like(sp)] + [0.0 * sp for _ in range(n - 1)]
-        for m in range(n):
-            for i in range(n):
-                chi[i] += dw[m] / math.factorial(m) * power[i]
-            power = [sum(power[j] * root[i - j] for j in range(i + 1))
-                     for i in range(n)]
-        out[pos] += g2 * lam ** (2 * n) * (-1.0) ** (n - 1) * -0.5 * chi[n - 1]
-        if n >= 2:
-            out[~pos] = g2 * a / (2.0 * (n - 1))
-        else:
-            out[~pos] = math.inf
+    beta = tsd.beta
+    if math.isinf(beta) or lam * beta >= _low_temperature_threshold(n):
+        near = s < beta
+        out = np.empty(s.size, dtype=complex)
+        out[near] = _zero_temperature(s[near], g2, lam, n)
+        if not math.isinf(beta):
+            out[near] += _bose_correction(s[near] / beta, g2, lam * beta, beta, n)
+            # (2 g^2/beta) sign Lambda^{2n} 2 sum_k (pi/2) nu_k e^{-s nu_k}
+            # / (nu_k^2 - Lambda^2)^n over the first Matsubara terms
+            nu = (2.0 * math.pi / beta) * np.arange(1, _far_terms(n) + 1)
+            far = s[~near, None]
+            out[~near] = (2.0 * math.pi * g2 / beta * sign * a ** n) * (
+                np.exp(-far * nu) @ (nu / (nu * nu - a) ** n))
         return out
+    out = _odd_part(s, g2, lam, n)
     K, S, phi_zero, em, c, x = _matsubara_tail(lam, tsd.beta, n)
     d = _psi_taylor(a, s, n - 1)
     nu = c * np.arange(K + 1)

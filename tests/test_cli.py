@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import zenolab
-from zenolab import cli, oracle, rates
+from zenolab import cli, numerics, oracle, rates
 from zenolab.errors import NoConvergence
 from zenolab.cli import main
 
@@ -384,8 +384,8 @@ def test_oracle_kick_estimates_a_far_mode_count(tmp_path, capsys,
     # N tau = 2e7 needs ~3e7 modes: the count is estimated, and no rule
     # above the requested 300 modes is built
     built = []
-    legendre = oracle._legendre
-    monkeypatch.setattr(oracle, "_legendre",
+    legendre = numerics._legendre
+    monkeypatch.setattr(numerics, "_legendre",
                         lambda m, x: built.append(m) or legendre(m, x))
     code, out = run(tmp_path, "k.csv", ["oracle", "--protocol", "kick",
                                         "--values", "1e5"])

@@ -101,6 +101,20 @@ def test_segmented_integral_out_of_passes_raises():
                              3, 1e-9, 1e-13, 3)
 
 
+def test_segmented_integrals_pending_bound_is_per_call():
+    # a noisy integrand bisects everywhere: with max_pending the engine
+    # raises, naming the query, once a pass would exceed it; without it
+    # the same call runs until it is out of passes
+    rng = np.random.default_rng(5)
+    noise = lambda x, owner: rng.standard_normal(x.shape)
+    with pytest.raises(z.NoConvergence, match="query 0 needs more than 64 pending"):
+        _segmented_integrals(noise, np.zeros(1), np.ones(1), np.zeros(1, dtype=int),
+                             1, 1e-9, 1e-13, 16, max_pending=64)
+    with pytest.raises(z.NoConvergence, match="ran out of passes: 256 segments"):
+        _segmented_integrals(noise, np.zeros(1), np.ones(1), np.zeros(1, dtype=int),
+                             1, 1e-9, 1e-13, 8)
+
+
 # integrands of different difficulty, and the edges of each query: a
 # smooth one, an interior kink that takes many passes, repeated edges and
 # a zero-width segment, and a query made only of zero-width segments

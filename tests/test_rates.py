@@ -197,12 +197,16 @@ def test_trigamma_switch_is_continuous():
     x = np.logspace(-3.0, math.log10(15.9), 60)
     y = np.sqrt(256.0 - x * x)
     z16 = np.concatenate([x + 1j * y, x - 1j * y])
-    series = numerics._trigamma_pair(z16)
-    below = numerics._trigamma_pair(z16 * (1.0 - 1e-15))
+    # |z16| rounds to either side of 16, so each point is nudged across:
+    # the series side to |z| >= 16, the other side to |z| < 16
+    above, under = z16 * (1.0 + 1e-15), z16 * (1.0 - 1e-15)
+    assert np.all(np.abs(above) >= 16.0) and np.all(np.abs(under) < 16.0)
+    series = numerics._trigamma_pair(above)
+    below = numerics._trigamma_pair(under)
     assert np.all(np.abs(below - series) <= 1e-14 * np.abs(series))
-    high = z16.real >= 0.5
-    recurred = sum(1.0 / (z16 + j) ** 2 + 1.0 / (z16.conj() + 1 + j) ** 2
-                   for j in range(16)) + numerics._trigamma_pair(z16 + 16.0)
+    high = above.real >= 0.5
+    recurred = sum(1.0 / (above + j) ** 2 + 1.0 / (above.conj() + 1 + j) ** 2
+                   for j in range(16)) + numerics._trigamma_pair(above + 16.0)
     assert np.all(np.abs(series - recurred)[high] <= 1e-14 * np.abs(series)[high])
 
 
@@ -270,6 +274,89 @@ def test_zeno_rate_poly_hazards(case, tau):
     assert z.zeno_rate(tsd, OMEGA, tau) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_zeno_time_low_temperature(n):
+    # at beta = 1e6, 1/tau_Z^2 is the beta = inf value g^2 Lambda^2/(2(n-1))
+    # plus the Bose correction 2 int J/(e^{beta omega} - 1) = g^2 pi^2/(3 beta^2),
+    # whose next term is 1e-24 of it; a quadrature that misses the
+    # correction is off by 1.6e-11 (n = 2)
+    beta = 1e6
+    ff = z.form_factor_for_bandwidth(z.POLYNOMIAL, W=1.0, g=0.7, n=n)
+    want = ff.g ** 2 * (ff.cutoff ** 2 / (2.0 * (n - 1)) + math.pi ** 2 / (3.0 * beta ** 2))
+    assert z.zeno_time(ff.thermal(beta)) ** -2 == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_zeno_rate_low_temperature_cost(n, monkeypatch):
+    # at beta = 1e6 no Matsubara sum is built (it would take 1.5 Lambda
+    # beta/(2 pi), 1.5e5 to 4e5 terms per lag), the Bose series keeps at
+    # most 11 terms, and a scan takes the nodes it takes at beta = inf;
+    # the values match QUADPACK
+    from zenolab import crossover
+    ff = z.form_factor_for_bandwidth(z.POLYNOMIAL, W=1.0, n=n)
+    hot, cold = ff.thermal(1e6), ff.thermal(math.inf)
+    counts, nodes = [], []
+    real_sums, real_engine = spectral._bose_sums, rates._segmented_integrals
+
+    def no_matsubara(*args):
+        raise AssertionError("a Matsubara sum at beta = 1e6")
+
+    def recording_sums(sigma, count):
+        counts.append(count)
+        return real_sums(sigma, count)
+
+    def counting_engine(f, *args, **kwargs):
+        def counted(x, owner):
+            nodes[-1] += x.size
+            return f(x, owner)
+        return real_engine(counted, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_matsubara_tail", no_matsubara)
+    monkeypatch.setattr(spectral, "_bose_sums", recording_sums)
+    monkeypatch.setattr(rates, "_segmented_integrals", counting_engine)
+    for tsd in (hot, cold):
+        nodes.append(0)
+        z.zeno_rate(tsd, OMEGA, crossover._SCAN_GRID)
+    assert counts and max(counts) <= 11
+    assert nodes[0] <= 1.05 * nodes[1]
+    for tau in (1e-3, 1.0, 1e3):
+        want = (_zeno_reference(hot, OMEGA, tau) if tau < 10.0
+                else 2.0 * _zeno_reference_long(hot, OMEGA, tau))
+        assert z.zeno_rate(hot, OMEGA, tau) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_low_temperature_forms_match_matsubara_sum(n, monkeypatch):
+    # just above the threshold and well above it, the zero-temperature form
+    # plus the Bose correction (s < beta) and the far-lag Matsubara terms
+    # (s >= beta) give the Matsubara sum's C within 1e-12 of |C(s)| and
+    # 1e-15 of max |C| (worst seen 1e-13 where C_inf and the correction
+    # cancel near s = beta/2)
+    lam = 0.7
+    for bl in (1.01 * spectral._low_temperature_threshold(n), 250.0):
+        tsd = z.FormFactor(z.POLYNOMIAL, cutoff=lam, n=n).thermal(bl / lam)
+        s = np.concatenate([np.geomspace(1e-6, 8.0 * tsd.beta, 300),
+                            tsd.beta * np.array([1.0 - 1e-12, 1.0])])
+        if n > 1:
+            s = np.append(s, 0.0)
+        low = spectral.correlation(tsd, s)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_low_temperature_threshold", lambda n: math.inf)
+            matsubara = spectral.correlation(tsd, s)
+        scale = np.max(np.abs(matsubara))
+        assert np.all(np.abs(low - matsubara)
+                      <= 1e-12 * np.abs(matsubara) + 1e-15 * scale)
+
+
+def test_low_temperature_threshold_bounds_the_matsubara_sum():
+    # below the threshold the Matsubara sum takes at most 44 explicit terms
+    # (n <= 4), so the polynomial C costs no more than that at any beta
+    for n in (1, 2, 3, 4):
+        bl = spectral._low_temperature_threshold(n)
+        assert math.ceil(1.5 * bl / TWO_PI) + spectral._TAIL_GAP <= 44
+        assert spectral._series_length(n, bl) <= 11
+
+
 def test_kick_rate_large_tau(tsd_exp):
     gamma = z.golden_rule_rate(tsd_exp, OMEGA)
     res = z.kick_rate(tsd_exp, OMEGA, 1e4)
@@ -331,6 +418,15 @@ def test_kick_rate_integral_converges_in_n(tsd_exp):
     gaps = [abs(z.kick_rate_integral(tsd_exp, OMEGA, 3.0, N) - series)
             for N in (2, 20, 200)]
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_kick_rate_integral_at_large_n(tsd_exp):
+    # sin^2(N x) puts N/2 periods in each of the 102 cells; at N = 30000
+    # and tau = 10 the engine bisects to more than 2^15 pending segments
+    # within its 16 passes and converges, with no cap on the segment
+    # count; the finite-N rate is near the series
+    rate = z.kick_rate_integral(tsd_exp, OMEGA, 10.0, 30_000)
+    assert rate == pytest.approx(z.kick_rate(tsd_exp, OMEGA, 10.0).gamma, rel=1e-3)
 
 
 def test_kick_rate_integral_large_tau_consistency(tsd_exp):
