@@ -26,9 +26,9 @@ from .crossover import (CrossoverReport, QuickEstimates, find_K_star,
                         quick_estimates)
 from .lindblad import (QubitDensityMatrix, QubitGenerator,
                        build_qubit_generator, evolve, stationary_state)
-from .oracle import (GAUSS_LEGENDRE, LINEAR, DecayFit, DiscretizedBath,
-                     SingleExcitationModel, build_bath, continuous_survival,
-                     effective_rate, fit_decay_rate, free_survival,
-                     kick_survival_trace, zeno_effective_rate)
+from .oracle import (DecayFit, DiscretizedBath, SingleExcitationModel,
+                     build_bath, continuous_survival, effective_rate,
+                     fit_decay_rate, free_survival, kick_survival_trace,
+                     zeno_effective_rate)
 
 __version__ = "0.1.0"

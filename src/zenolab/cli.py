@@ -201,10 +201,10 @@ def _ratio_column(tsd: spectral.ThermalSpectralDensity, omega0: float,
                   conversion_c: float) -> np.ndarray:
     """Read-only controlled/golden-rule rate ratios of ``strategy_name`` at
     the periods tau = x / W of ``grid`` (couplings K = c / tau)."""
-    gamma = rates.strategy_rate(tsd, omega0, rates.Free()).gamma
+    gamma = rates.strategy_rate(tsd, omega0, rates.Free())
     taus = grid.values() / W                # tau (or c/K) in raw units
     strategy = _STRATEGIES[strategy_name](taus, conversion_c / taus)
-    ratio = rates.strategy_rate(tsd, omega0, strategy).gamma / gamma
+    ratio = rates.strategy_rate(tsd, omega0, strategy) / gamma
     ratio.setflags(write=False)
     return ratio
 
@@ -332,7 +332,7 @@ def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
     rows, fits = [], []
     for v, strategy in zip(values, strategies):
         fit = oracle.effective_rate(ff, cfg.omega0, strategy, M, n_cycles)
-        an = rates.strategy_rate(tsd0, cfg.omega0, strategy).gamma
+        an = rates.strategy_rate(tsd0, cfg.omega0, strategy)
         rows.append([v, fit.rate, an, abs(fit.rate - an) / an,
                      fit.residual, M, fit.fit_window[1]])
         fits.append(fit.fit_window)

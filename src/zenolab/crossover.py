@@ -20,12 +20,13 @@ oscillates at intermediate tau, so several crossings can exist; the
 smallest crossing from the controlled side is canonical and every
 crossing on the scan grid is reported.  A scan evaluates its grid in
 one array call of the kernel that Brent's refinement also runs, at full
-precision; there is no coarse pass.  The kick and K* finders scan the
+precision; there is no coarse pass.  Every rate, the free one too, comes
+from :func:`rates.strategy_rate`.  The kick and K* finders scan the
 whole grid (the comb sum without its truncation bound, and the exact
 continuous rate); the tau*_Z finder scans the grid from its last point
 below gamma tau_Z^2 upward, a floor under every Zeno crossing (see
-:func:`find_tau_star_zeno`), in one cumulative pass of
-:func:`rates.zeno_rate` over the bath correlation function.
+:func:`find_tau_star_zeno`), in one cumulative pass of the Zeno kernel
+over the bath correlation function.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NoCrossing
 from .numerics import alpha_n, lambert_w_m1
-from .rates import (_kick_comb, _kick_envelope_weight, continuous_rate,
-                    golden_rule_rate, zeno_rate)
+from .rates import (BangBangKick, ContinuousCoupling, Free, ZenoMeasurement,
+                    _kick_envelope_weight, strategy_rate)
 from .spectral import (EXPONENTIAL, FormFactor, ThermalSpectralDensity,
                        zeno_time)
 
@@ -138,27 +139,27 @@ def _envelope_root(ff: FormFactor, weight: float, gamma: float) -> float:
 def _free_rate(tsd: ThermalSpectralDensity, omega0: float) -> float:
     """The free (golden-rule) rate gamma; DomainError unless it is
     positive and finite, since every ratio divides by it."""
-    gamma = golden_rule_rate(tsd, omega0)
+    gamma = strategy_rate(tsd, omega0, Free())
     if not 0.0 < gamma < math.inf:
         raise DomainError(f"free rate gamma = {gamma!r} at omega0 = "
                           f"{omega0!r}: no crossover is defined")
     return gamma
 
 
-def _crossover(tsd: ThermalSpectralDensity, omega0: float,
-               rate: Callable, grid: np.ndarray,
+def _crossover(tsd: ThermalSpectralDensity, omega0: float, strategy: type,
+               grid: np.ndarray,
                estimate: Callable[[float], float]) -> CrossoverReport:
     """Every crossing of rate / gamma = 1 along ``grid``, gamma being the
-    free rate; the first in scan order is the root, reported against the
-    closed form ``estimate(gamma)``.
+    free rate and rate that of the one-parameter strategy class
+    ``strategy``; the first in scan order is the root, reported against
+    the closed form ``estimate(gamma)``.
 
-    ``rate`` takes a point or an array of points; the grid goes through
-    it in one call.  A cell is a crossing when ratio - 1 is 0 at its
-    start or changes sign across it, and ``_brent`` runs inside each cell
-    that changes sign.
+    The grid goes through the kernel in one call.  A cell is a crossing
+    when ratio - 1 is 0 at its start or changes sign across it, and
+    ``_brent`` runs inside each cell that changes sign.
     """
     gamma = _free_rate(tsd, omega0)
-    f = lambda x: rate(x) / gamma - 1.0
+    f = lambda x: strategy_rate(tsd, omega0, strategy(x)) / gamma - 1.0
     v = f(grid)
     lo, hi = v[:-1], v[1:]
     events = np.flatnonzero((lo == 0.0) | ((lo < 0.0) & (hi >= 0.0))
@@ -198,7 +199,7 @@ def find_tau_star_zeno(tsd: ThermalSpectralDensity,
     gamma = _free_rate(tsd, omega0)
     tau_z2 = zeno_time(tsd) ** 2
     start = int(np.searchsorted(_SCAN_GRID, gamma * tau_z2 * (1.0 - 1e-6)))
-    return _crossover(tsd, omega0, lambda t: zeno_rate(tsd, omega0, t),
+    return _crossover(tsd, omega0, ZenoMeasurement,
                       _SCAN_GRID[max(start - 1, 0):], lambda g: g * tau_z2)
 
 
@@ -206,8 +207,7 @@ def find_tau_star_kick(tsd: ThermalSpectralDensity,
                        omega0: float) -> CrossoverReport:
     """Smallest tau with gamma_k(tau) = gamma; Lambert-W / power-law estimate."""
     weight = _kick_envelope_weight(tsd.base)
-    return _crossover(tsd, omega0, lambda t: _kick_comb(tsd, omega0, t),
-                      _SCAN_GRID,
+    return _crossover(tsd, omega0, BangBangKick, _SCAN_GRID,
                       lambda gamma: math.pi / _envelope_root(tsd.base, weight, gamma))
 
 
@@ -217,8 +217,7 @@ def find_K_star(tsd: ThermalSpectralDensity, omega0: float) -> CrossoverReport:
     The scan runs from the strong-coupling (suppressed) side downward;
     K = 0, where the ratio equals 1 identically, is excluded.
     """
-    return _crossover(tsd, omega0, lambda K: continuous_rate(tsd, omega0, K),
-                      _SCAN_GRID[::-1],
+    return _crossover(tsd, omega0, ContinuousCoupling, _SCAN_GRID[::-1],
                       lambda gamma: _envelope_root(tsd.base, math.pi, gamma))
 
 

@@ -153,7 +153,7 @@ def build_qubit_generator(tsd_flip: ThermalSpectralDensity | None,
     require_finite(omega0, "level splitting omega0")
 
     def rate(tsd, center):
-        return 0.0 if tsd is None else strategy_rate(tsd, center, strategy).gamma
+        return 0.0 if tsd is None else strategy_rate(tsd, center, strategy)
 
     given = tsd_flip if tsd_flip is not None else tsd_dephase
     return QubitGenerator(omega0, rate(tsd_dephase, 0.0), rate(tsd_flip, omega0),

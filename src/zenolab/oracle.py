@@ -1,7 +1,7 @@
 """Brute-force validator: exact unitary dynamics of a discretized bath.
 
-The continuum bath is replaced by M discrete modes on [0, omega_max] with
-couplings g_i = sqrt(kappa(omega_i) w_i) (w_i = quadrature weights), and
+The continuum bath is replaced by the M nodes omega_i of the Gauss-Legendre
+rule on [0, omega_max], with couplings g_i = sqrt(kappa(omega_i) w_i), and
 the qubit + bath is evolved exactly in the zero-temperature
 single-excitation sector {|up, vac>, |down, 1_i>}, whose Hamiltonian is
 an arrowhead: Omega/2, then poles -Omega/2 + omega_i coupled by g_i.
@@ -30,9 +30,10 @@ amplitude and the model is the qubit's.
 * continuous coupling: plain evolution of the K != 0 ancilla model.
 
 ``effective_rate`` is the one entry point from a ``rates`` strategy to an
-oracle rate: it picks the bath span and, from a process-wide cache, the
-model, then fits -log P versus t inside a window between the bath
-correlation time and the recurrence time (~ 2 pi / max mode spacing).
+oracle rate: it picks the bath span (``_bath_span``) and, from a
+process-wide cache, the model, then fits -log P versus t inside a window
+between the bath correlation time and the recurrence time (~ 2 pi / max
+mode spacing).
 Analytic rates are second order in g, the oracle is exact, so
 comparisons carry O(g^2) relative slack; the reference configuration
 uses g = 0.1, Omega = 0.2 W.
@@ -60,8 +61,6 @@ from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy, Free,
 from .spectral import FormFactor, bare_density
 
 __all__ = [
-    "LINEAR",
-    "GAUSS_LEGENDRE",
     "DiscretizedBath",
     "SingleExcitationModel",
     "DecayFit",
@@ -74,9 +73,6 @@ __all__ = [
     "effective_rate",
     "require_window",
 ]
-
-LINEAR = "linear"
-GAUSS_LEGENDRE = "gauss-legendre"
 
 _EPS = float(np.finfo(float).eps)
 _NEWTON_MAX = 64        # cap on Halley and Newton steps (a few is typical)
@@ -114,7 +110,7 @@ class DiscretizedBath:
     @property
     def recurrence_time(self) -> float:
         """~ 2 pi over the largest mode spacing."""
-        return 2.0 * math.pi / float(np.max(np.diff(self.omegas)))
+        return _recurrence_time(self.omegas)
 
     @property
     def coupling_sum_rule(self) -> float:
@@ -122,41 +118,27 @@ class DiscretizedBath:
         return float(np.sum(self.couplings ** 2))
 
 
-def build_bath(ff: FormFactor, omega_max: float, M: int,
-               scheme: str = GAUSS_LEGENDRE) -> DiscretizedBath:
-    """Discretize ``ff`` into M modes on [0, omega_max]."""
+def build_bath(ff: FormFactor, omega_max: float, M: int) -> DiscretizedBath:
+    """Discretize ``ff`` into the M Gauss-Legendre modes of [0, omega_max]."""
     if not omega_max > 0:
         raise DomainError("omega_max must be positive")
-    M = _mode_count(M)
-    if scheme == LINEAR:
-        step = omega_max / M
-        om = (np.arange(M) + 0.5) * step
-        wq = np.full(M, step)
-    elif scheme == GAUSS_LEGENDRE:
-        x, w = _gauss_legendre(M)
-        om = 0.5 * omega_max * (x + 1.0)
-        wq = 0.5 * omega_max * w
-    else:
-        raise DomainError(f"unknown scheme {scheme!r}")
-    gi = np.sqrt(bare_density(ff, om) * wq)
+    x, w = _gauss_legendre(M)
+    om = 0.5 * omega_max * (x + 1.0)
+    gi = np.sqrt(bare_density(ff, om) * (0.5 * omega_max * w))
     return DiscretizedBath(om, gi, float(omega_max))
 
 
-def _mode_count(M) -> int:
-    """M as a plain int >= 2; DomainError for anything else."""
+def _gauss_legendre(M) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`numerics.gauss_legendre` for a mode count M, as read-only
+    arrays shared by every call with the same M; DomainError unless M is
+    an integer >= 2."""
     try:
         M = operator.index(M)
     except TypeError:
         raise DomainError(f"mode count must be an integer, got {M!r}") from None
     if M < 2:
         raise DomainError("need at least 2 modes")
-    return M
-
-
-def _gauss_legendre(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`numerics.gauss_legendre` for a validated mode count M, as
-    read-only arrays shared by every call with the same M."""
-    return _gauss_legendre_rule(_mode_count(M))
+    return _gauss_legendre_rule(M)
 
 
 # ``_gauss_legendre`` for a validated plain-int M, cached on M (the check
@@ -458,10 +440,9 @@ def _qubit_model(ff: FormFactor, span: float, M: int, omega0: float,
 _CONFIRM_FACTOR = 4
 
 
-def _recurrence_time(span: float, x: np.ndarray) -> float:
-    """``recurrence_time`` of the bath on nodes ``x`` over [0, span], bit
-    for bit (the same node map as ``build_bath``)."""
-    return 2.0 * math.pi / float(np.max(np.diff(0.5 * span * (x + 1.0))))
+def _recurrence_time(omegas: np.ndarray) -> float:
+    """~ 2 pi over the largest spacing of the modes ``omegas``."""
+    return 2.0 * math.pi / float(np.max(np.diff(omegas)))
 
 
 def _require_recurrence(span: float, M: int, t_max: float):
@@ -475,14 +456,15 @@ def _require_recurrence(span: float, M: int, t_max: float):
     a model uses; above, a rule would cost O(count^2), so the message
     gives the estimate.
     """
-    t_rec = _recurrence_time(span, _gauss_legendre(M)[0])
+    # the recurrence time of the bath on rule nodes x (build_bath's map)
+    t_of = lambda x: _recurrence_time(0.5 * span * (x + 1.0))
+    t_rec = t_of(_gauss_legendre(M)[0])
     if t_max <= t_rec:
         return
     need = (M + 0.5) * t_max / t_rec - 0.5
     if need <= _CONFIRM_FACTOR * M:
         need = math.ceil(need)
-        short = lambda m: _recurrence_time(
-            span, _gauss_legendre_rule.__wrapped__(m)[0]) < t_max
+        short = lambda m: t_of(_gauss_legendre_rule.__wrapped__(m)[0]) < t_max
         while short(need):
             need += 1
         while need - 1 > M and not short(need - 1):
@@ -497,9 +479,20 @@ def _require_recurrence(span: float, M: int, t_max: float):
         f"{M}-mode bath; {hint}")
 
 
-def _kick_span(lam: float, omega0: float, tau: float) -> float:
-    """The kick rule's bath span: 12 Lambda, or past the first comb line."""
-    return max(12.0 * lam, omega0 + math.pi / tau + 3.0 * lam)
+def _bath_span(lam: float, omega0: float, strategy: ControlStrategy) -> float:
+    """The bath span of :func:`effective_rate`'s rule for ``strategy``:
+    12 Lambda, widened for kicks past the first comb line to
+    Omega + pi/tau + 3 Lambda, and for continuous coupling to
+    (Omega + K)/0.8 when Omega + K > 0.9 * 12 Lambda."""
+    span = 12.0 * lam
+    if isinstance(strategy, BangBangKick):
+        return max(span, omega0 + math.pi / strategy.tau + 3.0 * lam)
+    if isinstance(strategy, ContinuousCoupling):
+        K = strategy.K
+        return (omega0 + K) / 0.8 if omega0 + K > 0.9 * span else span
+    if isinstance(strategy, (Free, ZenoMeasurement)):
+        return span
+    raise DomainError(f"unknown strategy {strategy!r}")
 
 
 def require_window(ff: FormFactor, omega0: float, strategy: ControlStrategy,
@@ -509,16 +502,16 @@ def require_window(ff: FormFactor, omega0: float, strategy: ControlStrategy,
     :func:`effective_rate` outruns the recurrence time of its M-mode
     bath; the message names the mode count the run needs.  The free and
     continuous rules fit their windows inside the recurrence time."""
-    lam = ff.cutoff
     if isinstance(strategy, ZenoMeasurement):
-        _require_recurrence(12.0 * lam, M, strategy.tau)
+        t_max = strategy.tau
     elif isinstance(strategy, BangBangKick):
-        tau = strategy.tau
         try:
-            t_max = n_cycles * tau
+            t_max = n_cycles * strategy.tau
         except OverflowError:       # an int cycle count beyond float range
             t_max = math.inf
-        _require_recurrence(_kick_span(lam, omega0, tau), M, t_max)
+    else:
+        return
+    _require_recurrence(_bath_span(ff.cutoff, omega0, strategy), M, t_max)
 
 
 def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
@@ -526,9 +519,7 @@ def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
     """The oracle's decay rate under ``strategy`` (one period or coupling)
     on ff's M-mode Gauss-Legendre bath over [0, span], at zero temperature.
 
-    The span is 12 Lambda, widened for kicks to Omega + pi/tau + 3 Lambda
-    (past the first comb line) and for continuous coupling to
-    (Omega + K)/0.8 when Omega + K > 0.9 * 12 Lambda.  Free and continuous
+    The span is :func:`_bath_span`'s.  Free and continuous
     rates are fits to 60 samples from 6/Lambda up to min(0.75 t_rec,
     1.5/gamma) and min(0.8 t_rec, 2/max(gamma_K, 1e-3 gamma)); kicks fit
     the odd cycles of n_cycles (even) from n_cycles/4 on; Zeno is
@@ -538,32 +529,23 @@ def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
         raise DomainError("effective_rate takes one period or coupling")
     require_window(ff, omega0, strategy, M, n_cycles)
     lam = ff.cutoff
-    tsd0 = ff.thermal(math.inf)
+    model = _qubit_model(ff, _bath_span(lam, omega0, strategy), M, omega0,
+                         getattr(strategy, "K", 0.0))
     if isinstance(strategy, ZenoMeasurement):
         tau = strategy.tau
-        model = _qubit_model(ff, 12.0 * lam, M, omega0, 0.0)
         return DecayFit(zeno_effective_rate(model, tau), (tau, tau), 0.0)
     if isinstance(strategy, BangBangKick):
         tau = strategy.tau
-        model = _qubit_model(ff, _kick_span(lam, omega0, tau), M, omega0, 0.0)
         t, P = kick_survival_trace(model, tau, n_cycles)
         sel = (np.arange(n_cycles) % 2 == 1) & (t >= 0.25 * n_cycles * tau)
         return fit_decay_rate(list(zip(t[sel], P[sel])))
+    tsd0 = ff.thermal(math.inf)
+    gamma = strategy_rate(tsd0, omega0, Free())
     if isinstance(strategy, Free):
-        model = _qubit_model(ff, 12.0 * lam, M, omega0, 0.0)
-        gamma = strategy_rate(tsd0, omega0, strategy).gamma
         t_hi = min(0.75 * model.recurrence_time, 1.5 / gamma)
-    elif isinstance(strategy, ContinuousCoupling):
-        K = strategy.K
-        span = 12.0 * lam
-        if omega0 + K > 0.9 * span:
-            span = (omega0 + K) / 0.8
-        model = _qubit_model(ff, span, M, omega0, K)
-        gamma_K = strategy_rate(tsd0, omega0, strategy).gamma
-        gamma = strategy_rate(tsd0, omega0, Free()).gamma
+    else:
+        gamma_K = strategy_rate(tsd0, omega0, strategy)
         t_hi = min(0.8 * model.recurrence_time,
                    2.0 / max(gamma_K, gamma * 1e-3))
-    else:
-        raise DomainError(f"unknown strategy {strategy!r}")
     ts = np.linspace(6.0 / lam, t_hi, 60)
     return fit_decay_rate(list(zip(ts, free_survival(model, ts))))

@@ -57,13 +57,14 @@ def test_scalar_and_empty_shapes(tsd_exp):
 
 def test_array_strategy_dispatch(tsd_poly):
     taus = np.logspace(-2, 2, 9)
+    kick_gamma = lambda tsd, omega0, t: z.kick_rate(tsd, omega0, t).gamma
     for strategy, scalar in ((z.ZenoMeasurement, z.zeno_rate),
+                             (z.BangBangKick, kick_gamma),
                              (z.ContinuousCoupling, z.continuous_rate)):
         rate = z.strategy_rate(tsd_poly, OMEGA, strategy(taus))
-        _assert_close(rate.gamma, [scalar(tsd_poly, OMEGA, float(t)) for t in taus],
+        _assert_close(rate, [scalar(tsd_poly, OMEGA, float(t)) for t in taus],
                       strategy.__name__)
-    kick = z.strategy_rate(tsd_poly, OMEGA, z.BangBangKick(taus))
-    _assert_close(kick.truncation_error,
+    _assert_close(z.kick_rate(tsd_poly, OMEGA, taus).truncation_error,
                   [z.kick_rate(tsd_poly, OMEGA, float(t)).truncation_error
                    for t in taus], "kick")
 

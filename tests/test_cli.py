@@ -160,7 +160,7 @@ def test_evolve_identity_and_convergence(tmp_path):
         t = col(columns, data, "t")[1:]
         r = np.hypot(col(columns, data, "bloch_x"),
                      col(columns, data, "bloch_y"))[1:]
-        gamma_0 = zenolab.strategy_rate(tsd0, 0.0, strategy).gamma
+        gamma_0 = zenolab.strategy_rate(tsd0, 0.0, strategy)
         assert np.allclose(-np.log(r) / t, 2.0 * gamma_0, rtol=1e-12, atol=0.0)
     # the header records the strategy's parameter
     for args, line in ((["--strategy", "kick", "--tau", "0.25"], "# tau: 0.25"),
@@ -315,7 +315,7 @@ def test_oracle_columns_are_effective_and_strategy_rates(tmp_path, protocol,
         assert row[columns.index("rate_oracle")] == oracle.effective_rate(
             ff, cfg.omega0, strategy, 300, 200).rate
         assert row[columns.index("rate_analytic")] == rates.strategy_rate(
-            ff.thermal(math.inf), cfg.omega0, strategy).gamma
+            ff.thermal(math.inf), cfg.omega0, strategy)
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import zenolab as z
+from zenolab import cli
 from zenolab import crossover as xo
 from zenolab import rates
 from zenolab.crossover import _brent
@@ -131,7 +132,7 @@ def _full_precision_report(find):
 def _whole_grid_zeno_report(tsd, omega0):
     # _crossover on the whole grid through the full-precision kernel
     return _full_precision_report(lambda: xo._crossover(
-        tsd, omega0, lambda t: z.zeno_rate(tsd, omega0, t), xo._SCAN_GRID,
+        tsd, omega0, z.ZenoMeasurement, xo._SCAN_GRID,
         lambda gamma: gamma * z.zeno_time(tsd) ** 2))
 
 
@@ -161,7 +162,7 @@ def test_zeno_scan_starts_below_floor(monkeypatch, tsd_exp):
     # one array call, from the last grid point below gamma tau_Z^2 to the
     # end of the grid; scalar refinement calls only inside it
     scans, refines = [], []
-    real = xo.zeno_rate
+    real = rates.zeno_rate
 
     def recording(tsd, omega0, tau):
         if np.ndim(tau):
@@ -170,7 +171,7 @@ def test_zeno_scan_starts_below_floor(monkeypatch, tsd_exp):
             refines.append(tau)
         return real(tsd, omega0, tau)
 
-    monkeypatch.setattr(xo, "zeno_rate", recording)
+    monkeypatch.setattr(rates, "zeno_rate", recording)
     rep = xo.find_tau_star_zeno(tsd_exp, OMEGA)
     floor = z.golden_rule_rate(tsd_exp, OMEGA) * z.zeno_time(tsd_exp) ** 2
     assert len(scans) == 1
@@ -192,7 +193,7 @@ def test_zeno_scan_node_count(monkeypatch, beta, omega0):
     tsd = z.form_factor_for_bandwidth(z.EXPONENTIAL, W=1.0).thermal(beta)
     nodes = {"scan": 0, "refine": 0}
     phase = ["refine"]
-    real_engine, real_rate = rates._segmented_integrals, xo.zeno_rate
+    real_engine, real_rate = rates._segmented_integrals, rates.zeno_rate
 
     def counting_engine(f, *args, **kwargs):
         def counted(x, owner):
@@ -205,32 +206,51 @@ def test_zeno_scan_node_count(monkeypatch, beta, omega0):
         return real_rate(tsd, omega0, tau)
 
     monkeypatch.setattr(rates, "_segmented_integrals", counting_engine)
-    monkeypatch.setattr(xo, "zeno_rate", rate)
+    monkeypatch.setattr(rates, "zeno_rate", rate)
     xo.find_tau_star_zeno(tsd, omega0)
     assert 0 < nodes["scan"] <= 120_000
     assert nodes["refine"] > 0
 
 
-def test_kick_scan_skips_truncation_bound(monkeypatch, tsd_exp):
-    # the finder reads only gamma, so it never probes the tail supremum,
-    # and its grid values are kick_rate's gamma bit for bit
-    reference = z.kick_rate(tsd_exp, OMEGA, xo._SCAN_GRID).gamma
-    scans = []
-    real = xo._kick_comb
+def test_kick_scan_skips_truncation_bound(monkeypatch, tmp_path, tsd_exp):
+    # the finder, strategy_rate, the qubit generator and the CLI sweep read
+    # only gamma, so none probes the tail supremum, and every comb value
+    # they use is kick_rate's gamma bit for bit
+    calls = []
+    real = rates._kick_comb
 
     def recording(tsd, omega0, tau):
         out = real(tsd, omega0, tau)
-        if np.ndim(tau):
-            scans.append(out)
+        calls.append((tsd, omega0, tau, out))
         return out
 
     def forbidden(*args):
-        raise AssertionError("the kick scan computed the truncation bound")
+        raise AssertionError("the truncation bound was computed")
 
+    real_tail = rates._tail_supremum
     monkeypatch.setattr(rates, "_tail_supremum", forbidden)
-    monkeypatch.setattr(xo, "_kick_comb", recording)
-    xo.find_tau_star_kick(tsd_exp, OMEGA)
-    assert len(scans) == 1 and np.array_equal(scans[0], reference)
+    monkeypatch.setattr(rates, "_kick_comb", recording)
+    rep = xo.find_tau_star_kick(tsd_exp, OMEGA)
+    scans = [tau for _, _, tau, _ in calls if np.ndim(tau)]
+    assert len(scans) == 1 and np.array_equal(scans[0], xo._SCAN_GRID)
+    assert len(calls) == 1 + rep.n_refine
+    taus = np.array([0.3, 2.0, 40.0])
+    scalar = z.strategy_rate(tsd_exp, OMEGA, z.BangBangKick(2.0))
+    array = z.strategy_rate(tsd_exp, OMEGA, z.BangBangKick(taus))
+    gen = z.build_qubit_generator(tsd_exp, tsd_exp, OMEGA, z.BangBangKick(2.0))
+    cli._ratio_column.cache_clear()
+    assert cli.main(["sweep", "--strategy", "kick",
+                     "--out", str(tmp_path / "kick.csv")]) == 0
+    # the scalar, the array, three generator channels, two sweep columns
+    assert len(calls) == 1 + rep.n_refine + 7
+    used = list(calls)
+    monkeypatch.setattr(rates, "_tail_supremum", real_tail)
+    for tsd, omega0, tau, out in used:
+        assert np.array_equal(out, z.kick_rate(tsd, omega0, tau).gamma)
+    assert scalar == z.kick_rate(tsd_exp, OMEGA, 2.0).gamma
+    assert np.array_equal(array, z.kick_rate(tsd_exp, OMEGA, taus).gamma)
+    assert (gen.gamma_dephase, gen.gamma_down, gen.gamma_up) == tuple(
+        z.kick_rate(tsd_exp, c, 2.0).gamma for c in (0.0, OMEGA, -OMEGA))
 
 
 @pytest.mark.parametrize("finder, kernel", [
@@ -240,13 +260,13 @@ def test_kick_scan_skips_truncation_bound(monkeypatch, tsd_exp):
 def test_report_counts_whole_grid_scan_and_refinement(monkeypatch, tsd_exp,
                                                       finder, kernel):
     points, scalars = [], []
-    real = getattr(xo, kernel)
+    real = getattr(rates, kernel)
 
     def counting(tsd, omega0, x):
         (scalars if np.ndim(x) == 0 else points).append(np.size(x))
         return real(tsd, omega0, x)
 
-    monkeypatch.setattr(xo, kernel, counting)
+    monkeypatch.setattr(rates, kernel, counting)
     rep = finder(tsd_exp, OMEGA)
     assert points == [rep.n_scanned] == [xo._SCAN_GRID.size]
     assert rep.n_refine == len(scalars) >= 2 * len(rep.all_crossings)
