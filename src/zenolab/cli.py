@@ -172,22 +172,24 @@ def _write_csv(path: str, header_lines: list[str], columns: list[str],
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_density(cfg: RunConfig) -> int:
+def _density_table(cfg: RunConfig, betas: tuple[float, ...], command: str,
+                   extra: dict, columns: list[str]) -> int:
+    """The exp and poly densities kappa_beta at each of ``betas`` (inf: the
+    bare density) on the grid, by default 601 points over [-2W, 4W]."""
     grid = cfg.grid or GridSpec(-2.0 * cfg.W, 4.0 * cfg.W, 601, "lin")
     omegas = grid.values()
-    ff_e = cfg.form_factor(spectral.EXPONENTIAL)
-    ff_p = cfg.form_factor(spectral.POLYNOMIAL)
-    tsd_e = ff_e.thermal(cfg.beta)
-    tsd_p = ff_p.thermal(cfg.beta)
-    rows = np.column_stack([omegas / cfg.W,
-                            spectral.bare_density(ff_e, omegas),
-                            spectral.bare_density(ff_p, omegas),
-                            spectral.thermal_density(tsd_e, omegas),
-                            spectral.thermal_density(tsd_p, omegas)])
-    _write_csv(cfg.out, _with(cfg, grid=grid).header_lines("density"),
-               ["omega_over_W", "kappa_exp", "kappa_poly",
-                "kappa_beta_exp", "kappa_beta_poly"], rows)
+    rows = np.column_stack([omegas / cfg.W] + [
+        spectral.thermal_density(cfg.form_factor(family).thermal(b), omegas)
+        for b in betas for family in (spectral.EXPONENTIAL, spectral.POLYNOMIAL)])
+    _write_csv(cfg.out, _with(cfg, grid=grid, extra=extra).header_lines(command),
+               ["omega_over_W"] + columns, rows)
     return EXIT_OK
+
+
+def cmd_density(cfg: RunConfig) -> int:
+    return _density_table(cfg, (math.inf, cfg.beta), "density", {},
+                          ["kappa_exp", "kappa_poly", "kappa_beta_exp",
+                           "kappa_beta_poly"])
 
 
 # The comparison figures overlay the single-strategy sweeps (figure 10 is
@@ -375,20 +377,11 @@ def cmd_figure(cfg: RunConfig, fig_id: int) -> int:
 
 
 def _figure_thermal(cfg: RunConfig) -> int:
-    grid = cfg.grid or GridSpec(-2.0 * cfg.W, 4.0 * cfg.W, 601, "lin")
-    ff_e = cfg.form_factor(spectral.EXPONENTIAL)
-    ff_p = cfg.form_factor(spectral.POLYNOMIAL)
     betas = (50.0 / cfg.W, 2.0 / cfg.W)   # low and very high temperature
-    omegas = grid.values()
-    rows = np.column_stack([omegas / cfg.W] + [
-        spectral.thermal_density(ff.thermal(b), omegas)
-        for b in betas for ff in (ff_e, ff_p)])
-    cfg2 = _with(cfg, grid=grid, extra={"figure": "2",
-                                        "betas": f"{betas[0]:g},{betas[1]:g}"})
-    _write_csv(cfg.out, cfg2.header_lines("figure"),
-               ["omega_over_W", "kappa_beta_exp_low_T", "kappa_beta_poly_low_T",
-                "kappa_beta_exp_high_T", "kappa_beta_poly_high_T"], rows)
-    return EXIT_OK
+    return _density_table(cfg, betas, "figure",
+                          {"figure": "2", "betas": f"{betas[0]:g},{betas[1]:g}"},
+                          ["kappa_beta_exp_low_T", "kappa_beta_poly_low_T",
+                           "kappa_beta_exp_high_T", "kappa_beta_poly_high_T"])
 
 
 def _figure_response(cfg: RunConfig, fig_id: int, tau: float) -> int:
@@ -455,8 +448,7 @@ def _config_from(args) -> RunConfig:
         raise DomainError("beta must be positive (or inf)")
     require_finite(omega0, "level splitting omega0")
     grid = GridSpec.parse(args.grid) if args.grid else None
-    if not (math.isfinite(args.conversion_c) and args.conversion_c > 0):
-        raise DomainError("conversion constant must be finite and positive")
+    require_finite(args.conversion_c, "conversion constant")
     return RunConfig(family=args.family, n=args.n, g=args.g, beta=beta,
                      omega0=omega0, W=W, unit=args.unit,
                      conversion_c=args.conversion_c, grid=grid,

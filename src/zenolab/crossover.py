@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NoConvergence, NoCrossing
-from .numerics import alpha_n, lambert_w_m1
+from .numerics import alpha_n, lambert_w_m1, require_finite
 from .rates import (BangBangKick, ContinuousCoupling, Free, ZenoMeasurement,
                     _kick_envelope_weight, strategy_rate)
 from .spectral import (EXPONENTIAL, FormFactor, ThermalSpectralDensity,
@@ -238,8 +238,7 @@ def quick_estimates(n: int, omega0: float, W: float) -> QuickEstimates:
         tau*_k ~ 2 pi/W * (alpha_n/2) (alpha_n pi^2 Omega / 4W)^{1/(2n-1)}
         K*     ~ (W/alpha_n) (2W / (alpha_n Omega))^{1/(2n-1)}
     """
-    if not omega0 > 0 or not W > 0:
-        raise DomainError("omega0 and W must be positive")
+    require_finite((omega0, W), "omega0 and W")
     a = alpha_n(n)
     p = 1.0 / (2 * n - 1)
     tau_z = 2.0 * math.pi / W * (2.0 * (n - 1) * a * a * omega0 / W)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidState, NoRelaxation
+from .errors import InvalidState, NoRelaxation
 from .numerics import require_finite
 from .rates import ControlStrategy, Free, strategy_rate
 from .spectral import ThermalSpectralDensity
@@ -61,6 +61,8 @@ class QubitDensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise InvalidState("density matrix must be 2x2")
+        if not np.isfinite(m).all():
+            raise InvalidState("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
             raise InvalidState("density matrix is not Hermitian")
         if abs(m.trace().real - 1.0) > _TRACE_TOL or abs(m.trace().imag) > _TRACE_TOL:
@@ -119,8 +121,8 @@ class QubitGenerator:
     beta: float = math.inf
 
     def __post_init__(self):
-        if min(self.gamma_dephase, self.gamma_down, self.gamma_up) < 0:
-            raise DomainError("channel rates must be nonnegative")
+        require_finite((self.gamma_dephase, self.gamma_down, self.gamma_up),
+                       "channel rates", allow_zero=True)
 
     @property
     def relaxation_rate(self) -> float:
@@ -163,9 +165,9 @@ def build_qubit_generator(tsd_flip: ThermalSpectralDensity | None,
 
 def evolve(rho0: QubitDensityMatrix, gen: QubitGenerator,
            t: float) -> QubitDensityMatrix:
-    """Closed-form Bloch evolution of ``rho0`` for time ``t`` >= 0."""
-    if t < 0:
-        raise DomainError("evolution time must be nonnegative")
+    """Closed-form Bloch evolution of ``rho0`` for time ``t`` >= 0 (finite,
+    else DomainError)."""
+    require_finite(t, "evolution time t", allow_zero=True)
     x0, y0, z0 = rho0.bloch
     g1 = gen.relaxation_rate
     if g1 > 0:

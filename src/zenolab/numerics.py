@@ -2,12 +2,12 @@
 
 One adaptive quadrature engine: a vectorized segmented integrator (the
 nested Gauss-Kronrod 7/15 pair, bisection) that can run several real or
-complex integrals through shared passes.  Besides it: the guard for control
-parameters, the Gauss-Legendre rule, the -1 branch of Lambert's W, the
-Riemann zeta function at odd integers, the trigamma function (the tail of
-the half-integer series, and at complex arguments for the bath correlation
-function) and the Gamma-ratio coefficient alpha_n used by the crossover
-estimates.  numpy is the only dependency.
+complex integrals through shared passes.  Besides it: the entry guard
+for numeric inputs, Horner's rule, the Gauss-Legendre rule, the -1 branch
+of Lambert's W, the Riemann zeta function at odd integers, the trigamma
+function (the tail of the half-integer series, and at complex arguments
+for the bath correlation function) and the Gamma-ratio coefficient
+alpha_n used by the crossover estimates.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ def require_finite(values, what: str, allow_zero: bool = False) -> np.ndarray:
     """``values`` as a flat float array, or DomainError unless every entry
     is finite and positive (nonnegative with ``allow_zero``).
 
-    The one guard for control parameters (periods tau, couplings K),
-    shared by the strategy constructors and the scalar and array forms of
-    the rate kernels.
+    The one guard where a number that must be positive (or nonnegative)
+    enters the library: control parameters (periods tau, couplings K),
+    channel rates, times, bandwidths and spans.  NaN and +-inf fail it.
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
     ok = np.isfinite(arr) & ((arr >= 0.0) if allow_zero else (arr > 0.0))
@@ -297,15 +297,20 @@ def alpha_n(n: int) -> float:
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
+def _horner(coefs, y):
+    """sum_j coefs[j] y^j by Horner's rule."""
+    out = coefs[-1] + 0.0 * y
+    for c in coefs[-2::-1]:
+        out = out * y + c
+    return out
+
+
 def _trigamma_series(w: np.ndarray) -> np.ndarray:
     """sum_k B_2k w^{-(2k+1)}, the Bernoulli part of the asymptotic series
     of psi'(w) (seven terms, Horner's rule)."""
     r = 1.0 / w
     q = r * r
-    series = _BERNOULLI[-1] + 0.0 * q
-    for b in _BERNOULLI[-2::-1]:
-        series = b + series * q
-    return series * q * r
+    return _horner(_BERNOULLI, q) * q * r
 
 
 def _trigamma_pair(z: np.ndarray) -> np.ndarray:

@@ -119,9 +119,9 @@ class DiscretizedBath:
 
 
 def build_bath(ff: FormFactor, omega_max: float, M: int) -> DiscretizedBath:
-    """Discretize ``ff`` into the M Gauss-Legendre modes of [0, omega_max]."""
-    if not omega_max > 0:
-        raise DomainError("omega_max must be positive")
+    """Discretize ``ff`` into the M Gauss-Legendre modes of [0, omega_max]
+    (finite and positive, else DomainError)."""
+    require_finite(omega_max, "omega_max")
     x, w = _gauss_legendre(M)
     om = 0.5 * omega_max * (x + 1.0)
     gi = np.sqrt(bare_density(ff, om) * (0.5 * omega_max * w))
@@ -349,10 +349,9 @@ def _check_span(model: SingleExcitationModel, t_max: float):
 
 
 def free_survival(model: SingleExcitationModel, t):
-    """P(t) = |<up,vac| e^{-iHt} |up,vac>|^2 (scalar or array t)."""
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(tt < 0):
-        raise DomainError("t must be nonnegative")
+    """P(t) = |<up,vac| e^{-iHt} |up,vac>|^2 (scalar or array t, each
+    finite and nonnegative, else DomainError)."""
+    tt = require_finite(t, "time t", allow_zero=True)
     _check_span(model, float(np.max(tt)))
     amp = np.exp(-1j * np.outer(tt, model.eigenvalues)) @ model.weights
     P = np.abs(amp) ** 2
@@ -410,15 +409,19 @@ class DecayFit:
 def fit_decay_rate(samples: Sequence[tuple[float, float]]) -> DecayFit:
     """Least-squares slope of -log P versus t.
 
-    Requires >= 10 samples, all with P > 0; the residual is the RMS
+    Requires >= 10 samples, all with finite t (else DomainError) and
+    finite P > 0 (else NonPositiveProbability); the residual is the RMS
     deviation of -log P from the fitted line.
     """
     pts = np.asarray(list(samples), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 10:
         raise WindowTooShort("need at least 10 (t, P) samples")
     t, P = pts[:, 0], pts[:, 1]
-    if np.any(P <= 0.0):
-        raise NonPositiveProbability("all survival probabilities must be > 0")
+    if not np.isfinite(t).all():
+        raise DomainError("sample times must be finite")
+    if not (np.isfinite(P) & (P > 0.0)).all():
+        raise NonPositiveProbability(
+            "all survival probabilities must be finite and > 0")
     y = -np.log(P)
     slope, intercept = np.polyfit(t, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * t + intercept)) ** 2)))

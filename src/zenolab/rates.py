@@ -50,9 +50,9 @@ import numpy as np
 from .errors import DomainError, NoConvergence
 from .numerics import (_segmented_integrals, half_integer_series_tail,
                        require_finite, segmented_integral, zeta_odd)
-from .spectral import (EXPONENTIAL, POLYNOMIAL, FormFactor,
-                       ThermalSpectralDensity, bare_density, correlation,
-                       form_factor_for_bandwidth, thermal_density)
+from .spectral import (EXPONENTIAL, FormFactor, ThermalSpectralDensity,
+                       bare_density, correlation, form_factor_for_bandwidth,
+                       thermal_density)
 
 __all__ = [
     "Free",
@@ -131,14 +131,18 @@ def golden_rule_rate(tsd: ThermalSpectralDensity, omega0: float) -> float:
     return 2.0 * math.pi * thermal_density(tsd, omega0)
 
 
+def _pair(tsd: ThermalSpectralDensity, omega0: float, x):
+    """kappa_beta(omega0 + x) + kappa_beta(omega0 - x), a sideband pair."""
+    return thermal_density(tsd, omega0 + x) + thermal_density(tsd, omega0 - x)
+
+
 def continuous_rate(tsd: ThermalSpectralDensity, omega0: float, K):
     """gamma_c(K) = pi [kappa_beta(omega0 + K) + kappa_beta(omega0 - K)].
 
     ``K`` is a coupling or a 1-D array of couplings.
     """
     Ks = require_finite(K, "coupling K", allow_zero=True)
-    return _shaped(math.pi * (thermal_density(tsd, omega0 + Ks)
-                              + thermal_density(tsd, omega0 - Ks)), K)
+    return _shaped(math.pi * _pair(tsd, omega0, Ks), K)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +304,7 @@ def _tail_supremum(tsd: ThermalSpectralDensity, start: np.ndarray,
 def _kick_tail_estimate(tsd: ThermalSpectralDensity, omega0: float, taus):
     """The tail estimate beyond term _J_MAX: the tail weight times the
     density at the next comb argument."""
-    h_next = _NEXT_COMB / taus
-    return _TAIL_WEIGHT * (thermal_density(tsd, omega0 + h_next)
-                           + thermal_density(tsd, omega0 - h_next))
+    return _TAIL_WEIGHT * _pair(tsd, omega0, _NEXT_COMB / taus)
 
 
 def _kick_comb(tsd: ThermalSpectralDensity, omega0: float, tau):
@@ -316,8 +318,7 @@ def _kick_comb(tsd: ThermalSpectralDensity, omega0: float, tau):
     for s in range(0, taus.size, _KICK_BLOCK):
         t = taus[s:s + _KICK_BLOCK]
         h = (2 * j + 1) * math.pi / t[:, None]
-        partial = np.sum(weights * (thermal_density(tsd, omega0 + h)
-                                    + thermal_density(tsd, omega0 - h)), axis=1)
+        partial = np.sum(weights * _pair(tsd, omega0, h), axis=1)
         gamma[s:s + _KICK_BLOCK] = (2.0 / math.pi) * (
             partial + _kick_tail_estimate(tsd, omega0, t))
     return _shaped(gamma, tau)
@@ -430,15 +431,13 @@ def summary_asymptotics(family: str, n: int, omega0: float, W: float,
                         g: float = 1.0) -> SummaryAsymptotics:
     """Zero-temperature asymptotics of the three controlled rates.
 
-    zeno_slope = 1/tau_Z^2 = int kappa; the kick envelope is
-    (8/pi) kappa(pi/tau) for the exponential family and picks up the
-    factor (1 - 2^{-2n-1}) zeta(2n+1) for the polynomial one; the
-    continuous envelope is pi kappa(K).
+    zeno_slope = 1/tau_Z^2 = int kappa = C(0) (:func:`spectral.correlation`);
+    the kick envelope is (8/pi) kappa(pi/tau) for the exponential family
+    and picks up the factor (1 - 2^{-2n-1}) zeta(2n+1) for the polynomial
+    one; the continuous envelope is pi kappa(K).
     """
     ff = form_factor_for_bandwidth(family, W=W, g=g, n=n)
-    slope = g * g * ff.cutoff ** 2
-    if family == POLYNOMIAL:
-        slope /= 2.0 * (n - 1)
+    slope = float(correlation(ff.thermal(math.inf), np.zeros(1))[0].real)
     pref = _kick_envelope_weight(ff)
 
     def kick_env(tau: float) -> float:

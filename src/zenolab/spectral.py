@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentIntegral, DivergentMoment, DomainError
-from .numerics import (_BERNOULLI, _trigamma_pair, alpha_n, gauss_legendre,
-                       require_finite)
+from .numerics import (_BERNOULLI, _horner, _trigamma_pair, alpha_n,
+                       gauss_legendre, require_finite)
 
 __all__ = [
     "EXPONENTIAL",
@@ -54,7 +54,11 @@ POLYNOMIAL = "poly"
 
 _FAMILIES = (EXPONENTIAL, POLYNOMIAL)
 
-# largest exponent fed to exp(); beyond this the density underflows to 0
+# largest exponent fed to exp(): past omega = 700 Lambda the exponential
+# family keeps the floor g^2 omega e^{-700} instead of underflowing to 0,
+# so every rate ratio stays positive, as bench/checks.py requires (the
+# small-tau kick and large-K continuous ratios of figures 6 and 11 read
+# about 1e-300)
 _EXP_CLIP = 700.0
 
 
@@ -202,9 +206,9 @@ def zeno_time(tsd: ThermalSpectralDensity) -> float:
 
 def match_cutoffs(family_a: str, family_b: str, W: float,
                   n_a: int = 2, n_b: int = 2) -> tuple[float, float]:
-    """Cutoffs (Lambda_a, Lambda_b) giving both families bandwidth ``W``."""
-    if not W > 0:
-        raise DomainError("bandwidth W must be positive")
+    """Cutoffs (Lambda_a, Lambda_b) giving both families bandwidth ``W``
+    (finite and positive, else DomainError)."""
+    require_finite(W, "bandwidth W")
     return W / _bandwidth_ratio(family_a, n_a), W / _bandwidth_ratio(family_b, n_b)
 
 
@@ -239,14 +243,6 @@ def _unit_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     moved to [0, 1]."""
     x, w = gauss_legendre(m)
     return 0.5 * (1.0 + x), 0.5 * w
-
-
-def _horner(coefs, y):
-    """sum_j coefs[j] y^j by Horner's rule."""
-    out = coefs[-1] + 0.0 * y
-    for c in coefs[-2::-1]:
-        out = out * y + c
-    return out
 
 
 def correlation(tsd: ThermalSpectralDensity, s) -> np.ndarray:
@@ -290,16 +286,14 @@ def _psi_polynomial(m: int) -> np.ndarray:
     return q
 
 
-def _psi_derivative(t, s, m: int):
-    """psi_s^(m)(t), the m-th t-derivative of (pi/2) sqrt(t) e^{-s sqrt(t)}."""
+def _psi_taylor(t, s, order: int) -> list:
+    """Taylor coefficients psi_s^(j)(t)/j!, j = 0..order, of
+    psi_s(t) = (pi/2) sqrt(t) e^{-s sqrt(t)} (see :func:`_psi_polynomial`)."""
     r = np.sqrt(t)
     y = s * r
-    return 0.5 * math.pi * np.exp(-y) * r ** (1 - 2 * m) * _horner(_psi_polynomial(m), y)
-
-
-def _psi_taylor(t, s, order: int) -> list:
-    """Taylor coefficients psi_s^(j)(t)/j!, j = 0..order."""
-    return [_psi_derivative(t, s, j) / math.factorial(j) for j in range(order + 1)]
+    scale = 0.5 * math.pi * np.exp(-y)
+    return [scale * r ** (1 - 2 * j) * _horner(_psi_polynomial(j), y)
+            / math.factorial(j) for j in range(order + 1)]
 
 
 def _series_inverse_power(c0: float, c1: float, c2: float, m: int,
@@ -460,10 +454,7 @@ def _w_derivatives(x: np.ndarray, count: int) -> np.ndarray:
         # x^{-2}, every order at once (terms with 2j + 1 + m > 60 are 0)
         coef = np.array([[float(math.factorial(2 * j + 1 + m)) if 2 * j + 1 + m <= 60
                           else 0.0 for j in range(30)] for m in orders])
-        q = 1.0 / (xs * xs)
-        acc = coef[:, -1, None] + 0.0 * q
-        for c in coef.T[-2::-1]:
-            acc = acc * q + c[:, None]
+        acc = _horner(coef.T[:, :, None], 1.0 / (xs * xs))
         out[:, ~lo] = (2.0 * (-1.0) ** orders[:, None] * acc
                        * xs ** -(orders[:, None] + 2.0))
     return out

@@ -450,6 +450,23 @@ def test_ratio_columns_shared_within_a_process(tmp_path):
         assert (info.misses, info.hits) == (12, 16)
 
 
+@pytest.mark.parametrize("fig_id", [6, 11])
+def test_exp_ratio_columns_stay_positive(tmp_path, fig_id):
+    # the exp family's small-tau kick and large-K continuous ratios sit on
+    # the density's e^{-700} floor (about 1e-300); without it they
+    # underflow to 0, and the benchmark's output check requires every
+    # ratio finite and > 0
+    code, out = run(tmp_path, "f.csv", ["figure", "--id", str(fig_id),
+                                        "--family", "exp"])
+    assert code == 0
+    _, columns, data = read_csv(out)
+    ratios = [c for c in columns if c.startswith("ratio_")]
+    assert ratios
+    for name in ratios:
+        values = col(columns, data, name)
+        assert np.all(np.isfinite(values) & (values > 0.0)), name
+
+
 def test_ratio_column_is_read_only():
     cfg = cli.RunConfig()
     column = cli._ratio_column(cfg.thermal(), cfg.omega0, "kick",

@@ -29,6 +29,11 @@ def test_state_validation():
         z.QubitDensityMatrix(np.diag([1.5, -0.5]))                # negative eig
     with pytest.raises(z.InvalidState):
         z.QubitDensityMatrix.from_bloch(1.0, 1.0, 0.0)
+    # NaN fails every comparison, so each check above would pass it
+    with pytest.raises(z.InvalidState):
+        z.QubitDensityMatrix(np.full((2, 2), np.nan))
+    with pytest.raises(z.InvalidState):
+        z.QubitDensityMatrix.from_bloch(math.nan, 0.0, 0.0)
 
 
 def test_generator_construction_free(tsd_exp):

@@ -348,6 +348,35 @@ def test_kick_recurrence_checked_before_any_model(oracle_ff, monkeypatch,
     assert t_rec(need - 1) < n_cycles * tau <= t_rec(need)
 
 
+# M = 100 on the reference bath: the M + 1/2 estimate of the mode count
+# falls one short (122 for 123, 374 for 375) or one over (106 for 105)
+@pytest.mark.parametrize("strategy, n_cycles, t_max, short", [
+    (z.ZenoMeasurement(81.67), 200, 81.67, 1),
+    (z.ZenoMeasurement(70.34), 200, 70.34, -1),
+    (z.BangBangKick(0.355), 400, 400 * 0.355, 1)])
+def test_recurrence_count_corrects_its_estimate(oracle_ff, monkeypatch,
+                                                strategy, n_cycles, t_max,
+                                                short):
+    # the rules step the estimate to the smallest count whose bath reaches
+    # t_max, adding no rule but M's to the rule cache
+    def no_model(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(oracle, "_spectral_measure", no_model)
+    M = 100
+    misses = oracle._gauss_legendre_rule.cache_info().misses
+    with pytest.raises(z.RecurrenceWindowExceeded) as info:
+        z.effective_rate(oracle_ff, OMEGA, strategy, M, n_cycles)
+    assert oracle._gauss_legendre_rule.cache_info().misses - misses <= 1
+    need = int(str(info.value).split("at least ")[1].split()[0])
+    span = (_kick_span(oracle_ff, strategy.tau)
+            if isinstance(strategy, z.BangBangKick) else 12.0 * oracle_ff.cutoff)
+    t_rec = lambda m: z.build_bath(oracle_ff, span, m).recurrence_time
+    assert t_rec(need - 1) < t_max <= t_rec(need)
+    estimate = math.ceil((M + 0.5) * t_max / t_rec(M) - 0.5)
+    assert estimate == need - short
+
+
 @pytest.mark.parametrize("M, tau", [(50, 1.0), (200, 3.0)])
 def test_kick_recurrence_estimates_counts_beyond_four_m(oracle_ff,
                                                         monkeypatch, M, tau):

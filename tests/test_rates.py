@@ -325,13 +325,14 @@ def test_zeno_rate_low_temperature_cost(n, monkeypatch):
         assert z.zeno_rate(hot, OMEGA, tau) == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 6])
 def test_low_temperature_forms_match_matsubara_sum(n, monkeypatch):
     # just above the threshold and well above it, the zero-temperature form
     # plus the Bose correction (s < beta) and the far-lag Matsubara terms
     # (s >= beta) give the Matsubara sum's C within 1e-12 of |C(s)| and
     # 1e-15 of max |C| (worst seen 1e-13 where C_inf and the correction
-    # cancel near s = beta/2)
+    # cancel near s = beta/2); n = 5 and 6 take the threshold one 9/8
+    # step up, from 32 pi to 36 pi
     lam = 0.7
     for bl in (1.01 * spectral._low_temperature_threshold(n), 250.0):
         tsd = z.FormFactor(z.POLYNOMIAL, cutoff=lam, n=n).thermal(bl / lam)
