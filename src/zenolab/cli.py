@@ -41,7 +41,7 @@ import numpy as np
 from . import crossover as xo
 from . import lindblad, oracle, rates, spectral
 from .errors import (DivergentIntegral, DivergentMoment, DomainError,
-                     NoConvergence, NoCrossing, OddN, ZenolabError)
+                     NoConvergence, NoCrossing, ZenolabError)
 from .numerics import require_finite
 
 __all__ = ["RunConfig", "main"]
@@ -318,13 +318,13 @@ def cmd_oracle(cfg: RunConfig, protocol: str, values: list[float],
     one row at Omega); the header window spans every row's fit window.
     A row that would outrun the bath's recurrence time stops the run
     before any model is built.
-    Only kick runs read ``n_cycles``, so only they check it and record it."""
-    if protocol == "kick" and n_cycles % 2 != 0:
-        raise OddN("kick protocol requires an even cycle count")
+    Only kick runs read ``n_cycles`` (the oracle checks it) and record it."""
     if protocol == "free":
         if values:
             raise DomainError("--values does not apply to the free protocol")
         values = [cfg.omega0]
+    elif not values:
+        raise DomainError(f"--values is required for {protocol}")
     ff = cfg.form_factor()
     tsd0 = ff.thermal(math.inf)
     strategies = [_STRATEGIES[protocol](v, v) for v in values]
@@ -514,14 +514,12 @@ def main(argv: list[str] | None = None) -> int:
                               args.tau, args.K)
         if args.command == "oracle":
             values = [float(v) for v in args.values.split(",") if v]
-            if args.protocol in _CONTROLLED and not values:
-                raise DomainError(f"--values is required for {args.protocol}")
             return cmd_oracle(cfg, args.protocol, values, args.modes,
                               args.cycles)
         if args.command == "figure":
             return cmd_figure(cfg, args.fig_id)
         raise DomainError(f"unknown command {args.command!r}")
-    except (DomainError, DivergentMoment, OddN, ValueError) as exc:
+    except (DivergentMoment, ValueError) as exc:
         print(f"zenolab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoConvergence, DivergentIntegral) as exc:

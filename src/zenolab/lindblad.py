@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, NoRelaxation
+from .errors import DomainError, InvalidState, NoRelaxation
 from .numerics import require_finite
 from .rates import ControlStrategy, Free, strategy_rate
 from .spectral import ThermalSpectralDensity
@@ -112,7 +112,8 @@ class QubitDensityMatrix:
 
 @dataclass(frozen=True)
 class QubitGenerator:
-    """Channel rates of the qubit Lindblad generator (all >= 0)."""
+    """Channel rates of the qubit Lindblad generator (all >= 0), at a
+    splitting omega0 > 0 and an inverse temperature beta > 0 (+inf allowed)."""
 
     omega0: float
     gamma_dephase: float
@@ -121,8 +122,11 @@ class QubitGenerator:
     beta: float = math.inf
 
     def __post_init__(self):
+        require_finite(self.omega0, "level splitting omega0")
         require_finite((self.gamma_dephase, self.gamma_down, self.gamma_up),
                        "channel rates", allow_zero=True)
+        if not self.beta > 0:
+            raise DomainError("inverse temperature beta must be positive")
 
     @property
     def relaxation_rate(self) -> float:

@@ -3,8 +3,9 @@
 One adaptive quadrature engine: a vectorized segmented integrator (the
 nested Gauss-Kronrod 7/15 pair, bisection) that can run several real or
 complex integrals through shared passes.  Besides it: the entry guard
-for numeric inputs, Horner's rule, the Gauss-Legendre rule, the -1 branch
-of Lambert's W, the Riemann zeta function at odd integers, the trigamma
+for numeric inputs, the kernels' array contract (``_shaped``), Horner's
+rule, the Gauss-Legendre rule (checked, cached on M), the -1 branch of
+Lambert's W, the Riemann zeta function at odd integers, the trigamma
 function (the tail of the half-integer series, and at complex arguments
 for the bath correlation function) and the Gamma-ratio coefficient
 alpha_n used by the crossover estimates.  numpy is the only dependency.
@@ -12,7 +13,9 @@ alpha_n used by the crossover estimates.  numpy is the only dependency.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -74,6 +77,11 @@ def require_finite(values, what: str, allow_zero: bool = False) -> np.ndarray:
         raise DomainError(f"{what} must be finite and {sign}, "
                           f"got {float(arr[~ok][0])!r}")
     return arr
+
+
+def _shaped(values: np.ndarray, like):
+    """``values`` in the shape of ``like``: a float for a scalar ``like``."""
+    return float(values.flat[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
 
 
 def _segmented_integrals(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray,
@@ -185,7 +193,22 @@ def _legendre(M: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_legendre(M: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the M-point Gauss-Legendre rule on
-    [-1, 1] (M >= 2), as read-only arrays.
+    [-1, 1] (:func:`_gauss_legendre_rule`), read-only and shared by every
+    call with the same M; DomainError unless M is an integer >= 2."""
+    try:
+        m = operator.index(M)
+    except TypeError:
+        m = 0
+    # checked before the cache, where 300.0 would hit the entry of 300
+    if m < 2:
+        raise DomainError(f"Gauss-Legendre rule needs an integer M >= 2, got {M!r}")
+    return _gauss_legendre_rule(m)
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre_rule(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gauss_legendre` for a plain int M >= 2, cached on M
+    (``__wrapped__`` builds a rule outside the cache).
 
     Halley's method on P_M from Tricomi's estimate of its zeros, vectorized
     over the nonnegative nodes and mirrored, with P_M'' from Legendre's

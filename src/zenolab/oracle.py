@@ -30,10 +30,10 @@ amplitude and the model is the qubit's.
 * continuous coupling: plain evolution of the K != 0 ancilla model.
 
 ``effective_rate`` is the one entry point from a ``rates`` strategy to an
-oracle rate: it picks the bath span (``_bath_span``) and, from a
-process-wide cache, the model, then fits -log P versus t inside a window
-between the bath correlation time and the recurrence time (~ 2 pi / max
-mode spacing).
+oracle rate: it takes the bath span and the longest evolution time from
+the protocol's plan (``_plan``) and, from a process-wide cache, the model,
+then fits -log P versus t inside a window between the bath correlation
+time and the recurrence time (~ 2 pi / max mode spacing).
 Analytic rates are second order in g, the oracle is exact, so
 comparisons carry O(g^2) relative slack; the reference configuration
 uses g = 0.1, Omega = 0.2 W.
@@ -46,7 +46,6 @@ validated analytically in the spectral module instead.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -55,7 +54,8 @@ import numpy as np
 
 from .errors import (DomainError, NoConvergence, NonPositiveProbability, OddN,
                      RecurrenceWindowExceeded, WindowTooShort)
-from .numerics import gauss_legendre, require_finite
+from .numerics import (_gauss_legendre_rule, _shaped, gauss_legendre,
+                       require_finite)
 from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy, Free,
                     ZenoMeasurement, strategy_rate)
 from .spectral import FormFactor, bare_density
@@ -122,28 +122,10 @@ def build_bath(ff: FormFactor, omega_max: float, M: int) -> DiscretizedBath:
     """Discretize ``ff`` into the M Gauss-Legendre modes of [0, omega_max]
     (finite and positive, else DomainError)."""
     require_finite(omega_max, "omega_max")
-    x, w = _gauss_legendre(M)
+    x, w = gauss_legendre(M)
     om = 0.5 * omega_max * (x + 1.0)
     gi = np.sqrt(bare_density(ff, om) * (0.5 * omega_max * w))
     return DiscretizedBath(om, gi, float(omega_max))
-
-
-def _gauss_legendre(M) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`numerics.gauss_legendre` for a mode count M, as read-only
-    arrays shared by every call with the same M; DomainError unless M is
-    an integer >= 2."""
-    try:
-        M = operator.index(M)
-    except TypeError:
-        raise DomainError(f"mode count must be an integer, got {M!r}") from None
-    if M < 2:
-        raise DomainError("need at least 2 modes")
-    return _gauss_legendre_rule(M)
-
-
-# ``_gauss_legendre`` for a validated plain-int M, cached on M (the check
-# comes first because 300.0 would hit the entry of 300)
-_gauss_legendre_rule = lru_cache(maxsize=8)(gauss_legendre)
 
 
 def _spectral_measure(a: float, poles: np.ndarray,
@@ -354,8 +336,7 @@ def free_survival(model: SingleExcitationModel, t):
     tt = require_finite(t, "time t", allow_zero=True)
     _check_span(model, float(np.max(tt)))
     amp = np.exp(-1j * np.outer(tt, model.eigenvalues)) @ model.weights
-    P = np.abs(amp) ** 2
-    return float(P[0]) if np.ndim(t) == 0 else P
+    return _shaped(np.abs(amp) ** 2, t)
 
 
 def zeno_effective_rate(model: SingleExcitationModel, tau: float) -> float:
@@ -448,7 +429,7 @@ def _recurrence_time(omegas: np.ndarray) -> float:
     return 2.0 * math.pi / float(np.max(np.diff(omegas)))
 
 
-def _require_recurrence(span: float, M: int, t_max: float):
+def _require_recurrence(span: float, t_max: float, M: int):
     """RecurrenceWindowExceeded, naming the mode count a Gauss-Legendre
     bath over [0, span] needs to reach ``t_max``, unless M modes do.
 
@@ -461,7 +442,7 @@ def _require_recurrence(span: float, M: int, t_max: float):
     """
     # the recurrence time of the bath on rule nodes x (build_bath's map)
     t_of = lambda x: _recurrence_time(0.5 * span * (x + 1.0))
-    t_rec = t_of(_gauss_legendre(M)[0])
+    t_rec = t_of(gauss_legendre(M)[0])
     if t_max <= t_rec:
         return
     need = (M + 0.5) * t_max / t_rec - 0.5
@@ -482,19 +463,33 @@ def _require_recurrence(span: float, M: int, t_max: float):
         f"{M}-mode bath; {hint}")
 
 
-def _bath_span(lam: float, omega0: float, strategy: ControlStrategy) -> float:
-    """The bath span of :func:`effective_rate`'s rule for ``strategy``:
-    12 Lambda, widened for kicks past the first comb line to
-    Omega + pi/tau + 3 Lambda, and for continuous coupling to
-    (Omega + K)/0.8 when Omega + K > 0.9 * 12 Lambda."""
+def _plan(lam: float, omega0: float, strategy: ControlStrategy,
+          n_cycles: int) -> tuple[float, float]:
+    """(span, t_max) of :func:`effective_rate`'s rule for ``strategy``: a
+    bath span of 12 Lambda, widened for kicks past the first comb line to
+    Omega + pi/tau + 3 Lambda and for continuous coupling to (Omega + K)/0.8
+    when Omega + K > 0.9 * 12 Lambda, and the longest evolution time: tau
+    (Zeno), n_cycles tau (kicks) or 0 (free and continuous rules fit inside
+    the recurrence time).  DomainError for an array period or coupling or
+    an unknown strategy, OddN unless a kick cycle count is even and >= 2."""
+    if np.ndim(getattr(strategy, "tau", getattr(strategy, "K", 0.0))):
+        raise DomainError("the oracle takes one period or coupling")
     span = 12.0 * lam
+    if isinstance(strategy, ZenoMeasurement):
+        return span, strategy.tau
     if isinstance(strategy, BangBangKick):
-        return max(span, omega0 + math.pi / strategy.tau + 3.0 * lam)
+        if n_cycles < 2 or n_cycles % 2 != 0:
+            raise OddN("kick protocol requires an even number of cycles >= 2")
+        try:
+            t_max = n_cycles * strategy.tau
+        except OverflowError:       # an int cycle count beyond float range
+            t_max = math.inf
+        return max(span, omega0 + math.pi / strategy.tau + 3.0 * lam), t_max
     if isinstance(strategy, ContinuousCoupling):
         K = strategy.K
-        return (omega0 + K) / 0.8 if omega0 + K > 0.9 * span else span
-    if isinstance(strategy, (Free, ZenoMeasurement)):
-        return span
+        return (omega0 + K) / 0.8 if omega0 + K > 0.9 * span else span, 0.0
+    if isinstance(strategy, Free):
+        return span, 0.0
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
@@ -502,19 +497,9 @@ def require_window(ff: FormFactor, omega0: float, strategy: ControlStrategy,
                    M: int, n_cycles: int) -> None:
     """RecurrenceWindowExceeded, before any model is built, when the Zeno
     rule (which evolves to tau) or the kick rule (to n_cycles tau) of
-    :func:`effective_rate` outruns the recurrence time of its M-mode
-    bath; the message names the mode count the run needs.  The free and
-    continuous rules fit their windows inside the recurrence time."""
-    if isinstance(strategy, ZenoMeasurement):
-        t_max = strategy.tau
-    elif isinstance(strategy, BangBangKick):
-        try:
-            t_max = n_cycles * strategy.tau
-        except OverflowError:       # an int cycle count beyond float range
-            t_max = math.inf
-    else:
-        return
-    _require_recurrence(_bath_span(ff.cutoff, omega0, strategy), M, t_max)
+    :func:`effective_rate` outruns the recurrence time of its M-mode bath,
+    naming the mode count the run needs; :func:`_plan`'s errors first."""
+    _require_recurrence(*_plan(ff.cutoff, omega0, strategy, n_cycles), M)
 
 
 def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
@@ -522,18 +507,16 @@ def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
     """The oracle's decay rate under ``strategy`` (one period or coupling)
     on ff's M-mode Gauss-Legendre bath over [0, span], at zero temperature.
 
-    The span is :func:`_bath_span`'s.  Free and continuous
+    The span is :func:`_plan`'s.  Free and continuous
     rates are fits to 60 samples from 6/Lambda up to min(0.75 t_rec,
     1.5/gamma) and min(0.8 t_rec, 2/max(gamma_K, 1e-3 gamma)); kicks fit
     the odd cycles of n_cycles (even) from n_cycles/4 on; Zeno is
     -log P_1(tau)/tau with window (tau, tau) and residual 0.
     """
-    if np.ndim(getattr(strategy, "tau", getattr(strategy, "K", 0.0))):
-        raise DomainError("effective_rate takes one period or coupling")
-    require_window(ff, omega0, strategy, M, n_cycles)
     lam = ff.cutoff
-    model = _qubit_model(ff, _bath_span(lam, omega0, strategy), M, omega0,
-                         getattr(strategy, "K", 0.0))
+    span, t_max = _plan(lam, omega0, strategy, n_cycles)
+    _require_recurrence(span, t_max, M)
+    model = _qubit_model(ff, span, M, omega0, getattr(strategy, "K", 0.0))
     if isinstance(strategy, ZenoMeasurement):
         tau = strategy.tau
         return DecayFit(zeno_effective_rate(model, tau), (tau, tau), 0.0)

@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .numerics import (_segmented_integrals, half_integer_series_tail,
+from .numerics import (_segmented_integrals, _shaped, half_integer_series_tail,
                        require_finite, segmented_integral, zeta_odd)
 from .spectral import (EXPONENTIAL, FormFactor, ThermalSpectralDensity,
                        bare_density, correlation, form_factor_for_bandwidth,
@@ -120,11 +120,6 @@ class SeriesRate(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # pointwise rates
-
-def _shaped(values: np.ndarray, like):
-    """Kernel output in the shape of its control argument ``like``."""
-    return float(values[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
-
 
 def golden_rule_rate(tsd: ThermalSpectralDensity, omega0: float) -> float:
     """Fermi golden rule: gamma = 2 pi kappa_beta(omega0)."""
@@ -434,7 +429,8 @@ def summary_asymptotics(family: str, n: int, omega0: float, W: float,
     zeno_slope = 1/tau_Z^2 = int kappa = C(0) (:func:`spectral.correlation`);
     the kick envelope is (8/pi) kappa(pi/tau) for the exponential family
     and picks up the factor (1 - 2^{-2n-1}) zeta(2n+1) for the polynomial
-    one; the continuous envelope is pi kappa(K).
+    one; the continuous envelope is pi kappa(K).  The envelopes are the
+    large-tau and large-K forms, so ``omega0`` is accepted and unused.
     """
     ff = form_factor_for_bandwidth(family, W=W, g=g, n=n)
     slope = float(correlation(ff.thermal(math.inf), np.zeros(1))[0].real)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentIntegral, DivergentMoment, DomainError
-from .numerics import (_BERNOULLI, _horner, _trigamma_pair, alpha_n,
+from .numerics import (_BERNOULLI, _horner, _shaped, _trigamma_pair, alpha_n,
                        gauss_legendre, require_finite)
 
 __all__ = [
@@ -127,9 +127,7 @@ def bare_density(ff: FormFactor, omega):
     else:
         wp = w[pos]
         out[pos] = g2 * wp / (1.0 + (wp / lam) ** 2) ** ff.n
-    if np.ndim(omega) == 0:
-        return float(out)
-    return out
+    return _shaped(out, omega)
 
 
 def thermal_density(tsd: ThermalSpectralDensity, omega):
@@ -141,10 +139,9 @@ def thermal_density(tsd: ThermalSpectralDensity, omega):
     g^2/beta, and omega = +-inf gives 0.  At beta = +inf the bare density
     is returned.  A NaN frequency raises DomainError.
     """
-    w = np.asarray(omega, dtype=float)
     if math.isinf(tsd.beta):
-        out = bare_density(tsd.base, w)
-        return out if np.ndim(omega) else float(out)
+        return bare_density(tsd.base, omega)
+    w = np.asarray(omega, dtype=float)
     beta = tsd.beta
     out = np.empty_like(w)
     pos = w > 0
@@ -161,9 +158,7 @@ def thermal_density(tsd: ThermalSpectralDensity, omega):
         vals = np.where(x > _EXP_CLIP, kb * np.exp(-np.minimum(x, 1490.0)), vals)
         out[neg] = vals
     out[zer] = tsd.base.g ** 2 / beta
-    if np.ndim(omega) == 0:
-        return float(out)
-    return out
+    return _shaped(out, omega)
 
 
 def _bandwidth_ratio(family: str, n: int) -> float:
@@ -347,11 +342,10 @@ def _matsubara_tail(lam: float, beta: float, n: int):
 
     S = []
     for m in range(1, n + 1):
-        taylor = _series_inverse_power(A0, 2 * c * c * a0, c * c, m, order)
+        inv = _series_inverse_power(A0, 2 * c * c * a0, c * c, m, order)
         integral = a0 * np.sum(w * ((c * k) ** 2 - lam * lam) ** -m / t ** 2)
-        S.append(integral + corrections(taylor)[0])
-    inv = _series_inverse_power(A0, 2 * c * c * a0, c * c, n, order)
-    taylor = c * a0 * inv
+        S.append(integral + corrections(inv)[0])
+    taylor = c * a0 * inv           # the last pass's inv, at m = n
     taylor[1:] += c * inv[:-1]
     phi = c * k * ((c * k) ** 2 - lam * lam) ** -n
     return K, np.array(S), a0 * np.sum(w * phi / t ** 2), corrections(taylor), c, x
@@ -620,7 +614,7 @@ def _zero_temperature(s: np.ndarray, g2: float, lam: float, n: int) -> np.ndarra
     out = _odd_part(s, g2, lam, n)
     pos = s > 0
     sp = s[pos]
-    # the Taylor series of chi_s(a + h) = -W(x(h))/2 in h, with
+    # the h^{n-1} Taylor coefficient of chi_s(a + h) = -W(x(h))/2, with
     # x(h) = s sqrt(a + h)
     dw = _w_derivatives(sp * lam, n)
     root = [0.0 * sp]
@@ -628,14 +622,13 @@ def _zero_temperature(s: np.ndarray, g2: float, lam: float, n: int) -> np.ndarra
     for m in range(1, n):
         c *= (1.5 - m) / m
         root.append(sp * lam * c / a ** m)
-    chi = [0.0 * sp for _ in range(n)]
+    chi = 0.0 * sp
     power = [np.ones_like(sp)] + [0.0 * sp for _ in range(n - 1)]
     for m in range(n):
-        for i in range(n):
-            chi[i] += dw[m] / math.factorial(m) * power[i]
+        chi += dw[m] / math.factorial(m) * power[n - 1]
         power = [sum(power[j] * root[i - j] for j in range(i + 1))
                  for i in range(n)]
-    out[pos] += g2 * lam ** (2 * n) * (-1.0) ** (n - 1) * -0.5 * chi[n - 1]
+    out[pos] += g2 * lam ** (2 * n) * (-1.0) ** (n - 1) * -0.5 * chi
     if n >= 2:
         out[~pos] = g2 * a / (2.0 * (n - 1))
     else:

@@ -41,6 +41,8 @@ def _free_model():
 GUARDED = {
     "QubitGenerator rates": (z.DomainError,
                              lambda v: z.QubitGenerator(0.01, v, 1.0, 1.0)),
+    "QubitGenerator omega0": (z.DomainError,
+                              lambda v: z.QubitGenerator(v, 0.1, 1.0, 0.5)),
     "evolve t": (z.DomainError, lambda v: z.evolve(
         z.QubitDensityMatrix.excited(), z.QubitGenerator(0.01, 0.1, 1.0, 0.5), v)),
     "free_survival t": (z.DomainError, lambda v: z.free_survival(_free_model(), v)),

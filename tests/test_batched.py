@@ -55,6 +55,48 @@ def test_scalar_and_empty_shapes(tsd_exp):
         assert kernel(np.array([])).shape == (0,), name
 
 
+_OMEGAS = np.array([[-1.0, -0.01, 0.0], [0.01, 0.5, 2.0]])
+_TAUS = np.array([[0.1, 0.5, 1.0], [2.0, 5.0, 20.0]])
+_KS = np.array([[0.0, 0.01, 0.1], [0.5, 1.0, 5.0]])
+_TIMES = np.array([[0.0, 0.5, 1.0], [1.5, 2.0, 2.5]])
+
+
+def _shape_table():
+    """name -> (kernel of one argument, a (2, 3) argument)."""
+    ff = z.form_factor_for_bandwidth(z.EXPONENTIAL, W=1.0)
+    tsd, tsd0 = ff.thermal(50.0), ff.thermal(math.inf)
+    bath = z.build_bath(z.FormFactor(z.EXPONENTIAL, g=0.1, cutoff=0.5), 6.0, 10)
+    free = z.SingleExcitationModel.qubit(bath, 0.2)
+    coupled = z.SingleExcitationModel.qubit(bath, 0.2, 0.3)
+    return {
+        "bare_density": (lambda w: z.bare_density(ff, w), _OMEGAS),
+        "thermal_density": (lambda w: z.thermal_density(tsd, w), _OMEGAS),
+        "thermal_density beta=inf": (lambda w: z.thermal_density(tsd0, w), _OMEGAS),
+        **{name: (kernel, _KS if name == "continuous" else _TAUS)
+           for name, kernel in _kernels(tsd, OMEGA).items()},
+        "strategy zeno": (lambda t: z.strategy_rate(
+            tsd, OMEGA, z.ZenoMeasurement(t)), _TAUS),
+        "strategy kick": (lambda t: z.strategy_rate(
+            tsd, OMEGA, z.BangBangKick(t)), _TAUS),
+        "strategy continuous": (lambda K: z.strategy_rate(
+            tsd, OMEGA, z.ContinuousCoupling(K)), _KS),
+        "free_survival": (lambda t: z.free_survival(free, t), _TIMES),
+        "continuous_survival": (lambda t: z.continuous_survival(
+            coupled, 0.3, t), _TIMES),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shape_table()))
+def test_scalar_in_float_out_array_keeps_its_shape(name):
+    # the one array contract (numerics._shaped): a scalar gives a float, a
+    # (2, 3) array a (2, 3) result equal bit for bit to the flat call
+    kernel, x = _shape_table()[name]
+    assert type(kernel(0.5)) is float
+    out = kernel(x)
+    assert out.shape == (2, 3)
+    assert np.array_equal(out, kernel(x.ravel()).reshape(2, 3))
+
+
 def test_array_strategy_dispatch(tsd_poly):
     taus = np.logspace(-2, 2, 9)
     kick_gamma = lambda tsd, omega0, t: z.kick_rate(tsd, omega0, t).gamma

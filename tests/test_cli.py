@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import zenolab
-from zenolab import cli, numerics, oracle, rates
+from zenolab import cli, errors, numerics, oracle, rates
 from zenolab.errors import NoConvergence
 from zenolab.cli import main
 
@@ -203,7 +203,7 @@ def _data_lines(path):
 
 def test_oracle_kick_rows_independent_of_shared_rule(tmp_path):
     # every period builds its bath from the one cached M = 300 rule
-    oracle._gauss_legendre_rule.cache_clear()
+    numerics._gauss_legendre_rule.cache_clear()
     oracle._qubit_model.cache_clear()
     args = ["oracle", "--protocol", "kick", "--modes", "300"]
     code, both = run(tmp_path, "both.csv", args + ["--values", "0.558,1.0"])
@@ -219,7 +219,7 @@ def test_oracle_kick_rows_independent_of_shared_rule(tmp_path):
 def test_oracle_command_cold_and_warm_cache_byte_identical(tmp_path):
     args = ["oracle", "--protocol", "zeno", "--values", "0.1,0.5",
             "--modes", "250", "--g", "0.1", "--omega", "0.2"]
-    oracle._gauss_legendre_rule.cache_clear()
+    numerics._gauss_legendre_rule.cache_clear()
     oracle._qubit_model.cache_clear()
     code, cold = run(tmp_path, "cold.csv", args)
     code2, warm = run(tmp_path, "warm.csv", args)
@@ -328,11 +328,23 @@ def test_numerical_failure_exits_3(tmp_path):
     assert not out.exists()
 
 
-def test_oracle_command_odd_cycles_rejected(tmp_path):
-    code = main(["oracle", "--protocol", "kick", "--values", "0.5",
-                 "--cycles", "51", "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert not (tmp_path / "x.csv").exists()
+def test_oracle_command_odd_cycles_rejected(tmp_path, capsys, monkeypatch):
+    # oracle._plan refuses an odd count, and an even one below 2, which
+    # used to fail only after the model was built
+    def no_model(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(oracle, "_spectral_measure", no_model)
+    oracle._qubit_model.cache_clear()
+    for cycles in ("51", "0", "-2"):
+        code = main(["oracle", "--protocol", "kick", "--values", "0.5",
+                     "--g", "0.1", "--omega", "0.2", "--beta", "inf",
+                     "--cycles", cycles, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
+        assert capsys.readouterr().err == (
+            "zenolab: configuration error: kick protocol requires an even "
+            "number of cycles >= 2\n")
 
 
 def test_oracle_cycles_read_only_by_kick(tmp_path):
@@ -607,6 +619,58 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["density", "--grid", "1:1:5lin"], "grid requires lo < hi"),
+    (["density", "--grid", "2:1:5lin"], "grid requires lo < hi"),
+    (["density", "--grid", "0:1:1lin"], "at least 2 points"),
+    (["density", "--grid", "0:1:5log"], "log grid requires lo > 0"),
+    # a spec without a spacing suffix is a log grid
+    (["density", "--grid=-1:1:5"], "log grid requires lo > 0"),
+    (["density", "--beta", "0"], "beta must be positive"),
+    (["density", "--beta", "-1"], "beta must be positive"),
+    (["oracle", "--protocol", "zeno", "--g", "0.1"], "--values is required for zeno"),
+    (["oracle", "--protocol", "kick", "--values", ""], "--values is required for kick"),
+])
+def test_config_guards_name_their_input(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zenolab: configuration error: ") and message in err
+    assert not out.exists()
+
+
+# every error class a command can raise -> (exit code, stderr prefix); the
+# module docstring documents 2 for configuration and 3 for numerical errors
+_ERROR_MAP = [
+    (errors.DomainError, 2, "zenolab: configuration error: "),
+    (errors.OddN, 2, "zenolab: configuration error: "),
+    (errors.InvalidState, 2, "zenolab: configuration error: "),
+    (errors.NonPositiveProbability, 2, "zenolab: configuration error: "),
+    (errors.DivergentMoment, 2, "zenolab: configuration error: "),
+    (ValueError, 2, "zenolab: configuration error: "),
+    (errors.NoConvergence, 3, "zenolab: numerical failure: "),
+    (errors.DivergentIntegral, 3, "zenolab: numerical failure: "),
+    (errors.NoCrossing, 3, "zenolab: "),
+    (errors.NoRelaxation, 3, "zenolab: "),
+    (errors.RecurrenceWindowExceeded, 3, "zenolab: "),
+    (errors.WindowTooShort, 3, "zenolab: "),
+]
+
+
+@pytest.mark.parametrize("error, code, prefix", _ERROR_MAP,
+                         ids=[e.__name__ for e, _, _ in _ERROR_MAP])
+def test_error_classes_map_to_exit_codes(tmp_path, capsys, monkeypatch,
+                                         error, code, prefix):
+    def fail(cfg):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_density", fail)
+    out = tmp_path / "x.csv"
+    assert main(["density", "--out", str(out)]) == code
+    assert capsys.readouterr().err == prefix + "boom\n"
+    assert not out.exists()
 
 
 def test_main_calls_share_one_parser(tmp_path, capsys):

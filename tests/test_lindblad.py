@@ -34,6 +34,8 @@ def test_state_validation():
         z.QubitDensityMatrix(np.full((2, 2), np.nan))
     with pytest.raises(z.InvalidState):
         z.QubitDensityMatrix.from_bloch(math.nan, 0.0, 0.0)
+    with pytest.raises(z.InvalidState, match="2x2"):
+        z.QubitDensityMatrix(np.eye(3) / 3.0)
 
 
 def test_generator_construction_free(tsd_exp):
@@ -53,6 +55,20 @@ def test_generator_rejects_nonfinite_splitting(tsd_exp):
     for omega0 in (math.inf, math.nan):
         with pytest.raises(z.DomainError):
             z.build_qubit_generator(tsd_exp, None, omega0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, 0.0, -1.0])
+def test_generator_rejects_bad_beta(beta):
+    # NaN and -1 passed, and evolve then blamed the state
+    with pytest.raises(z.DomainError, match="beta"):
+        z.QubitGenerator(OMEGA, 0.1, 1.0, 0.5, beta=beta)
+
+
+def test_generator_at_zero_temperature():
+    # beta = +inf is zero temperature, as in ThermalSpectralDensity:
+    # detailed balance then means no absorption
+    assert z.QubitGenerator(OMEGA, 0.1, 1.0, 0.0, beta=math.inf).detailed_balance
+    assert not z.QubitGenerator(OMEGA, 0.1, 1.0, 0.5).detailed_balance
 
 
 def test_generator_zeno_limit_recovers_free(tsd_exp):

@@ -6,6 +6,7 @@ from scipy.special import erf, polygamma, zeta
 from scipy.special import lambertw as scipy_lambertw
 
 import zenolab as z
+from zenolab import numerics
 from zenolab.numerics import (_K15_NODES, _K15_WEIGHTS, _segmented_integrals,
                               half_integer_series_tail, segmented_integral)
 
@@ -228,6 +229,14 @@ def test_half_integer_series_tail_is_trigamma():
         ref = float(polygamma(1, j + 0.5))
         assert abs(half_integer_series_tail(j) - ref) <= 4.0 * math.ulp(ref)
     assert half_integer_series_tail(51) == float(polygamma(1, 51.5))
+
+
+@pytest.mark.parametrize("M", [0, 1, -3, 2.5, 300.0, "3", None])
+def test_gauss_legendre_rejects_a_bad_point_count(M):
+    # M = 0 divided by zero; the check comes before the cache, where 300.0
+    # would hit the entry of 300
+    with pytest.raises(z.DomainError, match="integer M >= 2"):
+        numerics.gauss_legendre(M)
 
 
 def test_alpha_n():

@@ -9,7 +9,8 @@ from scipy.linalg import eigh
 
 import zenolab as z
 from zenolab import numerics, oracle
-from zenolab.oracle import _gauss_legendre, _spectral_measure
+from zenolab.numerics import gauss_legendre
+from zenolab.oracle import _spectral_measure
 
 G = 0.1
 OMEGA = 0.2
@@ -96,6 +97,10 @@ def test_bath_validation(oracle_ff):
         z.build_bath(oracle_ff, -1.0, 100)
     with pytest.raises(z.DomainError):
         z.build_bath(oracle_ff, 6.0, 1)
+    with pytest.raises(z.DomainError, match="equal length"):
+        z.DiscretizedBath([0.5, 1.5, 2.5], [0.1, 0.1], 3.0)
+    with pytest.raises(z.DomainError, match="strictly increasing"):
+        z.DiscretizedBath([0.5, 1.5, 1.5], [0.1, 0.1, 0.2], 3.0)
 
 
 @pytest.mark.parametrize("omegas", [[0.5, 1.5, math.inf], [0.5, 1.5, math.nan],
@@ -121,7 +126,7 @@ def test_bath_rejects_bad_omega_max(omega_max):
 
 @pytest.mark.parametrize("M", [2, 3, 4, 5, 16, 24, 64, 101, 200, 301, 400, 600, 1200])
 def test_gauss_legendre_rule(M):
-    x, w = _gauss_legendre(M)
+    x, w = gauss_legendre(M)
     # exact on x^{2j} for every j < M (odd powers vanish by symmetry)
     j = np.arange(M)
     moments = (x[None, :] ** (2 * j[:, None])) @ w
@@ -139,12 +144,12 @@ def test_gauss_legendre_rule(M):
 
 
 def test_gauss_legendre_rule_is_cached_read_only(oracle_ff):
-    oracle._gauss_legendre_rule.cache_clear()
-    x, w = _gauss_legendre(300)
-    x2, w2 = _gauss_legendre(np.int64(300))     # the same entry as int 300
+    numerics._gauss_legendre_rule.cache_clear()
+    x, w = gauss_legendre(300)
+    x2, w2 = gauss_legendre(np.int64(300))     # the same entry as int 300
     assert x2 is x and w2 is w
     assert z.build_bath(oracle_ff, 6.0, np.int64(300)).n_modes == 300
-    assert oracle._gauss_legendre_rule.cache_info().currsize == 1
+    assert numerics._gauss_legendre_rule.cache_info().currsize == 1
     for a in (x, w):
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -157,16 +162,16 @@ def test_gauss_legendre_recurrence_passes(M, monkeypatch):
     real = numerics._legendre
     monkeypatch.setattr(numerics, "_legendre",
                         lambda m, x: passes.append(m) or real(m, x))
-    oracle._gauss_legendre_rule.cache_clear()
-    _gauss_legendre(M)
+    numerics._gauss_legendre_rule.cache_clear()
+    gauss_legendre(M)
     assert 1 <= len(passes) <= 2
     passes.clear()
-    _gauss_legendre(M)
+    gauss_legendre(M)
     assert passes == []
 
 
 def test_bath_cold_and_warm_cache_bit_identical(oracle_ff):
-    oracle._gauss_legendre_rule.cache_clear()
+    numerics._gauss_legendre_rule.cache_clear()
     cold = z.build_bath(oracle_ff, 12.0 * oracle_ff.cutoff, 400)
     warm = z.build_bath(oracle_ff, 12.0 * oracle_ff.cutoff, 400)
     assert np.array_equal(cold.omegas, warm.omegas)
@@ -178,7 +183,7 @@ def test_mode_count_must_be_an_integer(oracle_ff, M):
     with pytest.raises(z.DomainError, match="integer"):
         z.build_bath(oracle_ff, 6.0, M)
     with pytest.raises(z.DomainError, match="integer"):
-        _gauss_legendre(M)
+        gauss_legendre(M)
 
 
 def _entries(bound):
@@ -321,6 +326,22 @@ def test_effective_rate_matches_strategy_rate(oracle_ff, oracle_tsd0,
 def test_effective_rate_domain_errors(oracle_ff, strategy):
     with pytest.raises(z.DomainError):
         z.effective_rate(oracle_ff, OMEGA, strategy, 300, 200)
+    # the recurrence check reads the same plan, so it refuses them too
+    with pytest.raises(z.DomainError):
+        oracle.require_window(oracle_ff, OMEGA, strategy, 300, 200)
+
+
+@pytest.mark.parametrize("n_cycles", [0, -2, 3, 51])
+def test_kick_cycle_count_checked_before_any_model(oracle_ff, monkeypatch,
+                                                   n_cycles):
+    def no_model(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(oracle, "_spectral_measure", no_model)
+    oracle._qubit_model.cache_clear()
+    for check in (oracle.require_window, z.effective_rate):
+        with pytest.raises(z.OddN, match="even number of cycles >= 2"):
+            check(oracle_ff, OMEGA, z.BangBangKick(0.5), 300, n_cycles)
 
 
 def _kick_span(ff, tau):
@@ -337,10 +358,10 @@ def test_kick_recurrence_checked_before_any_model(oracle_ff, monkeypatch,
 
     monkeypatch.setattr(oracle, "_spectral_measure", no_model)
     n_cycles = 400
-    misses = oracle._gauss_legendre_rule.cache_info().misses
+    misses = numerics._gauss_legendre_rule.cache_info().misses
     with pytest.raises(z.RecurrenceWindowExceeded) as info:
         z.effective_rate(oracle_ff, OMEGA, z.BangBangKick(tau), M, n_cycles)
-    assert oracle._gauss_legendre_rule.cache_info().misses - misses <= 1
+    assert numerics._gauss_legendre_rule.cache_info().misses - misses <= 1
     need = int(str(info.value).split("at least ")[1].split()[0])
     assert M < need <= 4 * M
     span = _kick_span(oracle_ff, tau)
@@ -364,10 +385,10 @@ def test_recurrence_count_corrects_its_estimate(oracle_ff, monkeypatch,
 
     monkeypatch.setattr(oracle, "_spectral_measure", no_model)
     M = 100
-    misses = oracle._gauss_legendre_rule.cache_info().misses
+    misses = numerics._gauss_legendre_rule.cache_info().misses
     with pytest.raises(z.RecurrenceWindowExceeded) as info:
         z.effective_rate(oracle_ff, OMEGA, strategy, M, n_cycles)
-    assert oracle._gauss_legendre_rule.cache_info().misses - misses <= 1
+    assert numerics._gauss_legendre_rule.cache_info().misses - misses <= 1
     need = int(str(info.value).split("at least ")[1].split()[0])
     span = (_kick_span(oracle_ff, strategy.tau)
             if isinstance(strategy, z.BangBangKick) else 12.0 * oracle_ff.cutoff)

@@ -50,6 +50,8 @@ def test_form_factor_validation():
             z.FormFactor(z.EXPONENTIAL, g=bad)
         with pytest.raises(z.DomainError):
             z.FormFactor(z.POLYNOMIAL, cutoff=bad)
+    with pytest.raises(z.DomainError, match="beta"):
+        z.ThermalSpectralDensity(z.FormFactor(z.EXPONENTIAL), 0.0)
 
 
 def test_thermal_density_examples():
