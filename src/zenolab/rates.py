@@ -429,8 +429,8 @@ def summary_asymptotics(family: str, n: int, omega0: float, W: float,
     zeno_slope = 1/tau_Z^2 = int kappa = C(0) (:func:`spectral.correlation`);
     the kick envelope is (8/pi) kappa(pi/tau) for the exponential family
     and picks up the factor (1 - 2^{-2n-1}) zeta(2n+1) for the polynomial
-    one; the continuous envelope is pi kappa(K).  The envelopes are the
-    large-tau and large-K forms, so ``omega0`` is accepted and unused.
+    one; the continuous envelope is pi kappa(K).  None of them depends on
+    the splitting, so ``omega0`` is accepted and unused.
     """
     ff = form_factor_for_bandwidth(family, W=W, g=g, n=n)
     slope = float(correlation(ff.thermal(math.inf), np.zeros(1))[0].real)
