@@ -54,8 +54,8 @@ import numpy as np
 
 from .errors import (DomainError, NoConvergence, NonPositiveProbability, OddN,
                      RecurrenceWindowExceeded, WindowTooShort)
-from .numerics import (_gauss_legendre_rule, _shaped, gauss_legendre,
-                       require_finite)
+from . import numerics
+from .numerics import _shaped, gauss_legendre, require_finite
 from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy, Free,
                     ZenoMeasurement, strategy_rate)
 from .spectral import FormFactor, bare_density
@@ -448,7 +448,7 @@ def _require_recurrence(span: float, t_max: float, M: int):
     need = (M + 0.5) * t_max / t_rec - 0.5
     if need <= _CONFIRM_FACTOR * M:
         need = math.ceil(need)
-        short = lambda m: t_of(_gauss_legendre_rule.__wrapped__(m)[0]) < t_max
+        short = lambda m: t_of(numerics._gauss_legendre_rule.__wrapped__(m)[0]) < t_max
         while short(need):
             need += 1
         while need - 1 > M and not short(need - 1):
