@@ -25,7 +25,8 @@ from .crossover import (CrossoverReport, QuickEstimates, find_K_star,
                         find_tau_star_kick, find_tau_star_zeno,
                         quick_estimates)
 from .lindblad import (QubitDensityMatrix, QubitGenerator,
-                       build_qubit_generator, evolve, stationary_state)
+                       build_qubit_generator, evolve, observables,
+                       stationary_state, trajectory)
 from .oracle import (DecayFit, DiscretizedBath, SingleExcitationModel,
                      build_bath, continuous_survival, effective_rate,
                      fit_decay_rate, free_survival, kick_survival_trace,

@@ -151,16 +151,17 @@ _FULL_GRID = GridSpec(5e-2, 1e3, 181, "log")
 _SMALL_GRID = GridSpec(1e-3, 10.0, 161, "log")    # the controlled region
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.16e}"
-
-
 def _write_csv(path: str, header_lines: list[str], columns: list[str],
                rows: np.ndarray | list[list[float]]):
+    """Each row in one '%' operation, every cell as '%.16e' of its float
+    (the text f"{float(x):.16e}" gives); a row whose length differs from
+    the header's raises (ValueError or TypeError) before anything is
+    written."""
+    row_format = ",".join(["%.16e"] * len(columns))
     text_rows = ["# " + line for line in header_lines]
     text_rows.append(",".join(columns))
-    for row in rows:
-        text_rows.append(",".join(_fmt(v) for v in row))
+    text_rows += [row_format % tuple(row)
+                  for row in np.asarray(rows, dtype=float).tolist()]
     payload = "\n".join(text_rows) + "\n"
     if path == "-":
         sys.stdout.write(payload)
@@ -298,11 +299,9 @@ def cmd_evolve(cfg: RunConfig, state: str, g0: float, strategy_name: str,
     gen = lindblad.build_qubit_generator(tsd_flip, tsd_deph, cfg.omega0, strategy)
     t_scale = max(gen.relaxation_rate, gen.transverse_rate, 1e-12)
     grid = cfg.grid or GridSpec(0.0, 10.0 / t_scale, 201, "lin")
-    rows = []
-    for t in grid.values():
-        st = lindblad.evolve(rho, gen, float(t))
-        x, y, z = st.bloch
-        rows.append([t, st.p_up, x, y, z, st.purity])
+    times = grid.values()
+    rows = np.column_stack(
+        (times, *lindblad.observables(lindblad.trajectory(rho, gen, times))))
     extra = {"state": state, "g0": f"{g0:.17g}", "strategy": strategy_name}
     # the strategy's own parameter: tau (zeno, kick) or K (continuous)
     extra.update((k, f"{v:.17g}") for k, v in vars(strategy).items())

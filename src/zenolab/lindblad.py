@@ -18,6 +18,10 @@ p_up/p_down = e^{-beta Omega} as its fixed point.
 Evolution uses the closed-form Bloch solution: longitudinal relaxation at
 gamma_down + gamma_up toward the stationary inversion, transverse decay
 at 2 gamma_0 + (gamma_down + gamma_up)/2 with precession Omega.
+``trajectory`` evaluates it at a whole array of times in one pass and
+returns the stack of density matrices; ``evolve`` is its one-time case.
+``observables`` reads p_up, the Bloch vector and the purity back from a
+matrix or a stack of them.
 
 Basis convention: index 0 = |up>, index 1 = |down>; sz = diag(1, -1).
 
@@ -43,7 +47,9 @@ __all__ = [
     "QubitGenerator",
     "build_qubit_generator",
     "evolve",
+    "observables",
     "stationary_state",
+    "trajectory",
 ]
 
 _HERM_TOL = 1e-12
@@ -76,11 +82,7 @@ class QubitDensityMatrix:
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "QubitDensityMatrix":
-        r = math.sqrt(x * x + y * y + z * z)
-        if r > 1.0 + 1e-12:
-            raise InvalidState("Bloch vector must satisfy |r| <= 1")
-        return cls(0.5 * np.array([[1.0 + z, x - 1j * y],
-                                   [x + 1j * y, 1.0 - z]]))
+        return cls(_bloch_matrices(*np.array([[x], [y], [z]], dtype=float))[0])
 
     @classmethod
     def excited(cls) -> "QubitDensityMatrix":
@@ -96,18 +98,40 @@ class QubitDensityMatrix:
 
     @property
     def p_up(self) -> float:
-        return float(self.matrix[0, 0].real)
+        return float(observables(self.matrix)[0])
 
     @property
     def bloch(self) -> tuple[float, float, float]:
-        m = self.matrix
-        return (float(2.0 * m[1, 0].real), float(2.0 * m[1, 0].imag),
-                float((m[0, 0] - m[1, 1]).real))
+        _, x, y, z, _ = observables(self.matrix)
+        return float(x), float(y), float(z)
 
     @property
     def purity(self) -> float:
-        x, y, z = self.bloch
-        return 0.5 * (1.0 + x * x + y * y + z * z)
+        return float(observables(self.matrix)[4])
+
+
+def observables(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(p_up, x, y, z, purity) of a (..., 2, 2) stack of density matrices,
+    each of shape ``...``: the Bloch vector is read back from the matrix
+    (x = 2 Re m10, y = 2 Im m10, z = Re(m00 - m11)) and the purity is
+    (1 + |r|^2)/2."""
+    x = 2.0 * m[..., 1, 0].real
+    y = 2.0 * m[..., 1, 0].imag
+    z = (m[..., 0, 0] - m[..., 1, 1]).real
+    return m[..., 0, 0].real, x, y, z, 0.5 * (1.0 + x * x + y * y + z * z)
+
+
+def _bloch_matrices(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The (n, 2, 2) density matrices of n Bloch vectors; InvalidState
+    unless every |r| <= 1 + 1e-12 (a NaN is left to the constructor)."""
+    if (np.sqrt(x * x + y * y + z * z) > 1.0 + 1e-12).any():
+        raise InvalidState("Bloch vector must satisfy |r| <= 1")
+    m = np.empty((z.size, 2, 2), dtype=complex)
+    m[:, 0, 0] = 1.0 + z
+    m[:, 0, 1] = x - 1j * y
+    m[:, 1, 0] = x + 1j * y
+    m[:, 1, 1] = 1.0 - z
+    return 0.5 * m
 
 
 @dataclass(frozen=True)
@@ -167,24 +191,43 @@ def build_qubit_generator(tsd_flip: ThermalSpectralDensity | None,
                           beta=math.inf if given is None else given.beta)
 
 
-def evolve(rho0: QubitDensityMatrix, gen: QubitGenerator,
-           t: float) -> QubitDensityMatrix:
-    """Closed-form Bloch evolution of ``rho0`` for time ``t`` >= 0 (finite,
-    else DomainError)."""
-    require_finite(t, "evolution time t", allow_zero=True)
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) of every entry of ``values``."""
+    return np.fromiter(map(fn, values.tolist()), dtype=float, count=values.size)
+
+
+def trajectory(rho0: QubitDensityMatrix, gen: QubitGenerator, times) -> np.ndarray:
+    """Closed-form Bloch evolution of ``rho0`` to each of ``times`` >= 0
+    (finite, else DomainError), in their flat order: the (n, 2, 2) stack
+    of density matrices.
+
+    z relaxes at gamma_1 = gamma_down + gamma_up toward
+    (gamma_up - gamma_down)/gamma_1; (x, y) decays at the transverse rate
+    and precesses at omega0.  The exponentials, cosines and sines are
+    ``math``'s, taken per entry: numpy's vectorized exp can differ from
+    them in the last bit.
+    """
+    t = require_finite(times, "evolution time t", allow_zero=True)
     x0, y0, z0 = rho0.bloch
     g1 = gen.relaxation_rate
     if g1 > 0:
         z_inf = (gen.gamma_up - gen.gamma_down) / g1
-        z = z_inf + (z0 - z_inf) * math.exp(-g1 * t)
+        z = z_inf + (z0 - z_inf) * _each(math.exp, -g1 * t)
     else:
-        z = z0
-    decay = math.exp(-gen.transverse_rate * t)
+        z = np.full(t.size, z0)
+    decay = _each(math.exp, -gen.transverse_rate * t)
     phase = gen.omega0 * t
-    c, s = math.cos(phase), math.sin(phase)
+    c, s = _each(math.cos, phase), _each(math.sin, phase)
     x = decay * (x0 * c - y0 * s)
     y = decay * (x0 * s + y0 * c)
-    return QubitDensityMatrix.from_bloch(x, y, z)
+    return _bloch_matrices(x, y, z)
+
+
+def evolve(rho0: QubitDensityMatrix, gen: QubitGenerator,
+           t: float) -> QubitDensityMatrix:
+    """:func:`trajectory` of ``rho0`` at the one time ``t`` >= 0."""
+    (m,) = trajectory(rho0, gen, [t])
+    return QubitDensityMatrix(m)
 
 
 def stationary_state(gen: QubitGenerator) -> QubitDensityMatrix:

@@ -46,6 +46,7 @@ validated analytically in the spectral module instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -354,10 +355,10 @@ def kick_survival_trace(model: SingleExcitationModel, tau: float,
 
     In the eigenbasis the kick is 2 v v^T - I, v_k = <k|up, vac>.  With
     y = v * c (c the state in that basis, y = w at t = 0) the amplitude of
-    |up, vac> is sum(y) and a kick is y <- 2 w sum(y) - y; N must be even.
+    |up, vac> is sum(y) and a kick is y <- 2 w sum(y) - y; N must be an
+    even integer >= 2 (:func:`_cycle_count`).
     """
-    if N < 2 or N % 2 != 0:
-        raise OddN("kick protocol requires an even number of cycles >= 2")
+    N = _cycle_count(N)
     require_finite(tau, "period tau")
     _check_span(model, N * tau)
     w = model.weights
@@ -374,7 +375,10 @@ def kick_survival_trace(model: SingleExcitationModel, tau: float,
 
 
 def continuous_survival(model: SingleExcitationModel, K: float, t):
-    """Survival under continuous coupling; model must carry that K."""
+    """Survival under continuous coupling; model must carry that K (one
+    finite K >= 0, else DomainError)."""
+    _require_one(K, "coupling K")
+    require_finite(K, "coupling K", allow_zero=True)
     if not math.isclose(model.K, K):
         raise DomainError("model was not built with the requested K")
     return free_survival(model, t)
@@ -463,6 +467,25 @@ def _require_recurrence(span: float, t_max: float, M: int):
         f"{M}-mode bath; {hint}")
 
 
+def _require_one(value, what: str):
+    """DomainError for an array ``value``: the oracle takes one ``what``."""
+    if np.ndim(value):
+        raise DomainError(f"the oracle takes one {what}")
+
+
+def _cycle_count(n_cycles) -> int:
+    """The kick cycle count as an int: DomainError unless it is an integer
+    (``operator.index``; 4.0 is not), OddN unless it is even and >= 2."""
+    try:
+        n = operator.index(n_cycles)
+    except TypeError:
+        raise DomainError(
+            f"kick cycle count must be an integer, got {n_cycles!r}") from None
+    if n < 2 or n % 2 != 0:
+        raise OddN("kick protocol requires an even number of cycles >= 2")
+    return n
+
+
 def _plan(lam: float, omega0: float, strategy: ControlStrategy,
           n_cycles: int) -> tuple[float, float]:
     """(span, t_max) of :func:`effective_rate`'s rule for ``strategy``: a
@@ -471,15 +494,14 @@ def _plan(lam: float, omega0: float, strategy: ControlStrategy,
     when Omega + K > 0.9 * 12 Lambda, and the longest evolution time: tau
     (Zeno), n_cycles tau (kicks) or 0 (free and continuous rules fit inside
     the recurrence time).  DomainError for an array period or coupling or
-    an unknown strategy, OddN unless a kick cycle count is even and >= 2."""
-    if np.ndim(getattr(strategy, "tau", getattr(strategy, "K", 0.0))):
-        raise DomainError("the oracle takes one period or coupling")
+    an unknown strategy; a kick cycle count goes through :func:`_cycle_count`."""
+    _require_one(getattr(strategy, "tau", getattr(strategy, "K", 0.0)),
+                 "period or coupling")
     span = 12.0 * lam
     if isinstance(strategy, ZenoMeasurement):
         return span, strategy.tau
     if isinstance(strategy, BangBangKick):
-        if n_cycles < 2 or n_cycles % 2 != 0:
-            raise OddN("kick protocol requires an even number of cycles >= 2")
+        n_cycles = _cycle_count(n_cycles)
         try:
             t_max = n_cycles * strategy.tau
         except OverflowError:       # an int cycle count beyond float range

@@ -60,6 +60,7 @@ _FAMILIES = (EXPONENTIAL, POLYNOMIAL)
 # small-tau kick and large-K continuous ratios of figures 6 and 11 read
 # about 1e-300)
 _EXP_CLIP = 700.0
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,8 @@ def _reject_nan(w: np.ndarray, rest: np.ndarray) -> None:
 
 def bare_density(ff: FormFactor, omega):
     """kappa(omega); exactly 0 for omega < 0 and at omega = +inf.  Accepts
-    scalars or arrays.
+    scalars or arrays.  The polynomial form is g^2 Lambda (Lambda/omega)^(2n-1)
+    where (1 + (omega/Lambda)^2)^n overflows.
 
     A NaN frequency raises DomainError.
     """
@@ -126,7 +128,13 @@ def bare_density(ff: FormFactor, omega):
         out[pos] = g2 * wp * np.exp(-np.minimum(wp / lam, _EXP_CLIP))
     else:
         wp = w[pos]
-        out[pos] = g2 * wp / (1.0 + (wp / lam) ** 2) ** ff.n
+        with np.errstate(over="ignore"):
+            den = (1.0 + (wp / lam) ** 2) ** ff.n
+        vals = g2 * wp / den
+        # where den overflows, 1 + (w/lam)^2 rounds to (w/lam)^2
+        far = den == math.inf
+        vals[far] = g2 * lam * (lam / wp[far]) ** (2 * ff.n - 1)
+        out[pos] = vals
     return _shaped(out, omega)
 
 
@@ -136,16 +144,22 @@ def thermal_density(tsd: ThermalSpectralDensity, omega):
     Evaluated as kappa(|omega|)/(-expm1(-beta omega)) for omega > 0 and
     kappa(|omega|)/expm1(beta |omega|) for omega < 0, which is stable for
     both tiny and huge |beta omega|; the omega = 0 value is the limit
-    g^2/beta, and omega = +-inf gives 0.  At beta = +inf the bare density
-    is returned.  A NaN frequency raises DomainError.
+    g^2/beta, also taken wherever |omega| <= tiny/beta (beta |omega| below
+    the smallest normal float, tiny), and omega = +-inf gives 0.  At
+    beta = +inf the bare density is returned.  A NaN frequency raises
+    DomainError.
     """
     if math.isinf(tsd.beta):
         return bare_density(tsd.base, omega)
     w = np.asarray(omega, dtype=float)
     beta = tsd.beta
     out = np.empty_like(w)
-    pos = w > 0
-    neg = w < 0
+    # where beta |omega| falls below the smallest normal float the quotient
+    # loses its digits (and at 0 divides by zero): the limit g^2/beta holds
+    # there.  A threshold that underflows to 0 leaves only omega = 0.
+    floor = _TINY / beta
+    pos = w > floor
+    neg = w < -floor
     zer = ~(pos | neg)
     _reject_nan(w, zer)
     if pos.any():

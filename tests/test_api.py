@@ -45,6 +45,9 @@ GUARDED = {
                               lambda v: z.QubitGenerator(v, 0.1, 1.0, 0.5)),
     "evolve t": (z.DomainError, lambda v: z.evolve(
         z.QubitDensityMatrix.excited(), z.QubitGenerator(0.01, 0.1, 1.0, 0.5), v)),
+    "trajectory t": (z.DomainError, lambda v: z.trajectory(
+        z.QubitDensityMatrix.excited(), z.QubitGenerator(0.01, 0.1, 1.0, 0.5),
+        np.array([0.0, 1.0, v]))),
     "free_survival t": (z.DomainError, lambda v: z.free_survival(_free_model(), v)),
     "free_survival t array": (z.DomainError, lambda v: z.free_survival(
         _free_model(), np.array([1.0, v]))),

@@ -538,6 +538,56 @@ def test_figure_unknown_id(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("strategy, state", [
+    ("free", "up"), ("zeno", "plus"), ("kick", "mixed"), ("continuous", "down")])
+def test_evolve_rows_are_the_per_step_rows(tmp_path, strategy, state):
+    # the command's text equals rows built one evolve call per time step,
+    # formatted one f-string per value
+    g0 = 0.4
+    tsd_flip = zenolab.form_factor_for_bandwidth(zenolab.EXPONENTIAL).thermal(50.0)
+    tsd_deph = zenolab.form_factor_for_bandwidth(zenolab.EXPONENTIAL,
+                                                 g=g0).thermal(50.0)
+    gen = zenolab.build_qubit_generator(
+        tsd_flip, tsd_deph, 0.01, cli._STRATEGIES[strategy](1.3, 2.1))
+    rho = cli._STATES[state]()
+    for grid, spec in ((np.linspace(0.0, 400.0, 41), "0:400:41lin"),
+                       (np.logspace(-2.0, 3.0, 26), "1e-2:1e3:26log")):
+        code, out = run(tmp_path, "ev.csv",
+                        ["evolve", "--strategy", strategy, "--state", state,
+                         "--g0", repr(g0), "--tau", "1.3", "--K", "2.1",
+                         "--grid", spec])
+        assert code == 0
+        expected = []
+        for t in grid:
+            st = zenolab.evolve(rho, gen, float(t))
+            expected.append(",".join(f"{float(v):.16e}" for v in
+                                     (t, st.p_up, *st.bloch, st.purity)))
+        assert _data_lines(out)[1:] == expected
+
+
+@pytest.mark.parametrize("cells", [
+    [math.nan, math.inf, -math.inf], [-0.0, 0.0, 5e-324],
+    [2.2250738585072014e-308, -1e-310, 1e308], [0, 7, -3],
+    [np.float64(1.5), np.int64(-2), 1.0 / 3.0]])
+def test_write_csv_cells_are_the_f_string_text(tmp_path, cells):
+    # one '%.16e' per cell writes what f"{float(x):.16e}" writes
+    path = tmp_path / "w.csv"
+    cli._write_csv(str(path), ["head"], ["a", "b", "c"], [cells, cells[::-1]])
+    expected = ["# head", "a,b,c"] + [",".join(f"{float(v):.16e}" for v in row)
+                                      for row in (cells, cells[::-1])]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0]],
+                                  np.ones((2, 3)), [1.0, 2.0]])
+def test_write_csv_refuses_rows_that_miss_the_header(tmp_path, rows):
+    # a row of another length than the header raises; nothing is written
+    path = tmp_path / "r.csv"
+    with pytest.raises((ValueError, TypeError)):
+        cli._write_csv(str(path), ["head"], ["a", "b"], rows)
+    assert not path.exists()
+
+
 def test_csv_round_trip_and_determinism(tmp_path, monkeypatch):
     code, a = run(tmp_path, "a.csv",
                   ["density", "--grid=-0.5:1.5:17lin", "--beta", "7"])

@@ -191,3 +191,90 @@ def test_observables():
     assert gibbs.p_up == pytest.approx(p, rel=1e-12)
     assert abs(gibbs.matrix[0, 1]) == 0.0
 
+
+
+def _scalar_evolve(rho0, gen, t):
+    """The closed form at one time in scalar arithmetic (Python floats and
+    complexes, math's exp, cos and sin): the matrix per-step evolution
+    built before trajectory existed."""
+    x0, y0, z0 = rho0.bloch
+    g1 = gen.relaxation_rate
+    if g1 > 0:
+        z_inf = (gen.gamma_up - gen.gamma_down) / g1
+        zz = z_inf + (z0 - z_inf) * math.exp(-g1 * t)
+    else:
+        zz = z0
+    decay = math.exp(-gen.transverse_rate * t)
+    phase = gen.omega0 * t
+    c, s = math.cos(phase), math.sin(phase)
+    x = decay * (x0 * c - y0 * s)
+    y = decay * (x0 * s + y0 * c)
+    return 0.5 * np.array([[1.0 + zz, x - 1j * y], [x + 1j * y, 1.0 - zz]])
+
+
+_STATES = {
+    "up": z.QubitDensityMatrix.excited(),
+    "down": z.QubitDensityMatrix.ground(),
+    "mixed": z.QubitDensityMatrix.maximally_mixed(),
+    "plus": z.QubitDensityMatrix.from_bloch(1.0, 0.0, 0.0),
+    "general": z.QubitDensityMatrix.from_bloch(-0.3, 0.5, -0.6),
+}
+
+
+@pytest.mark.parametrize("strategy", [
+    z.Free(), z.ZenoMeasurement(1.7), z.BangBangKick(1.7),
+    z.ContinuousCoupling(2.3)], ids=["free", "zeno", "kick", "continuous"])
+def test_trajectory_rows_are_the_per_step_matrices(tsd_exp, strategy):
+    # bit for bit, signed zeros included: t = 0, a lin and a log grid, with
+    # and without the spin-flip channel (g = 0 keeps z fixed)
+    ff0 = z.FormFactor(z.EXPONENTIAL, g=0.5, cutoff=tsd_exp.base.cutoff)
+    gens = [z.build_qubit_generator(tsd_exp, ff0.thermal(BETA), OMEGA, strategy),
+            z.build_qubit_generator(None, ff0.thermal(BETA), OMEGA, strategy)]
+    for gen in gens:
+        scale = max(gen.relaxation_rate, gen.transverse_rate)
+        grids = [np.zeros(1), np.linspace(0.0, 10.0 / scale, 201),
+                 np.logspace(-3.0, 4.0, 73)]
+        for rho in _STATES.values():
+            for times in grids:
+                stack = z.trajectory(rho, gen, times)
+                assert stack.shape == (times.size, 2, 2)
+                for m, t in zip(stack, times.tolist()):
+                    assert m.tobytes() == _scalar_evolve(rho, gen, t).tobytes()
+                    assert m.tobytes() == z.evolve(rho, gen, t).matrix.tobytes()
+
+
+def test_observables_of_a_stack_are_the_properties(tsd_exp):
+    gen = z.build_qubit_generator(tsd_exp, None, OMEGA)
+    times = np.linspace(0.0, 5.0 / gen.relaxation_rate, 17)
+    for rho in _STATES.values():
+        columns = z.observables(z.trajectory(rho, gen, times))
+        assert all(c.shape == times.shape for c in columns)
+        for i, t in enumerate(times):
+            st = z.evolve(rho, gen, float(t))
+            assert tuple(c[i] for c in columns) == (st.p_up, *st.bloch, st.purity)
+            # read back from the matrix as the per-step properties did:
+            # z = Re(m00 - m11) differs from 2 p_up - 1 in the last bit
+            m = st.matrix
+            x, y = float(2.0 * m[1, 0].real), float(2.0 * m[1, 0].imag)
+            zz = float((m[0, 0] - m[1, 1]).real)
+            assert st.bloch == (x, y, zz)
+            assert (st.p_up, st.purity) == (
+                float(m[0, 0].real), 0.5 * (1.0 + x * x + y * y + zz * zz))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_trajectory_rejects_bad_times(tsd_exp, bad):
+    gen = z.build_qubit_generator(tsd_exp, None, OMEGA)
+    with pytest.raises(z.DomainError, match="evolution time t"):
+        z.trajectory(z.QubitDensityMatrix.excited(), gen, [0.0, 1.0, bad])
+
+
+def test_bloch_matrices_check_every_row():
+    # |r| <= 1 + 1e-12 holds row by row, as from_bloch checks one vector
+    from zenolab.lindblad import _bloch_matrices
+    ok = _bloch_matrices(np.array([0.0, 0.6]), np.array([0.0, 0.8]),
+                         np.array([1.0, 0.0]))
+    assert ok.shape == (2, 2, 2)
+    with pytest.raises(z.InvalidState, match=r"\|r\| <= 1"):
+        _bloch_matrices(np.array([0.0, 0.6]), np.array([0.0, 0.8]),
+                        np.array([1.0, 1e-5]))

@@ -344,6 +344,35 @@ def test_kick_cycle_count_checked_before_any_model(oracle_ff, monkeypatch,
             check(oracle_ff, OMEGA, z.BangBangKick(0.5), 300, n_cycles)
 
 
+def test_kick_cycle_count_must_be_an_integer(oracle_ff, kick_model,
+                                             monkeypatch):
+    # 4.0 passed the parity rule, built the model and then failed in
+    # np.empty(4.0) with a bare TypeError; np.int64 stays a valid count
+    def no_model(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(oracle, "_spectral_measure", no_model)
+    oracle._qubit_model.cache_clear()
+    for n_cycles in (4.0, 4.5, "4", None):
+        for check in (oracle.require_window, z.effective_rate):
+            with pytest.raises(z.DomainError, match="cycle count must be an integer"):
+                check(oracle_ff, OMEGA, z.BangBangKick(0.5), 300, n_cycles)
+        with pytest.raises(z.DomainError, match="cycle count must be an integer"):
+            z.kick_survival_trace(kick_model, 0.5, n_cycles)
+    oracle.require_window(oracle_ff, OMEGA, z.BangBangKick(0.5), 300, np.int64(4))
+    t, P = z.kick_survival_trace(kick_model, 0.5, np.int64(4))
+    assert (t.tolist(), P.tolist()) == tuple(
+        a.tolist() for a in z.kick_survival_trace(kick_model, 0.5, 4))
+
+
+@pytest.mark.parametrize("K", [np.array([5.0]), np.array([5.0, 5.0]),
+                               math.nan, math.inf, -5.0])
+def test_continuous_survival_refuses_array_or_bad_K(continuous_model_k5, K):
+    # an array K raised a bare TypeError from math.isclose
+    with pytest.raises(z.DomainError):
+        z.continuous_survival(continuous_model_k5, K, 5.0)
+
+
 def _kick_span(ff, tau):
     return max(12.0 * ff.cutoff, OMEGA + math.pi / tau + 3.0 * ff.cutoff)
 

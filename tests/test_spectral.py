@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +129,52 @@ def test_densities_vanish_at_infinite_frequency():
             assert vals[2:].tolist() == [z.thermal_density(tsd, 1.5),
                                          z.thermal_density(tsd, -1.5)]
             assert z.thermal_density(tsd, -math.inf) == 0.0
+
+
+# beta |omega| below the smallest normal float: the quotient
+# kappa/(1 - e^{-beta omega}) lost its digits (40 % low at beta = 0.6,
+# omega = 5e-324) or divided by zero (inf, with a RuntimeWarning)
+@pytest.mark.parametrize("fam, n", [(z.EXPONENTIAL, 2), (z.POLYNOMIAL, 1),
+                                    (z.POLYNOMIAL, 2), (z.POLYNOMIAL, 4)])
+@pytest.mark.parametrize("beta", [1e-3, 0.5, 0.6, 50.0, 1e6])
+@pytest.mark.parametrize("omega", [5e-324, -5e-324, 1e-320, -2e-315, 0.0])
+def test_thermal_density_takes_its_limit_where_beta_omega_underflows(
+        fam, n, beta, omega):
+    tsd = z.FormFactor(fam, g=0.7, cutoff=0.37, n=n).thermal(beta)
+    limit = 0.7 ** 2 / beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = z.thermal_density(tsd, omega)
+        array = z.thermal_density(tsd, np.array([omega, 1.0]))
+    assert math.isfinite(scalar)
+    assert abs(scalar / limit - 1.0) <= 1e-15
+    assert array[0] == scalar
+
+
+def _poly_exact(g, lam, n, w):
+    """g^2 w / (1 + (w/lam)^2)^n in exact rational arithmetic, rounded once."""
+    return float(Fraction(g) ** 2 * Fraction(w)
+                 / (1 + (Fraction(w) / Fraction(lam)) ** 2) ** n)
+
+
+# past omega ~ lam (1.8e308)^(1/2n) the denominator (1 + (w/lam)^2)^n
+# overflowed with a RuntimeWarning and kappa read 0
+@pytest.mark.parametrize("n, omegas", [
+    (1, [1e150, 1.3e154, 1.4e154, 1e155, 1e300]),
+    (2, [1e76, 1.2e77, 1e78, 1e100]),
+    (4, [1e38, 3.5e38, 4e38, 1e39, 1e43])])
+@pytest.mark.parametrize("lam", [1.0, 0.37])
+def test_poly_bare_density_past_the_denominators_overflow(n, omegas, lam):
+    ff = z.FormFactor(z.POLYNOMIAL, g=0.7, cutoff=lam, n=n)
+    w = np.array(omegas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bare = z.bare_density(ff, w)
+        thermal = z.thermal_density(ff.thermal(50.0), w)
+    exact = np.array([_poly_exact(0.7, lam, n, x) for x in omegas])
+    assert np.all(exact > 0.0) and np.all(np.isfinite(bare))
+    assert np.max(np.abs(bare / exact - 1.0)) <= 1e-15
+    assert thermal.tolist() == bare.tolist()     # 1 - e^{-beta omega} = 1
 
 
 def test_thermal_enhancement_and_continuity():
