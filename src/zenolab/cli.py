@@ -204,7 +204,7 @@ def _ratio_column(tsd: spectral.ThermalSpectralDensity, omega0: float,
                   conversion_c: float) -> np.ndarray:
     """Read-only controlled/golden-rule rate ratios of ``strategy_name`` at
     the periods tau = x / W of ``grid`` (couplings K = c / tau)."""
-    gamma = rates.strategy_rate(tsd, omega0, rates.Free())
+    gamma = rates._free_rate(tsd, omega0)
     taus = grid.values() / W                # tau (or c/K) in raw units
     strategy = _STRATEGIES[strategy_name](taus, conversion_c / taus)
     ratio = rates.strategy_rate(tsd, omega0, strategy) / gamma
@@ -291,10 +291,7 @@ def cmd_evolve(cfg: RunConfig, state: str, g0: float, strategy_name: str,
     require_finite(g0, "dephasing coupling g0", allow_zero=True)
     # g = 0 closes the spin-flip channel, g0 = 0 the dephasing one
     tsd_flip = cfg.thermal() if cfg.g != 0.0 else None
-    tsd_deph = None
-    if g0 > 0:
-        tsd_deph = spectral.form_factor_for_bandwidth(
-            cfg.family, W=cfg.W, g=g0, n=cfg.n).thermal(cfg.beta)
+    tsd_deph = _with(cfg, g=g0).thermal() if g0 > 0 else None
     strategy = _STRATEGIES[strategy_name](tau, K)
     gen = lindblad.build_qubit_generator(tsd_flip, tsd_deph, cfg.omega0, strategy)
     t_scale = max(gen.relaxation_rate, gen.transverse_rate, 1e-12)

@@ -20,13 +20,13 @@ oscillates at intermediate tau, so several crossings can exist; the
 smallest crossing from the controlled side is canonical and every
 crossing on the scan grid is reported.  A scan evaluates its grid in
 one array call of the kernel that Brent's refinement also runs, at full
-precision; there is no coarse pass.  Every rate, the free one too, comes
-from :func:`rates.strategy_rate`.  The kick and K* finders scan the
-whole grid (the comb sum without its truncation bound, and the exact
-continuous rate); the tau*_Z finder scans the grid from its last point
-below gamma tau_Z^2 upward, a floor under every Zeno crossing (see
-:func:`find_tau_star_zeno`), in one cumulative pass of the Zeno kernel
-over the bath correlation function.
+precision; there is no coarse pass.  Every rate comes from
+:func:`rates.strategy_rate`, gamma through :func:`rates._free_rate`
+(DomainError unless it is positive and finite).  The kick and K* finders
+scan the whole grid (the comb sum without its truncation bound, and the
+exact continuous rate); the tau*_Z finder scans from the last grid point
+below gamma tau_Z^2, a floor under every Zeno crossing
+(:func:`find_tau_star_zeno`), in one cumulative Zeno pass over C(s).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NoCrossing
 from .numerics import alpha_n, lambert_w_m1, require_finite
-from .rates import (BangBangKick, ContinuousCoupling, Free, ZenoMeasurement,
-                    _kick_envelope_weight, strategy_rate)
+from .rates import (BangBangKick, ContinuousCoupling, ZenoMeasurement,
+                    _free_rate, _kick_envelope_weight, strategy_rate)
 from .spectral import (EXPONENTIAL, FormFactor, ThermalSpectralDensity,
                        zeno_time)
 
@@ -129,21 +129,11 @@ def _brent(f: Callable[[float], float], xa: float, xb: float,
 def _envelope_root(ff: FormFactor, weight: float, gamma: float) -> float:
     """x(weight) of the module docstring; NaN where the Lambert-W
     argument falls below -1/e."""
-    g2lam = ff.g ** 2 * ff.cutoff
+    g2lam = ff.g * ff.g * ff.cutoff
     if ff.family == EXPONENTIAL:
         arg = -gamma / (weight * g2lam)
         return -ff.cutoff * lambert_w_m1(arg) if arg >= -math.exp(-1) else math.nan
     return ff.cutoff * (weight * g2lam / gamma) ** (1.0 / (2 * ff.n - 1))
-
-
-def _free_rate(tsd: ThermalSpectralDensity, omega0: float) -> float:
-    """The free (golden-rule) rate gamma; DomainError unless it is
-    positive and finite, since every ratio divides by it."""
-    gamma = strategy_rate(tsd, omega0, Free())
-    if not 0.0 < gamma < math.inf:
-        raise DomainError(f"free rate gamma = {gamma!r} at omega0 = "
-                          f"{omega0!r}: no crossover is defined")
-    return gamma
 
 
 def _crossover(tsd: ThermalSpectralDensity, omega0: float, strategy: type,

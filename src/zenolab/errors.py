@@ -37,7 +37,7 @@ class RecurrenceWindowExceeded(ZenolabError):
     """Requested evolution time exceeds the discretized-bath recurrence time."""
 
 
-class OddN(ZenolabError, ValueError):
+class OddN(DomainError):
     """Kick protocols require an even number of cycles."""
 
 

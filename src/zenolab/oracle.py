@@ -46,19 +46,18 @@ validated analytically in the spectral module instead.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (DomainError, NoConvergence, NonPositiveProbability, OddN,
+from .errors import (DomainError, NoConvergence, NonPositiveProbability,
                      RecurrenceWindowExceeded, WindowTooShort)
 from . import numerics
 from .numerics import _shaped, gauss_legendre, require_finite
 from .rates import (BangBangKick, ContinuousCoupling, ControlStrategy, Free,
-                    ZenoMeasurement, strategy_rate)
+                    ZenoMeasurement, _cycle_count, _free_rate, strategy_rate)
 from .spectral import FormFactor, bare_density
 
 __all__ = [
@@ -326,9 +325,10 @@ class SingleExcitationModel:
 
 def _check_span(model: SingleExcitationModel, t_max: float):
     if t_max > model.recurrence_time:
+        hint = "" if math.isfinite(t_max) else "; no mode count reaches it"
         raise RecurrenceWindowExceeded(
             f"t = {t_max:.1f} exceeds the recurrence time "
-            f"{model.recurrence_time:.1f}")
+            f"{model.recurrence_time:.1f}{hint}")
 
 
 def free_survival(model: SingleExcitationModel, t):
@@ -356,11 +356,11 @@ def kick_survival_trace(model: SingleExcitationModel, tau: float,
     In the eigenbasis the kick is 2 v v^T - I, v_k = <k|up, vac>.  With
     y = v * c (c the state in that basis, y = w at t = 0) the amplitude of
     |up, vac> is sum(y) and a kick is y <- 2 w sum(y) - y; N must be an
-    even integer >= 2 (:func:`_cycle_count`).
+    even integer >= 2 (:func:`rates._cycle_count`).
     """
     N = _cycle_count(N)
     require_finite(tau, "period tau")
-    _check_span(model, N * tau)
+    _check_span(model, _trace_time(N, tau))
     w = model.weights
     phases = np.exp(-1j * model.eigenvalues * tau)
     y = w.astype(complex)
@@ -370,8 +370,7 @@ def kick_survival_trace(model: SingleExcitationModel, tau: float,
         amp = y.sum()
         y = 2.0 * amp * w - y
         P[k] = abs(amp) ** 2
-    t = (np.arange(N) + 1) * tau
-    return t, P
+    return (np.arange(N) + 1) * tau, P
 
 
 def continuous_survival(model: SingleExcitationModel, K: float, t):
@@ -473,17 +472,12 @@ def _require_one(value, what: str):
         raise DomainError(f"the oracle takes one {what}")
 
 
-def _cycle_count(n_cycles) -> int:
-    """The kick cycle count as an int: DomainError unless it is an integer
-    (``operator.index``; 4.0 is not), OddN unless it is even and >= 2."""
+def _trace_time(n: int, tau: float) -> float:
+    """n tau, the end of an n-cycle kick trace (inf past float range)."""
     try:
-        n = operator.index(n_cycles)
-    except TypeError:
-        raise DomainError(
-            f"kick cycle count must be an integer, got {n_cycles!r}") from None
-    if n < 2 or n % 2 != 0:
-        raise OddN("kick protocol requires an even number of cycles >= 2")
-    return n
+        return n * tau
+    except OverflowError:
+        return math.inf
 
 
 def _plan(lam: float, omega0: float, strategy: ControlStrategy,
@@ -494,18 +488,14 @@ def _plan(lam: float, omega0: float, strategy: ControlStrategy,
     when Omega + K > 0.9 * 12 Lambda, and the longest evolution time: tau
     (Zeno), n_cycles tau (kicks) or 0 (free and continuous rules fit inside
     the recurrence time).  DomainError for an array period or coupling or
-    an unknown strategy; a kick cycle count goes through :func:`_cycle_count`."""
+    an unknown strategy; the cycle count goes through rates._cycle_count."""
     _require_one(getattr(strategy, "tau", getattr(strategy, "K", 0.0)),
                  "period or coupling")
     span = 12.0 * lam
     if isinstance(strategy, ZenoMeasurement):
         return span, strategy.tau
     if isinstance(strategy, BangBangKick):
-        n_cycles = _cycle_count(n_cycles)
-        try:
-            t_max = n_cycles * strategy.tau
-        except OverflowError:       # an int cycle count beyond float range
-            t_max = math.inf
+        t_max = _trace_time(_cycle_count(n_cycles), strategy.tau)
         return max(span, omega0 + math.pi / strategy.tau + 3.0 * lam), t_max
     if isinstance(strategy, ContinuousCoupling):
         K = strategy.K
@@ -548,7 +538,7 @@ def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
         sel = (np.arange(n_cycles) % 2 == 1) & (t >= 0.25 * n_cycles * tau)
         return fit_decay_rate(list(zip(t[sel], P[sel])))
     tsd0 = ff.thermal(math.inf)
-    gamma = strategy_rate(tsd0, omega0, Free())
+    gamma = _free_rate(tsd0, omega0)
     if isinstance(strategy, Free):
         t_hi = min(0.75 * model.recurrence_time, 1.5 / gamma)
     else:

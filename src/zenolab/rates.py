@@ -42,12 +42,13 @@ Every caller outside this module turns a strategy into a rate through
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, NoConvergence, OddN
 from .numerics import (_segmented_integrals, _shaped, half_integer_series_tail,
                        require_finite, segmented_integral, zeta_odd)
 from .spectral import (EXPONENTIAL, FormFactor, ThermalSpectralDensity,
@@ -362,9 +363,22 @@ def _kick_weight(x: np.ndarray, n_cycles: int) -> np.ndarray:
     return (core * np.sinc(x / np.pi)) ** 2
 
 
+def _cycle_count(n_cycles) -> int:
+    """The kick cycle count as an int: DomainError unless it is an integer
+    (``operator.index``; 4.0 is not), OddN unless it is even and >= 2."""
+    try:
+        n = operator.index(n_cycles)
+    except TypeError:
+        raise DomainError(
+            f"kick cycle count must be an integer, got {n_cycles!r}") from None
+    if n < 2 or n % 2 != 0:
+        raise OddN("kick protocol requires an even number of cycles >= 2")
+    return n
+
+
 def kick_rate_integral(tsd: ThermalSpectralDensity, omega0: float, tau: float,
                        n_cycles: int) -> float:
-    """Finite-time form of the kick rate at t = N tau (N even).
+    """Finite-time kick rate at t = N tau (N even, see :func:`_cycle_count`).
 
     gamma = (2/N) int kappa_beta(omega0 + 2x/tau) sin^2(Nx) tan^2(x) / x^2 dx
     over x in R, integrated over the comb cells j = 0.._J_MAX on each side
@@ -380,8 +394,7 @@ def kick_rate_integral(tsd: ThermalSpectralDensity, omega0: float, tau: float,
     nor N = 60,000 at tau = 10); beyond, it raises NoConvergence.
     """
     require_finite(tau, "kick period tau")
-    if n_cycles < 2 or n_cycles % 2 != 0:
-        raise DomainError("n_cycles must be a positive even integer")
+    n_cycles = _cycle_count(n_cycles)
     edges = np.arange(0, 2 * (_J_MAX + 1) + 1) * (math.pi / 2.0)
 
     total = 0.0
@@ -393,9 +406,8 @@ def kick_rate_integral(tsd: ThermalSpectralDensity, omega0: float, tau: float,
         val, _ = segmented_integral(f, edges, rel_tol=1e-8, abs_tol=1e-300,
                                     max_passes=16)
         total += val
-    rate = (2.0 / n_cycles) * total
-    tail_est = _kick_tail_estimate(tsd, omega0, tau)
-    return rate + (2.0 / math.pi) * tail_est
+    return ((2.0 / n_cycles) * total
+            + (2.0 / math.pi) * _kick_tail_estimate(tsd, omega0, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -467,3 +479,13 @@ def strategy_rate(tsd: ThermalSpectralDensity, center: float,
     if isinstance(strategy, ContinuousCoupling):
         return continuous_rate(tsd, center, strategy.K)
     raise DomainError(f"unknown strategy {strategy!r}")
+
+
+def _free_rate(tsd: ThermalSpectralDensity, omega0: float) -> float:
+    """The free (golden-rule) rate gamma; DomainError unless it is
+    positive and finite, since every rate ratio divides by it."""
+    gamma = strategy_rate(tsd, omega0, Free())
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"free rate gamma = {gamma!r} at omega0 = "
+                          f"{omega0!r}: no rate ratio is defined")
+    return gamma

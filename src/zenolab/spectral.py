@@ -82,6 +82,7 @@ class FormFactor:
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
         require_finite(self.g, "coupling g")
+        require_finite(self.g * self.g, f"the square of coupling g = {self.g!r}")
         require_finite(self.cutoff, "cutoff")
         if self.family == POLYNOMIAL:
             if self.n != int(self.n) or self.n < 1:
@@ -171,7 +172,7 @@ def thermal_density(tsd: ThermalSpectralDensity, omega):
         # beyond the clip expm1 would overflow; fall back to kb e^{-x}
         vals = np.where(x > _EXP_CLIP, kb * np.exp(-np.minimum(x, 1490.0)), vals)
         out[neg] = vals
-    out[zer] = tsd.base.g ** 2 / beta
+    out[zer] = tsd.base.g * tsd.base.g / beta
     return _shaped(out, omega)
 
 

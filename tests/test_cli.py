@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -691,6 +692,63 @@ def test_config_guards_name_their_input(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+# a coupling whose square overflows (1e200) or underflows to 0 (1e-170),
+# and a free rate that underflows to 0 (g^2 Omega = 1e-330 at beta = inf):
+# once a bare OverflowError or ZeroDivisionError, or NaN columns with exit 0
+_SWEEP = ["sweep", "--strategy", "zeno", "--grid", "0.1:10:5"]
+_ORACLE_FREE = ["oracle", "--protocol", "free", "--modes", "60"]
+_ORACLE_CONT = ["oracle", "--protocol", "continuous", "--values", "2.5",
+                "--modes", "60"]
+_FAR = ["--g", "1e-150", "--omega", "1e-30", "--beta", "inf"]
+_EDGE_TABLE = (
+    [argv + ["--g", "1e200"] for argv in (
+        ["density"], _SWEEP, ["crossover"], ["figure", "--id", "7"],
+        ["evolve"])]
+    + [["evolve", "--g0", "1e200"]]
+    + [argv + ["--g", "1e-170"] for argv in (
+        _SWEEP, ["figure", "--id", "7"], _ORACLE_FREE,
+        ["oracle", "--protocol", "zeno", "--values", "0.5", "--modes", "60"],
+        _ORACLE_CONT)]
+    + [argv + _FAR for argv in (
+        _SWEEP, ["figure", "--id", "7"], _ORACLE_FREE, _ORACLE_CONT)])
+
+
+@pytest.mark.parametrize("argv", _EDGE_TABLE, ids=" ".join)
+def test_coupling_and_free_rate_edges_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "edge.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("zenolab: configuration error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy", ["zeno", "kick", "continuous"])
+def test_lambda_units_leave_the_sweeps_unchanged(tmp_path, strategy):
+    # --unit lambda sets W = 2; x = W tau and every rate ratio are unit-free
+    argv = ["sweep", "--strategy", strategy]
+    assert run(tmp_path, "w.csv", argv)[0] == 0
+    assert run(tmp_path, "l.csv", argv + ["--unit", "lambda"])[0] == 0
+    assert _data_lines(tmp_path / "l.csv") == _data_lines(tmp_path / "w.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["density"], ["density", "--family", "poly", "--n", "3"],
+    ["density", "--beta", "inf"], ["figure", "--id", "2"]])
+def test_lambda_units_double_every_density(tmp_path, argv):
+    # omega / W is unit-free; kappa is a frequency, and the lambda unit
+    # W / 2 is half the W unit, so each kappa reads exactly twice as much
+    assert run(tmp_path, "w.csv", argv)[0] == 0
+    assert run(tmp_path, "l.csv", argv + ["--unit", "lambda"])[0] == 0
+    _, cols_w, w = read_csv(tmp_path / "w.csv")
+    _, cols_l, lam = read_csv(tmp_path / "l.csv")
+    assert cols_l == cols_w and cols_w[0] == "omega_over_W"
+    assert np.array_equal(lam[:, 0], w[:, 0])
+    assert np.array_equal(lam[:, 1:], 2.0 * w[:, 1:])
+
+
 # every error class a command can raise -> (exit code, stderr prefix); the
 # module docstring documents 2 for configuration and 3 for numerical errors
 _ERROR_MAP = [
@@ -745,6 +803,7 @@ def test_runtime_needs_numpy_only(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(zenolab.__file__)))
     script = f"""
 import sys
+import warnings
 from zenolab.cli import main
 out = {str(tmp_path)!r}
 assert main(["crossover", "--family", "poly", "--beta", "inf",

@@ -447,10 +447,13 @@ def test_kick_recurrence_estimates_counts_beyond_four_m(oracle_ff,
     assert t_rec(need - 3) < n_cycles * tau <= t_rec(need + 2)
 
 
-def test_kick_recurrence_overflowing_trace(oracle_ff):
+def test_kick_recurrence_overflowing_trace(oracle_ff, kick_model):
     # an N tau beyond float range is reported, not an OverflowError
     with pytest.raises(z.RecurrenceWindowExceeded, match="no mode count"):
         z.effective_rate(oracle_ff, OMEGA, z.BangBangKick(1.0), 50, 10 ** 400)
+    # so is the trace's, which shares the plan's N tau
+    with pytest.raises(z.RecurrenceWindowExceeded, match="no mode count"):
+        z.kick_survival_trace(kick_model, 0.5, 10 ** 400)
 
 
 def test_zeno_monotone_in_linear_region(free_model):

@@ -447,6 +447,21 @@ def test_kick_rate_integral_large_tau_consistency(tsd_exp):
 def test_kick_rate_integral_rejects_odd_n(tsd_exp):
     with pytest.raises(z.DomainError):
         z.kick_rate_integral(tsd_exp, OMEGA, 1.0, 3)
+    # the oracle's cycle rule, whose OddN is a DomainError
+    assert issubclass(z.OddN, z.DomainError)
+    for n_cycles in (3, 0, -2):
+        with pytest.raises(z.OddN, match="even number of cycles >= 2"):
+            z.kick_rate_integral(tsd_exp, OMEGA, 1.0, n_cycles)
+
+
+def test_kick_rate_integral_takes_an_integer_count(tsd_exp):
+    # 4.0 once gave a rate here where effective_rate raised DomainError,
+    # and '4' a bare TypeError
+    for n_cycles in (4.0, "4", 4.5, None):
+        with pytest.raises(z.DomainError, match="cycle count must be an integer"):
+            z.kick_rate_integral(tsd_exp, OMEGA, 1.0, n_cycles)
+    assert z.kick_rate_integral(tsd_exp, OMEGA, 1.0, np.int64(4)) == \
+        z.kick_rate_integral(tsd_exp, OMEGA, 1.0, 4)
 
 
 def test_floquet_identification(tsd_exp):
