@@ -291,6 +291,8 @@ def cmd_evolve(cfg: RunConfig, state: str, g0: float, strategy_name: str,
     require_finite(g0, "dephasing coupling g0", allow_zero=True)
     # g = 0 closes the spin-flip channel, g0 = 0 the dephasing one
     tsd_flip = cfg.thermal() if cfg.g != 0.0 else None
+    if g0 > 0:
+        require_finite(g0 * g0, f"the square of dephasing coupling g0 = {g0!r}")
     tsd_deph = _with(cfg, g=g0).thermal() if g0 > 0 else None
     strategy = _STRATEGIES[strategy_name](tau, K)
     gen = lindblad.build_qubit_generator(tsd_flip, tsd_deph, cfg.omega0, strategy)

@@ -5,10 +5,12 @@ nested Gauss-Kronrod 7/15 pair, bisection) that can run several real or
 complex integrals through shared passes.  Besides it: the entry guard
 for numeric inputs, the kernels' array contract (``_shaped``), Horner's
 rule, the Gauss-Legendre rule (checked, cached on M), the -1 branch of
-Lambert's W, the Riemann zeta function at odd integers, the trigamma
-function (the tail of the half-integer series, and at complex arguments
-for the bath correlation function) and the Gamma-ratio coefficient
-alpha_n used by the crossover estimates.  numpy is the only dependency.
+Lambert's W, the Hurwitz zeta function (behind the Riemann zeta function
+at odd integers and the polynomial family's Bose sums; its Bernoulli part
+also serves the trigamma function at complex arguments, for the bath
+correlation function), the tail of the half-integer series and the
+Gamma-ratio coefficient alpha_n used by the crossover estimates.  numpy
+is the only dependency.
 """
 
 from __future__ import annotations
@@ -292,17 +294,12 @@ def lambert_w_m1(x: float) -> float:
     raise NoConvergence(f"lambert_w_m1 failed to converge at x={x}")
 
 
-# zeta(3), zeta(5), ..., zeta(15), correctly rounded
-_ZETA_ODD = (1.2020569031595942, 1.03692775514337, 1.008349277381923,
-             1.0020083928260821, 1.0004941886041194, 1.0001227133475785,
-             1.000030588236307)
-
-
 def zeta_odd(m: int) -> float:
-    """Riemann zeta at an odd integer m, 3 <= m <= 15."""
-    if m != int(m) or m % 2 == 0 or not 3 <= m <= 15:
-        raise DomainError(f"zeta_odd requires an odd integer in [3, 15], got {m}")
-    return _ZETA_ODD[(int(m) - 3) // 2]
+    """Riemann zeta at an odd integer m >= 3, 1 + zeta(m, 2) by
+    :func:`_hurwitz_zeta` (correctly rounded for every odd m up to 39)."""
+    if m != int(m) or m % 2 == 0 or m < 3:
+        raise DomainError(f"zeta_odd requires an odd integer m >= 3, got {m}")
+    return 1.0 + float(_hurwitz_zeta(int(m), 2.0))
 
 
 def alpha_n(n: int) -> float:
@@ -316,7 +313,7 @@ def alpha_n(n: int) -> float:
     return 0.5 * math.sqrt(math.pi) * math.gamma(n - 1.5) / math.gamma(n - 1.0)
 
 
-# Bernoulli numbers B_2 .. B_14 of the trigamma asymptotic series
+# Bernoulli numbers B_2 .. B_14 of the Hurwitz zeta asymptotic series
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
@@ -328,12 +325,44 @@ def _horner(coefs, y):
     return out
 
 
-def _trigamma_series(w: np.ndarray) -> np.ndarray:
-    """sum_k B_2k w^{-(2k+1)}, the Bernoulli part of the asymptotic series
-    of psi'(w) (seven terms, Horner's rule)."""
+def _bernoulli_part(p: int, w):
+    """sum_{j=1..7} B_2j C(p+2j-2, 2j)/(p-1) w^{1-p-2j} (Horner's rule in
+    w^{-2}), the Bernoulli part of the asymptotic series of zeta(p, w); at
+    p = 2, with coefficients _BERNOULLI, that of the trigamma psi'(w)."""
     r = 1.0 / w
     q = r * r
-    return _horner(_BERNOULLI, q) * q * r
+    if p == 2:
+        return _horner(_BERNOULLI, q) * q * r
+    coefs = [b * math.comb(p + 2 * j - 2, 2 * j) / (p - 1)
+             for j, b in enumerate(_BERNOULLI, start=1)]
+    return _horner(coefs, q) * q * r ** (p - 1)
+
+
+def _hurwitz_zeta(p, w):
+    """The Hurwitz zeta function sum_{m >= 0} (w + m)^{-p} at Re w > 0 for an
+    integer p >= 2, or a 1-D array of them (one row each): the terms m < S,
+    S the one shift that takes every Re w to 16 or more and the first
+    Bernoulli term left out, B_16 C(p+14, 16)/(p-1) (w+S)^{-p-15}, below
+    eps |w|^{-p}; then (w+S)^{1-p}/(p-1) + (w+S)^{-p}/2 + the Bernoulli part."""
+    w = np.asarray(w)
+    orders = np.atleast_1d(p).tolist()
+    # |w| floored at 1 and Re w capped at 16 (an empty w takes both) can
+    # only lengthen the head
+    big = math.log(float(np.abs(w).max(initial=1.0)))
+    top = max(math.exp((math.log(3617 / 510 * math.comb(o + 14, 16) / (o - 1))
+                        + o * big - math.log(_EPS)) / (o + 15)) for o in orders)
+    shift = max(0, math.ceil(max(top, 16.0) - w.real.min(initial=16.0)))
+    r = 1.0 / (w + np.arange(shift).reshape((-1,) + (1,) * w.ndim))  # a row per m
+    v = w + shift
+    u = 1.0 / v
+    rows, last = [], 0
+    for o in orders:    # each order's powers: the last order's times the step's
+        head = head * r ** (o - last) if last else r ** o
+        lead = lead * u ** (o - last) if last else u ** (o - 1)
+        last = o
+        rows.append(head.sum(axis=0) + lead * (1.0 / (o - 1) + 0.5 * u)
+                    + _bernoulli_part(o, v))
+    return rows[0] if np.ndim(p) == 0 else np.array(rows)
 
 
 def _trigamma_pair(z: np.ndarray) -> np.ndarray:
@@ -372,7 +401,7 @@ def _trigamma_pair(z: np.ndarray) -> np.ndarray:
     w2 = w1.conj() + 1.0
     p = w1 * w2
     out[far | high] = (acc + 2.0 * w1.real / p + (2.0 * w1.real + 1.0) ** 2 / (2.0 * p * p)
-                       + _trigamma_series(w1) + _trigamma_series(w2))
+                       + _bernoulli_part(2, w1) + _bernoulli_part(2, w2))
     if low.any():
         zl = z[low]
         x, u = zl.real, 1.0 - 1j * zl.imag
@@ -385,7 +414,7 @@ def _trigamma_pair(z: np.ndarray) -> np.ndarray:
         w = u + 16.0
         d = w * w - x * x
         acc -= 2.0 * x / d + 2.0 * x * w / (d * d)
-        out[low] = acc + _trigamma_series(w + x) - _trigamma_series(w - x)
+        out[low] = acc + _bernoulli_part(2, w + x) - _bernoulli_part(2, w - x)
     return out
 
 

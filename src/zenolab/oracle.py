@@ -522,20 +522,26 @@ def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
     The span is :func:`_plan`'s.  Free and continuous
     rates are fits to 60 samples from 6/Lambda up to min(0.75 t_rec,
     1.5/gamma) and min(0.8 t_rec, 2/max(gamma_K, 1e-3 gamma)); kicks fit
-    the odd cycles of n_cycles (even) from n_cycles/4 on; Zeno is
+    the odd cycles of n_cycles (even) from n_cycles/4 on, and refuse
+    n_cycles < 24 (DomainError) before any model is built; Zeno is
     -log P_1(tau)/tau with window (tau, tau) and residual 0.
     """
     lam = ff.cutoff
     span, t_max = _plan(lam, omega0, strategy, n_cycles)
     _require_recurrence(span, t_max, M)
+    tau = getattr(strategy, "tau", None)
+    if isinstance(strategy, BangBangKick):
+        # the trace's times (k + 1) tau at even cycle counts from n_cycles/4
+        # on: fit_decay_rate's 10 samples from 24 cycles up
+        k = np.arange(n_cycles)
+        sel = (k % 2 == 1) & ((k + 1) * tau >= 0.25 * n_cycles * tau)
+        if np.count_nonzero(sel) < 10:
+            raise DomainError(f"a kick rate fit needs at least 24 cycles, got {n_cycles}")
     model = _qubit_model(ff, span, M, omega0, getattr(strategy, "K", 0.0))
     if isinstance(strategy, ZenoMeasurement):
-        tau = strategy.tau
         return DecayFit(zeno_effective_rate(model, tau), (tau, tau), 0.0)
     if isinstance(strategy, BangBangKick):
-        tau = strategy.tau
         t, P = kick_survival_trace(model, tau, n_cycles)
-        sel = (np.arange(n_cycles) % 2 == 1) & (t >= 0.25 * n_cycles * tau)
         return fit_decay_rate(list(zip(t[sel], P[sel])))
     tsd0 = ff.thermal(math.inf)
     gamma = _free_rate(tsd0, omega0)

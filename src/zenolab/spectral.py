@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergentIntegral, DivergentMoment, DomainError
-from .numerics import (_BERNOULLI, _horner, _shaped, _trigamma_pair, alpha_n,
-                       gauss_legendre, require_finite)
+from .numerics import (_BERNOULLI, _horner, _hurwitz_zeta, _shaped,
+                       _trigamma_pair, alpha_n, gauss_legendre, require_finite)
 
 __all__ = [
     "EXPONENTIAL",
@@ -85,8 +86,14 @@ class FormFactor:
         require_finite(self.g * self.g, f"the square of coupling g = {self.g!r}")
         require_finite(self.cutoff, "cutoff")
         if self.family == POLYNOMIAL:
-            if self.n != int(self.n) or self.n < 1:
-                raise DomainError("polynomial exponent n must be an integer >= 1")
+            try:
+                n = operator.index(self.n)
+            except TypeError:
+                n = 0
+            if n < 1:
+                raise DomainError(f"polynomial exponent n must be an integer >= 1, "
+                                  f"got {self.n!r}")
+            object.__setattr__(self, "n", n)
 
     def thermal(self, beta: float) -> "ThermalSpectralDensity":
         return ThermalSpectralDensity(self, beta)
@@ -240,11 +247,9 @@ _POLY_CHUNK = 512
 # the polynomial family at low temperature (Lambda beta at least
 # _low_temperature_threshold): the relative size of what its series and
 # its far-lag sum leave out, the Matsubara frequencies (below
-# _FAR_FRACTION Lambda) that the far-lag sum keeps, and the explicit
-# terms of each Bose sum before its Hurwitz-zeta tail
+# _FAR_FRACTION Lambda) that the far-lag sum keeps
 _LOW_T_TOL = 1e-18
 _FAR_FRACTION = 0.8
-_BOSE_TERMS = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -562,32 +567,6 @@ def _low_temperature_threshold(n: int) -> float:
         bl *= 1.125
 
 
-def _bose_sums(sigma: np.ndarray, count: int) -> np.ndarray:
-    """Re sum_{m >= 1} (m + i sigma)^{-p}, p = 2k + 2, k < count (rows):
-    terms m < _BOSE_TERMS summed, the rest the Hurwitz zeta function
-    zeta(p, w) at w = _BOSE_TERMS + i sigma by its asymptotic series
-    w^{1-p}/(p-1) + w^{-p}/2 + sum_j B_2j/(2j)! (p)_{2j-1} w^{1-p-2j}."""
-    r = 1.0 / (np.arange(1.0, _BOSE_TERMS) + 1j * sigma[:, None])
-    r2 = r * r
-    v = 1.0 / (_BOSE_TERMS + 1j * sigma)
-    v2 = v * v
-    odd = [v]
-    for _ in _BERNOULLI[1:]:
-        odd.append(odd[-1] * v2)
-    out = np.empty((count, sigma.size))
-    head, vp = r2, v2
-    for k in range(count):
-        p = 2 * k + 2
-        series = 1.0 / (v * (p - 1)) + 0.5
-        rising = float(p)
-        for j, (b, w) in enumerate(zip(_BERNOULLI, odd), start=1):
-            series = series + (b / math.factorial(2 * j) * rising) * w
-            rising *= (p + 2 * j - 1) * (p + 2 * j)
-        out[k] = head.real.sum(axis=1) + (vp * series).real
-        head, vp = head * r2, vp * v2
-    return out
-
-
 def _bose_correction(sigma: np.ndarray, g2: float, bl: float, beta: float,
                      n: int) -> np.ndarray:
     """B(s) - B_inf(s) = 2 int_0^inf J(omega) cos(omega s)/(e^{beta omega} - 1)
@@ -596,15 +575,16 @@ def _bose_correction(sigma: np.ndarray, g2: float, bl: float, beta: float,
     the Bose factor confines to omega of order 1/beta:
 
         (2 g^2/beta^2) sum_k (-1)^k C(n+k-1, k) (2k+1)!/bl^{2k}
-                       Re sum_{m >= 1} (m + i sigma)^{-(2k+2)},
+                       Re zeta(2k+2, 1 + i sigma)
 
-    an asymptotic series whose terms fall geometrically at bl >=
+    (Hurwitz's zeta, :func:`numerics._hurwitz_zeta`), an asymptotic series whose terms fall geometrically at bl >=
     :func:`_low_temperature_threshold`, kept while they are above
     _LOW_T_TOL of the first (:func:`_series_length`)."""
     count = _series_length(n, bl)
     coef = np.array([(-1.0) ** k * math.comb(n + k - 1, k) * math.exp(
         math.lgamma(2 * k + 2) - 2 * k * math.log(bl)) for k in range(count)])
-    return (2.0 * g2 / (beta * beta)) * (coef @ _bose_sums(sigma, count))
+    sums = _hurwitz_zeta(np.arange(2, 2 * count + 1, 2), 1.0 + 1j * sigma).real
+    return (2.0 * g2 / (beta * beta)) * (coef @ sums)
 
 
 def _odd_part(s: np.ndarray, g2: float, lam: float, n: int) -> np.ndarray:

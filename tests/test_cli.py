@@ -121,6 +121,18 @@ def test_crossover_stdout_is_a_csv(capsys):
         assert len([float(v) for v in line.split(",")]) == 6
 
 
+@pytest.mark.parametrize("n", [8, 12])
+def test_crossover_serves_polynomial_n_past_seven(tmp_path, n):
+    # the small-tau kick estimate reads zeta(2n + 1), past zeta(15) here
+    code, out = run(tmp_path, "xp.csv", ["crossover", "--family", "poly",
+                                         "--n", str(n)])
+    assert code == 0
+    _, columns, data = read_csv(out)
+    assert len(data) == 3
+    assert np.all(np.isfinite(col(columns, data, "star_value")))
+    assert np.all(np.isfinite(col(columns, data, "closed_form_estimate")))
+
+
 def test_crossover_no_crossing_reported(tmp_path):
     # zero temperature at Omega = 0.2 W: the Zeno ratio never exceeds 1
     code, out = run(tmp_path, "xn.csv",
@@ -346,6 +358,28 @@ def test_oracle_command_odd_cycles_rejected(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err == (
             "zenolab: configuration error: kick protocol requires an even "
             "number of cycles >= 2\n")
+
+
+def test_oracle_kick_cycles_below_24_rejected(tmp_path, capsys, monkeypatch):
+    # below 24 cycles the fit has fewer than 10 samples; that exited 3
+    # only after the model was built
+    def no_model(*args):
+        raise AssertionError("a model was built")
+
+    argv = ["oracle", "--protocol", "kick", "--values", "0.5", "--modes",
+            "300", "--g", "0.1", "--omega", "0.2", "--beta", "inf"]
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_spectral_measure", no_model)
+        oracle._qubit_model.cache_clear()
+        for cycles in ("2", "22"):
+            capsys.readouterr()
+            code, out = run(tmp_path, "x.csv", argv + ["--cycles", cycles])
+            assert code == 2
+            assert not out.exists()
+            assert "needs at least 24 cycles" in capsys.readouterr().err
+    code, out = run(tmp_path, "x.csv", argv + ["--cycles", "24"])
+    assert code == 0
+    assert len(read_csv(out)[2]) == 1
 
 
 def test_oracle_cycles_read_only_by_kick(tmp_path):
@@ -683,6 +717,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     (["density", "--beta", "-1"], "beta must be positive"),
     (["oracle", "--protocol", "zeno", "--g", "0.1"], "--values is required for zeno"),
     (["oracle", "--protocol", "kick", "--values", ""], "--values is required for kick"),
+    (["evolve", "--g0", "1e200"], "dephasing coupling g0"),
+    (["evolve", "--g0", "1e-170"], "dephasing coupling g0"),
 ])
 def test_config_guards_name_their_input(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"

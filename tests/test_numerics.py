@@ -199,10 +199,59 @@ def test_zeta_odd_against_direct_sum(m):
     assert z.zeta_odd(m) == pytest.approx(_zeta_direct(m), abs=1e-12)
 
 
+def test_zeta_odd_past_fifteen_within_an_ulp():
+    for m in range(17, 40, 2):
+        want = _zeta_direct(m)
+        assert abs(z.zeta_odd(m) - want) <= math.ulp(want)
+
+
+def _hurwitz_direct(p: int, w):
+    # independent oracle for zeta(p, w), w a 1-D array: the terms m < K
+    # summed, plus the Euler-Maclaurin tail at w + K; also the sum of the
+    # terms' moduli
+    K = 20000
+    terms = (w[:, None] + np.arange(K)) ** -float(p)
+    v = w + K
+    tail = v ** (1 - p) / (p - 1) + 0.5 * v ** -p + p / 12.0 * v ** (-p - 1)
+    return terms.sum(axis=1) + tail, np.abs(terms).sum(axis=1) + np.abs(tail)
+
+
+def test_hurwitz_zeta_against_direct_sum():
+    # real w, orders 2..41: one order at a time and all in one call
+    w = np.array([0.5, 1.0, 1.5, 2.0, 17.25])
+    orders = np.arange(2, 42)
+    rows = numerics._hurwitz_zeta(orders, w)
+    for p, row in zip(orders, rows):
+        want, scale = _hurwitz_direct(int(p), w)
+        assert np.all(np.abs(row - want) <= 1e-14 * scale)
+        for x, one, ref, size in zip(w, row, want, scale):
+            assert abs(numerics._hurwitz_zeta(int(p), x) - ref) <= 1e-14 * size
+    # w = 1 + i sigma, sigma in [0, 1), the even orders of the Bose sums
+    w = 1.0 + 1j * np.linspace(0.0, 1.0, 40, endpoint=False)
+    orders = np.arange(2, 23, 2)
+    rows = numerics._hurwitz_zeta(orders, w)
+    assert rows.shape == (orders.size, w.size)
+    for p, row in zip(orders, rows):
+        want, scale = _hurwitz_direct(int(p), w)
+        assert np.all(np.abs(row - want) <= 1e-14 * scale)
+
+
+def test_bernoulli_part_term_by_term():
+    # sum_j B_2j C(p+2j-2, 2j)/(p-1) w^{1-p-2j}; at p = 2 the trigamma
+    # series' own coefficients, B_2j w^{-(2j+1)}
+    w = np.array([16.0, 17.5 + 3.0j, 40.0 - 20.0j])
+    for p in (2, 3, 8):
+        want = sum(b * math.comb(p + 2 * j - 2, 2 * j) / (p - 1) * w ** (1 - p - 2 * j)
+                   for j, b in enumerate(numerics._BERNOULLI, start=1))
+        got = numerics._bernoulli_part(p, w)
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
+
 def test_zeta_odd_values_and_domain():
     assert z.zeta_odd(3) == pytest.approx(1.2020569031595943, abs=1e-12)
     assert z.zeta_odd(5) == pytest.approx(1.0369277551433699, abs=1e-12)
-    for bad in (2, 4, 1, 17):
+    assert z.zeta_odd(17) == pytest.approx(1.0000076371976379, abs=1e-12)
+    for bad in (2, 4, 1):
         with pytest.raises(z.DomainError):
             z.zeta_odd(bad)
     # the table holds the correctly rounded constants

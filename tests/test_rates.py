@@ -296,14 +296,14 @@ def test_zeno_rate_low_temperature_cost(n, monkeypatch):
     ff = z.form_factor_for_bandwidth(z.POLYNOMIAL, W=1.0, n=n)
     hot, cold = ff.thermal(1e6), ff.thermal(math.inf)
     counts, nodes = [], []
-    real_sums, real_engine = spectral._bose_sums, rates._segmented_integrals
+    real_sums, real_engine = spectral._hurwitz_zeta, rates._segmented_integrals
 
     def no_matsubara(*args):
         raise AssertionError("a Matsubara sum at beta = 1e6")
 
-    def recording_sums(sigma, count):
-        counts.append(count)
-        return real_sums(sigma, count)
+    def recording_sums(orders, w):
+        counts.append(len(orders))
+        return real_sums(orders, w)
 
     def counting_engine(f, *args, **kwargs):
         def counted(x, owner):
@@ -312,7 +312,7 @@ def test_zeno_rate_low_temperature_cost(n, monkeypatch):
         return real_engine(counted, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_matsubara_tail", no_matsubara)
-    monkeypatch.setattr(spectral, "_bose_sums", recording_sums)
+    monkeypatch.setattr(spectral, "_hurwitz_zeta", recording_sums)
     monkeypatch.setattr(rates, "_segmented_integrals", counting_engine)
     for tsd in (hot, cold):
         nodes.append(0)
@@ -537,6 +537,15 @@ def test_summary_asymptotics_values():
         z.summary_asymptotics(z.POLYNOMIAL, 1, OMEGA, 1.0)
     with pytest.raises(z.DomainError):
         z.summary_asymptotics("gauss", 2, OMEGA, 1.0)
+
+
+def test_summary_asymptotics_kick_envelope_past_zeta_15():
+    asym = z.summary_asymptotics(z.POLYNOMIAL, 8, OMEGA, 1.0)
+    ff = z.form_factor_for_bandwidth(z.POLYNOMIAL, W=1.0, n=8)
+    for tau in (0.05, 0.3):
+        want = ((8.0 / math.pi) * (1.0 - 2.0 ** -17) * z.zeta_odd(17)
+                * z.bare_density(ff, math.pi / tau))
+        assert asym.kick_envelope(tau) == pytest.approx(want, rel=1e-15)
 
 
 def test_limit_recovery_invariant(tsd_exp, tsd_poly):

@@ -56,6 +56,20 @@ def test_form_factor_validation():
         z.ThermalSpectralDensity(z.FormFactor(z.EXPONENTIAL), 0.0)
 
 
+def test_polynomial_n_is_an_integer():
+    # 2.0 once passed the check and every polynomial kernel then raised a
+    # bare TypeError; an integer-like n is stored as a plain int
+    for bad in (2.0, "2", None):
+        with pytest.raises(z.DomainError, match="exponent n"):
+            z.FormFactor(z.POLYNOMIAL, n=bad)
+    ff = z.FormFactor(z.POLYNOMIAL, n=np.int64(2))
+    assert ff == z.FormFactor(z.POLYNOMIAL, n=2) and type(ff.n) is int
+    assert z.zeno_rate(ff.thermal(50.0), 0.01, 1.0) == z.zeno_rate(
+        z.FormFactor(z.POLYNOMIAL, n=2).thermal(50.0), 0.01, 1.0)
+    # the exponential family ignores n
+    assert z.FormFactor(z.EXPONENTIAL, n=2.0).n == 2.0
+
+
 def test_thermal_density_examples():
     for fam in (z.EXPONENTIAL, z.POLYNOMIAL):
         tsd = z.FormFactor(fam, g=1.3, cutoff=0.8).thermal(7.0)
