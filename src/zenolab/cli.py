@@ -63,12 +63,8 @@ class GridSpec:
         """Parse 'lo:hi:points(log|lin)', e.g. '1e-3:1e2:200log'."""
         try:
             lo_s, hi_s, rest = text.split(":")
-            if rest.endswith("log"):
-                pts, spacing = int(rest[:-3]), "log"
-            elif rest.endswith("lin"):
-                pts, spacing = int(rest[:-3]), "lin"
-            else:
-                pts, spacing = int(rest), "log"
+            spacing = "lin" if rest.endswith("lin") else "log"
+            pts = int(rest.removesuffix(spacing))
             lo, hi = float(lo_s), float(hi_s)
         except (ValueError, AttributeError) as exc:
             raise DomainError(f"bad grid spec {text!r}: {exc}") from None
@@ -131,11 +127,9 @@ class RunConfig:
 
 def _with(cfg: RunConfig, **kw) -> RunConfig:
     """``cfg`` with fields replaced; ``extra`` entries are merged in."""
-    merged = {**cfg.__dict__}
     if "extra" in kw:
         kw["extra"] = {**cfg.extra, **kw["extra"]}
-    merged.update(kw)
-    return RunConfig(**merged)
+    return RunConfig(**{**cfg.__dict__, **kw})
 
 
 # strategy name -> strategy at period tau or coupling K (each uses one)

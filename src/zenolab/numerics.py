@@ -5,12 +5,9 @@ nested Gauss-Kronrod 7/15 pair, bisection) that can run several real or
 complex integrals through shared passes.  Besides it: the entry guard
 for numeric inputs, the kernels' array contract (``_shaped``), Horner's
 rule, the Gauss-Legendre rule (checked, cached on M), the -1 branch of
-Lambert's W, the Hurwitz zeta function (behind the Riemann zeta function
-at odd integers and the polynomial family's Bose sums; its Bernoulli part
-also serves the trigamma function at complex arguments, for the bath
-correlation function), the tail of the half-integer series and the
-Gamma-ratio coefficient alpha_n used by the crossover estimates.  numpy
-is the only dependency.
+Lambert's W, the Hurwitz zeta series (zeta at odd integers, the Bose sums
+and, by its Bernoulli part, the complex trigamma pair), the half-integer
+series tail and alpha_n.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -197,10 +194,7 @@ def gauss_legendre(M: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the M-point Gauss-Legendre rule on
     [-1, 1] (:func:`_gauss_legendre_rule`), read-only and shared by every
     call with the same M; DomainError unless M is an integer >= 2."""
-    try:
-        m = operator.index(M)
-    except TypeError:
-        m = 0
+    m = operator.index(M) if hasattr(type(M), "__index__") else 0
     # checked before the cache, where 300.0 would hit the entry of 300
     if m < 2:
         raise DomainError(f"Gauss-Legendre rule needs an integer M >= 2, got {M!r}")
@@ -339,15 +333,14 @@ def _bernoulli_part(p: int, w):
 
 
 def _hurwitz_zeta(p, w):
-    """The Hurwitz zeta function sum_{m >= 0} (w + m)^{-p} at Re w > 0 for an
-    integer p >= 2, or a 1-D array of them (one row each): the terms m < S,
-    S the one shift that takes every Re w to 16 or more and the first
-    Bernoulli term left out, B_16 C(p+14, 16)/(p-1) (w+S)^{-p-15}, below
-    eps |w|^{-p}; then (w+S)^{1-p}/(p-1) + (w+S)^{-p}/2 + the Bernoulli part."""
+    """Hurwitz's zeta(p, w) = sum_{m >= 0} (w + m)^{-p}, Re w > 0, p an integer
+    >= 2 or a 1-D array of them (a row each): the terms m < S, S the one
+    shift taking every Re w to 16 and the first Bernoulli term left out,
+    B_16 C(p+14, 16)/(p-1) (w+S)^{-p-15}, below eps |w|^{-p}; then
+    (w+S)^{1-p}/(p-1) + (w+S)^{-p}/2 + :func:`_bernoulli_part`."""
     w = np.asarray(w)
     orders = np.atleast_1d(p).tolist()
-    # |w| floored at 1 and Re w capped at 16 (an empty w takes both) can
-    # only lengthen the head
+    # flooring |w| at 1 and capping Re w at 16 can only lengthen the head
     big = math.log(float(np.abs(w).max(initial=1.0)))
     top = max(math.exp((math.log(3617 / 510 * math.comb(o + 14, 16) / (o - 1))
                         + o * big - math.log(_EPS)) / (o + 15)) for o in orders)

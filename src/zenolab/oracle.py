@@ -531,8 +531,7 @@ def effective_rate(ff: FormFactor, omega0: float, strategy: ControlStrategy,
     _require_recurrence(span, t_max, M)
     tau = getattr(strategy, "tau", None)
     if isinstance(strategy, BangBangKick):
-        # the trace's times (k + 1) tau at even cycle counts from n_cycles/4
-        # on: fit_decay_rate's 10 samples from 24 cycles up
+        # the fit's trace times (k + 1) tau, 10 of them from 24 cycles up
         k = np.arange(n_cycles)
         sel = (k % 2 == 1) & ((k + 1) * tau >= 0.25 * n_cycles * tau)
         if np.count_nonzero(sel) < 10:

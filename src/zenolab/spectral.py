@@ -86,10 +86,8 @@ class FormFactor:
         require_finite(self.g * self.g, f"the square of coupling g = {self.g!r}")
         require_finite(self.cutoff, "cutoff")
         if self.family == POLYNOMIAL:
-            try:
-                n = operator.index(self.n)
-            except TypeError:
-                n = 0
+            # an integer (operator.index): np.int64(2) is one, 2.0 and '2' are not
+            n = operator.index(self.n) if hasattr(type(self.n), "__index__") else 0
             if n < 1:
                 raise DomainError(f"polynomial exponent n must be an integer >= 1, "
                                   f"got {self.n!r}")
@@ -131,11 +129,10 @@ def bare_density(ff: FormFactor, omega):
     pos = (w > 0) & (w < math.inf)
     _reject_nan(w, ~pos)
     out = np.zeros_like(w)
+    wp = w[pos]
     if ff.family == EXPONENTIAL:
-        wp = w[pos]
         out[pos] = g2 * wp * np.exp(-np.minimum(wp / lam, _EXP_CLIP))
     else:
-        wp = w[pos]
         with np.errstate(over="ignore"):
             den = (1.0 + (wp / lam) ** 2) ** ff.n
         vals = g2 * wp / den
@@ -175,10 +172,9 @@ def thermal_density(tsd: ThermalSpectralDensity, omega):
     if neg.any():
         x = beta * (-w[neg])
         kb = bare_density(tsd.base, -w[neg])
-        vals = kb / np.expm1(np.minimum(x, _EXP_CLIP))
         # beyond the clip expm1 would overflow; fall back to kb e^{-x}
-        vals = np.where(x > _EXP_CLIP, kb * np.exp(-np.minimum(x, 1490.0)), vals)
-        out[neg] = vals
+        out[neg] = np.where(x > _EXP_CLIP, kb * np.exp(-np.minimum(x, 1490.0)),
+                            kb / np.expm1(np.minimum(x, _EXP_CLIP)))
     out[zer] = tsd.base.g * tsd.base.g / beta
     return _shaped(out, omega)
 
@@ -577,9 +573,9 @@ def _bose_correction(sigma: np.ndarray, g2: float, bl: float, beta: float,
         (2 g^2/beta^2) sum_k (-1)^k C(n+k-1, k) (2k+1)!/bl^{2k}
                        Re zeta(2k+2, 1 + i sigma)
 
-    (Hurwitz's zeta, :func:`numerics._hurwitz_zeta`), an asymptotic series whose terms fall geometrically at bl >=
-    :func:`_low_temperature_threshold`, kept while they are above
-    _LOW_T_TOL of the first (:func:`_series_length`)."""
+    (Hurwitz's zeta, :func:`numerics._hurwitz_zeta`), an asymptotic series
+    whose terms fall geometrically at bl >= :func:`_low_temperature_threshold`,
+    kept while they are above _LOW_T_TOL of the first (:func:`_series_length`)."""
     count = _series_length(n, bl)
     coef = np.array([(-1.0) ** k * math.comb(n + k - 1, k) * math.exp(
         math.lgamma(2 * k + 2) - 2 * k * math.log(bl)) for k in range(count)])
@@ -624,10 +620,7 @@ def _zero_temperature(s: np.ndarray, g2: float, lam: float, n: int) -> np.ndarra
         power = [sum(power[j] * root[i - j] for j in range(i + 1))
                  for i in range(n)]
     out[pos] += g2 * lam ** (2 * n) * (-1.0) ** (n - 1) * -0.5 * chi
-    if n >= 2:
-        out[~pos] = g2 * a / (2.0 * (n - 1))
-    else:
-        out[~pos] = math.inf
+    out[~pos] = g2 * a / (2.0 * (n - 1)) if n >= 2 else math.inf
     return out
 
 
