@@ -620,7 +620,10 @@ def _zero_temperature(s: np.ndarray, g2: float, lam: float, n: int) -> np.ndarra
         power = [sum(power[j] * root[i - j] for j in range(i + 1))
                  for i in range(n)]
     out[pos] += g2 * lam ** (2 * n) * (-1.0) ** (n - 1) * -0.5 * chi
-    out[~pos] = g2 * a / (2.0 * (n - 1)) if n >= 2 else math.inf
+    if n >= 2:
+        out[~pos] = g2 * a / (2.0 * (n - 1))
+    else:
+        out[~pos] = math.inf
     return out
 
 
