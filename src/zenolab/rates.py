@@ -284,9 +284,9 @@ _J_MAX = 50
 # next comb argument times tau
 _TAIL_WEIGHT = half_integer_series_tail(_J_MAX + 1)
 _NEXT_COMB = (2 * (_J_MAX + 1) + 1) * math.pi
-# periods per comb block: a block holds _J_MAX + 1 terms and 64 tail
-# probes per period
-_KICK_BLOCK = 32
+# periods per comb block: a block holds 2 (_J_MAX + 2) comb arguments per
+# period in one density call (kick_rate's bound: 128 tail probes)
+_KICK_BLOCK = 64
 
 
 def _tail_supremum(tsd: ThermalSpectralDensity, start: np.ndarray,
@@ -297,26 +297,37 @@ def _tail_supremum(tsd: ThermalSpectralDensity, start: np.ndarray,
     return np.max(thermal_density(tsd, probe), axis=1)
 
 
-def _kick_tail_estimate(tsd: ThermalSpectralDensity, omega0: float, taus):
-    """The tail estimate beyond term _J_MAX: the tail weight times the
-    density at the next comb argument."""
-    return _TAIL_WEIGHT * _pair(tsd, omega0, _NEXT_COMB / taus)
+def _comb_pairs(tsd: ThermalSpectralDensity, omega0: float,
+                t: np.ndarray) -> np.ndarray:
+    """The sideband pairs (:func:`_pair`) at the comb arguments
+    x = (2j+1) pi/t, j = 0.._J_MAX + 1, for a 1-D array t of periods, as
+    (periods x terms): column _J_MAX + 1 is the next comb argument,
+    _NEXT_COMB/t.  Both sides of every period go through one
+    thermal_density call."""
+    x = (2 * np.arange(_J_MAX + 2) + 1) * math.pi / t[:, None]
+    k = thermal_density(tsd, np.concatenate([omega0 + x, omega0 - x], axis=1))
+    return k[:, :_J_MAX + 2] + k[:, _J_MAX + 2:]
+
+
+def _kick_tail_estimate(pairs: np.ndarray) -> np.ndarray:
+    """The tail estimate beyond term _J_MAX: the tail weight times the pair
+    at the next comb argument, the last column of :func:`_comb_pairs`."""
+    return _TAIL_WEIGHT * pairs[:, -1]
 
 
 def _kick_comb(tsd: ThermalSpectralDensity, omega0: float, tau):
     """The ``gamma`` of :func:`kick_rate` without its bound: terms
     j = 0.._J_MAX summed as (periods x terms) blocks of _KICK_BLOCK
-    periods, plus the one-point tail estimate."""
+    periods, plus the one-point tail estimate; one density call per
+    block (:func:`_comb_pairs`)."""
     taus = require_finite(tau, "kick period tau")
-    j = np.arange(_J_MAX + 1)
-    weights = (j + 0.5) ** -2.0
+    weights = (np.arange(_J_MAX + 1) + 0.5) ** -2.0
     gamma = np.empty(taus.size)
     for s in range(0, taus.size, _KICK_BLOCK):
-        t = taus[s:s + _KICK_BLOCK]
-        h = (2 * j + 1) * math.pi / t[:, None]
-        partial = np.sum(weights * _pair(tsd, omega0, h), axis=1)
+        pairs = _comb_pairs(tsd, omega0, taus[s:s + _KICK_BLOCK])
+        partial = np.sum(weights * pairs[:, :-1], axis=1)
         gamma[s:s + _KICK_BLOCK] = (2.0 / math.pi) * (
-            partial + _kick_tail_estimate(tsd, omega0, t))
+            partial + _kick_tail_estimate(pairs))
     return _shaped(gamma, tau)
 
 
@@ -334,8 +345,11 @@ def kick_rate(tsd: ThermalSpectralDensity, omega0: float, tau) -> SeriesRate:
 
     ``tau`` is a period or a 1-D array of periods (then both fields are
     arrays); arrays are summed as (periods x terms) comb blocks of
-    _KICK_BLOCK periods.  ``strategy_rate`` with ``BangBangKick(tau)``
-    is ``gamma`` bit for bit, without the bound's 128 probes per period.
+    _KICK_BLOCK periods, each block's comb and tail arguments in one
+    thermal_density call, and a period's value does not depend on the
+    other periods of the call.  ``strategy_rate`` with
+    ``BangBangKick(tau)`` is ``gamma`` bit for bit, without the bound's
+    128 probes per period.
     """
     taus = require_finite(tau, "kick period tau")
     bound = np.empty(taus.size)
@@ -406,8 +420,8 @@ def kick_rate_integral(tsd: ThermalSpectralDensity, omega0: float, tau: float,
         val, _ = segmented_integral(f, edges, rel_tol=1e-8, abs_tol=1e-300,
                                     max_passes=16)
         total += val
-    return ((2.0 / n_cycles) * total
-            + (2.0 / math.pi) * _kick_tail_estimate(tsd, omega0, tau))
+    tail = _kick_tail_estimate(_comb_pairs(tsd, omega0, np.array([tau])))
+    return (2.0 / n_cycles) * total + (2.0 / math.pi) * float(tail[0])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,6 +62,7 @@ _FAMILIES = (EXPONENTIAL, POLYNOMIAL)
 # about 1e-300)
 _EXP_CLIP = 700.0
 _TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,10 @@ def bare_density(ff: FormFactor, omega):
     out = np.zeros_like(w)
     wp = w[pos]
     if ff.family == EXPONENTIAL:
-        out[pos] = g2 * wp * np.exp(-np.minimum(wp / lam, _EXP_CLIP))
+        # a quotient past float range is clipped like any other above 700
+        with np.errstate(over="ignore"):
+            x = wp / lam
+        out[pos] = g2 * wp * np.exp(-np.minimum(x, _EXP_CLIP))
     else:
         with np.errstate(over="ignore"):
             den = (1.0 + (wp / lam) ** 2) ** ff.n
@@ -146,36 +150,49 @@ def bare_density(ff: FormFactor, omega):
 def thermal_density(tsd: ThermalSpectralDensity, omega):
     """kappa_beta(omega) on the whole real axis.
 
-    Evaluated as kappa(|omega|)/(-expm1(-beta omega)) for omega > 0 and
-    kappa(|omega|)/expm1(beta |omega|) for omega < 0, which is stable for
-    both tiny and huge |beta omega|; the omega = 0 value is the limit
-    g^2/beta, also taken wherever |omega| <= tiny/beta (beta |omega| below
-    the smallest normal float, tiny), and omega = +-inf gives 0.  At
-    beta = +inf the bare density is returned.  A NaN frequency raises
-    DomainError.
+    Evaluated as kappa(|omega|)/|expm1(min(-beta omega, 700))| with one
+    bare_density call: kappa(|omega|)/(-expm1(-beta omega)) for omega > 0
+    and kappa(|omega|)/expm1(beta |omega|) for omega < 0, which is stable
+    for both tiny and huge |beta omega|.  Where beta |omega| passes 700,
+    expm1 would overflow and kappa(|omega|) e^{-beta |omega|} is taken
+    instead.  The omega = 0 value is the limit g^2/beta, also taken
+    wherever |omega| <= tiny/beta (beta |omega| below the smallest normal
+    float, tiny); a subnormal |omega| above that floor is formed as
+    (g^2/beta) s beta |omega|/|expm1(-beta omega)|, with s = kappa/(g^2
+    |omega|) free of the subnormal product g^2 omega.  omega = +-inf
+    gives 0.  At beta = +inf the bare density is returned.  A NaN
+    frequency raises DomainError.
     """
     if math.isinf(tsd.beta):
         return bare_density(tsd.base, omega)
-    w = np.asarray(omega, dtype=float)
+    w = np.asarray(omega, dtype=float).ravel()
     beta = tsd.beta
-    out = np.empty_like(w)
+    a = np.abs(w)
+    ff = tsd.base
+    with np.errstate(over="ignore"):    # -beta omega past range is clipped
+        x = -beta * w
+    kb = bare_density(ff, a)
+    # x/0 and 0/0 where beta |omega| underflows: those entries are patched
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = kb / np.abs(np.expm1(np.minimum(x, _EXP_CLIP)))
+    big = x > _EXP_CLIP
+    if big.any():
+        out[big] = kb[big] * np.exp(-np.minimum(x[big], 1490.0))
     # where beta |omega| falls below the smallest normal float the quotient
     # loses its digits (and at 0 divides by zero): the limit g^2/beta holds
     # there.  A threshold that underflows to 0 leaves only omega = 0.
+    g2 = ff.g * ff.g
     floor = _TINY / beta
-    pos = w > floor
-    neg = w < -floor
-    zer = ~(pos | neg)
-    _reject_nan(w, zer)
-    if pos.any():
-        out[pos] = bare_density(tsd.base, w[pos]) / (-np.expm1(-beta * w[pos]))
-    if neg.any():
-        x = beta * (-w[neg])
-        kb = bare_density(tsd.base, -w[neg])
-        # beyond the clip expm1 would overflow; fall back to kb e^{-x}
-        out[neg] = np.where(x > _EXP_CLIP, kb * np.exp(-np.minimum(x, 1490.0)),
-                            kb / np.expm1(np.minimum(x, _EXP_CLIP)))
-    out[zer] = tsd.base.g * tsd.base.g / beta
+    out[a <= floor] = g2 / beta
+    sub = (a > floor) & (a < _TINY)
+    if sub.any():
+        # s from omega and Lambda scaled by 2^52 (exact) at g = 1; a cutoff
+        # past range leaves omega/Lambda, and so s - 1, below rounding
+        unit = replace(ff, g=1.0, cutoff=min(ff.cutoff * 2.0 ** 52, _HUGE))
+        ws = a[sub] * 2.0 ** 52
+        y = x[sub]
+        out[sub] = g2 / beta * (bare_density(unit, ws) / ws) * (
+            np.abs(y) / np.abs(np.expm1(y)))
     return _shaped(out, omega)
 
 

@@ -761,6 +761,25 @@ def test_coupling_and_free_rate_edges_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# frequencies near the top of float range: w/Lambda (exponential family)
+# and beta omega overflowed with a RuntimeWarning, though both are clipped
+# and every value was right; now they run clean
+_FAR_FREQUENCY_TABLE = (
+    ["density", "--grid=1e307:1.7e308:3lin"],
+    ["evolve", "--strategy", "continuous", "--K", "9e307"])
+
+
+@pytest.mark.parametrize("argv", _FAR_FREQUENCY_TABLE, ids=" ".join)
+def test_far_frequency_edges_exit_0_without_warnings(tmp_path, capsys, argv):
+    out = tmp_path / "edge.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, _, data = read_csv(out)
+    assert data.size and np.all(np.isfinite(data))
+
+
 @pytest.mark.parametrize("strategy", ["zeno", "kick", "continuous"])
 def test_lambda_units_leave_the_sweeps_unchanged(tmp_path, strategy):
     # --unit lambda sets W = 2; x = W tau and every rate ratio are unit-free

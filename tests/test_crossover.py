@@ -212,6 +212,44 @@ def test_zeno_scan_node_count(monkeypatch, beta, omega0):
     assert nodes["refine"] > 0
 
 
+@pytest.mark.parametrize("fam, beta, omega0", [
+    (z.EXPONENTIAL, 51.97, 0.0133), (z.POLYNOMIAL, 1e3, 0.01)])
+def test_kick_scan_density_call_count(monkeypatch, fam, beta, omega0):
+    # a deterministic cost guard: the comb makes one density call per block
+    # of rates._KICK_BLOCK periods, so the 3201-point scan makes at most
+    # ceil(3201/64) = 51 (4 per 32-period block, 404, before), and each
+    # Brent evaluation one
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0).thermal(beta)
+    calls = {"free": 0, "scan": 0, "refine": 0}
+    phase = ["free"]
+    real_density, real_comb = rates.thermal_density, rates._kick_comb
+
+    def density(tsd, omega):
+        calls[phase[0]] += 1
+        return real_density(tsd, omega)
+
+    def comb(tsd, omega0, tau):
+        phase[0] = "scan" if np.ndim(tau) else "refine"
+        return real_comb(tsd, omega0, tau)
+
+    monkeypatch.setattr(rates, "thermal_density", density)
+    monkeypatch.setattr(rates, "_kick_comb", comb)
+    rep = xo.find_tau_star_kick(tsd, omega0)
+    assert calls["free"] == 1
+    assert 0 < calls["scan"] <= math.ceil(xo._SCAN_GRID.size / 64)
+    assert calls["refine"] == rep.n_refine > 0
+
+
+@pytest.mark.parametrize("fam, beta, omega0", [
+    (z.EXPONENTIAL, 50.0, OMEGA), (z.POLYNOMIAL, math.inf, -0.2)])
+def test_kick_comb_scan_equals_its_scalar_calls(fam, beta, omega0):
+    # every value of the blocked scan is the lone-period comb bit for bit
+    tsd = z.form_factor_for_bandwidth(fam, W=1.0).thermal(beta)
+    scan = rates._kick_comb(tsd, omega0, xo._SCAN_GRID)
+    lone = [rates._kick_comb(tsd, omega0, float(tau)) for tau in xo._SCAN_GRID]
+    assert np.array_equal(scan, np.array(lone))
+
+
 def test_kick_scan_skips_truncation_bound(monkeypatch, tmp_path, tsd_exp):
     # the finder, strategy_rate, the qubit generator and the CLI sweep read
     # only gamma, so none probes the tail supremum, and every comb value

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,126 @@ def test_thermal_density_takes_its_limit_where_beta_omega_underflows(
     assert math.isfinite(scalar)
     assert abs(scalar / limit - 1.0) <= 1e-15
     assert array[0] == scalar
+
+
+def _per_sign(tsd, omega):
+    """kappa_beta by the per-sign expressions, one frequency at a time:
+    kappa(omega)/(-expm1(-beta omega)) for omega > 0, kappa(|omega|)/
+    expm1(beta |omega|) for omega < 0 (kappa(|omega|) e^{-beta |omega|}
+    where beta |omega| passes 700), the limit g^2/beta wherever
+    |omega| <= tiny/beta, and the bare density at beta = inf."""
+    if math.isinf(tsd.beta):
+        return z.bare_density(tsd.base, omega)
+    beta, floor = tsd.beta, _TINY / tsd.beta
+    if omega > floor:
+        return z.bare_density(tsd.base, omega) / (-np.expm1(-beta * omega))
+    if omega < -floor:
+        x = beta * -omega
+        kb = z.bare_density(tsd.base, -omega)
+        if x > 700.0:
+            return kb * np.exp(-min(x, 1490.0))
+        return kb / np.expm1(min(x, 700.0))
+    return tsd.base.g * tsd.base.g / beta
+
+
+_TINY = np.finfo(float).tiny
+_BIT_BETAS = [1e-300, 0.5, 2.0, 50.0, 1e3, 1e300, math.inf]
+
+
+def _bit_omegas(beta):
+    """0, -0.0, +-5e-324, +-tiny/beta, the neighbours of +-700/beta, +-inf
+    and a spread of ordinary frequencies."""
+    clip = 700.0 / beta
+    w = [0.0, 5e-324, _TINY / beta, np.nextafter(clip, 0.0), clip,
+         np.nextafter(clip, math.inf), 1e-12, 0.3, 1.0, 7.5, 40.0, 1e300,
+         math.inf]
+    return np.array([-0.0] + w + [-x for x in w])
+
+
+# the single expression kappa(|omega|)/|expm1(min(-beta omega, 700))| with
+# its patches gives every value of the per-sign form bit for bit, except at
+# a subnormal |omega| above the zero floor (see the next test)
+@pytest.mark.parametrize("fam, n", [(z.EXPONENTIAL, 2), (z.POLYNOMIAL, 1),
+                                    (z.POLYNOMIAL, 2), (z.POLYNOMIAL, 4)])
+@pytest.mark.parametrize("beta", _BIT_BETAS)
+def test_thermal_density_matches_the_per_sign_form_bit_for_bit(fam, n, beta):
+    tsd = z.FormFactor(fam, g=0.7, cutoff=0.37, n=n).thermal(beta)
+    w = _bit_omegas(beta)
+    with np.errstate(over="ignore"):
+        ref = [_per_sign(tsd, x) for x in w]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        array = z.thermal_density(tsd, w)
+        scalars = [z.thermal_density(tsd, float(x)) for x in w]
+        grid = z.thermal_density(tsd, np.stack([w, w[::-1]]))
+    keep = ~((np.abs(w) < _TINY) & (np.abs(w) > _TINY / beta))
+    assert np.array_equal(array[keep], np.array(ref)[keep])
+    assert all(type(x) is float for x in scalars)
+    assert np.array_equal(np.array(scalars), array)
+    assert np.array_equal(grid, np.stack([array, array[::-1]]))
+
+
+def test_scalar_zero_frequency_gives_a_float():
+    # omega = 0 goes through the 0/0 patch; as a scalar it is a float, as
+    # in the dephasing channel of the free qubit generator
+    for fam in (z.EXPONENTIAL, z.POLYNOMIAL):
+        tsd = z.form_factor_for_bandwidth(fam, W=1.0).thermal(50.0)
+        for omega in (0.0, -0.0, 0, np.float64(0.0)):
+            value = z.thermal_density(tsd, omega)
+            assert type(value) is float
+            assert value == tsd.base.g * tsd.base.g / 50.0
+        rate = z.strategy_rate(tsd, 0.0, z.Free())
+        assert type(rate) is float and rate == 2.0 * math.pi * value
+        gen = z.build_qubit_generator(tsd, tsd, 0.01, z.Free())
+        assert gen.gamma_dephase == rate
+
+
+def _expm1_exact(y):
+    if abs(y) < Decimal("1e-5"):
+        return sum(y ** m / math.factorial(m) for m in range(1, 8))
+    return y.exp() - 1
+
+
+def _thermal_exact(fam, n, g, lam, beta, w):
+    """kappa_beta(w) of the float inputs, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g, lam, beta, w = Decimal(g), Decimal(lam), Decimal(beta), Decimal(w)
+        a = abs(w)
+        shape = (-a / lam).exp() if fam == z.EXPONENTIAL else 1 / (1 + (a / lam) ** 2) ** n
+        return g * g * a * shape / abs(_expm1_exact(-beta * w))
+
+
+# a subnormal omega above the floor tiny/beta: kappa(|omega|) = g^2 |omega| s
+# rounded on the subnormal grid, 9.4e-5 low at omega = 3e-320 and 1.9e-14
+# at 1e-310 (exp, beta = 1e300 and 1e308).  There the value is now within
+# 4e-16 of the exact one, or the float nearest it where the value is itself
+# subnormal (beta = 1e308); elsewhere within a few ulp, or one unit of the
+# subnormal grid
+@pytest.mark.parametrize("beta", [1e300, 1e308])
+def test_thermal_density_at_subnormal_omega(beta):
+    tsd = z.FormFactor(z.EXPONENTIAL, g=0.7, cutoff=1.0).thermal(beta)
+    for w in (3e-320, -3e-320, 1e-310, -1e-310):
+        value = z.thermal_density(tsd, w)
+        exact = _thermal_exact(z.EXPONENTIAL, 2, 0.7, 1.0, beta, w)
+        assert (abs(Decimal(value) / exact - 1) <= Decimal("4e-16")
+                or value == float(exact)), (w, value, float(exact))
+
+
+@pytest.mark.parametrize("fam, n", [(z.EXPONENTIAL, 2), (z.POLYNOMIAL, 1),
+                                    (z.POLYNOMIAL, 4)])
+@pytest.mark.parametrize("lam", [1.0, 0.37, 1e-300])
+@pytest.mark.parametrize("beta", [2.0, 1e300, 1e308])
+def test_thermal_density_at_subnormal_omega_everywhere(fam, n, lam, beta):
+    tsd = z.FormFactor(fam, g=0.7, cutoff=lam, n=n).thermal(beta)
+    omegas = [w for w in (3.5e-323, 3e-320, 1e-310, 2.2e-308) if w > _TINY / beta]
+    omegas += [-w for w in omegas]
+    array = z.thermal_density(tsd, np.array(omegas))
+    for w, value in zip(omegas, array):
+        exact = _thermal_exact(fam, n, 0.7, lam, beta, w)
+        assert z.thermal_density(tsd, w) == value
+        assert (abs(Decimal(float(value)) - exact)
+                <= Decimal("1e-15") * exact + Decimal(5e-324)), (w, value)
 
 
 def _poly_exact(g, lam, n, w):
