@@ -166,6 +166,9 @@ def test_thermal_density_takes_its_limit_where_beta_omega_underflows(
     assert array[0] == scalar
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _per_sign(tsd, omega):
     """kappa_beta by the per-sign expressions, one frequency at a time:
     kappa(omega)/(-expm1(-beta omega)) for omega > 0, kappa(|omega|)/
@@ -186,10 +189,6 @@ def _per_sign(tsd, omega):
     return tsd.base.g * tsd.base.g / beta
 
 
-_TINY = np.finfo(float).tiny
-_BIT_BETAS = [1e-300, 0.5, 2.0, 50.0, 1e3, 1e300, math.inf]
-
-
 def _bit_omegas(beta):
     """0, -0.0, +-5e-324, +-tiny/beta, the neighbours of +-700/beta, +-inf
     and a spread of ordinary frequencies."""
@@ -205,7 +204,7 @@ def _bit_omegas(beta):
 # a subnormal |omega| above the zero floor (see the next test)
 @pytest.mark.parametrize("fam, n", [(z.EXPONENTIAL, 2), (z.POLYNOMIAL, 1),
                                     (z.POLYNOMIAL, 2), (z.POLYNOMIAL, 4)])
-@pytest.mark.parametrize("beta", _BIT_BETAS)
+@pytest.mark.parametrize("beta", [1e-300, 0.5, 2.0, 50.0, 1e3, 1e300, math.inf])
 def test_thermal_density_matches_the_per_sign_form_bit_for_bit(fam, n, beta):
     tsd = z.FormFactor(fam, g=0.7, cutoff=0.37, n=n).thermal(beta)
     w = _bit_omegas(beta)
