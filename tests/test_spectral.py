@@ -201,7 +201,7 @@ def _bit_omegas(beta):
 
 # the single expression kappa(|omega|)/|expm1(min(-beta omega, 700))| with
 # its patches gives every value of the per-sign form bit for bit, except at
-# a subnormal |omega| above the zero floor (see the next test)
+# a subnormal |omega| above the zero floor (see the subnormal tests below)
 @pytest.mark.parametrize("fam, n", [(z.EXPONENTIAL, 2), (z.POLYNOMIAL, 1),
                                     (z.POLYNOMIAL, 2), (z.POLYNOMIAL, 4)])
 @pytest.mark.parametrize("beta", [1e-300, 0.5, 2.0, 50.0, 1e3, 1e300, math.inf])
